@@ -132,7 +132,7 @@ def cmd_audit(args) -> int:
     try:
         text = Path(args.chain).read_text(encoding="utf-8")
         chain = parse_chain(text)
-    except (OSError, ChainParseError) as exc:
+    except (OSError, UnicodeDecodeError, ChainParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     result = audit_chain(chain)

@@ -165,7 +165,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
     prob("adversary.p2", cfg.tamper_probability)
     prob("chain.miss_probability", cfg.chain.miss_probability)
-    nonneg("lots.n", cfg.n_lots_per_season)
+    if cfg.n_lots_per_season < 1:
+        bad.append(("lots.n", "invalid_range", "need at least one lot per season"))
     nonneg("growth.g", cfg.growth_rate)
     nonneg("growth.lambda", cfg.lambda_var)
     if cfg.cbd_thc_ratio <= 0:

@@ -390,60 +390,124 @@ def export_chain(chain: ChainState) -> str:
     return "\n".join(lines) + "\n"
 
 
+# JSON type of every field of each export line kind (an integer passes as a
+# number); a line must hold all of its kind's fields with these types.
+_LINE_FIELDS = {
+    "meta": {"topology": str, "n_shards": int},
+    "record": {"record_id": str, "lot_id": str, "role": str, "record_kind": str,
+               "location": int, "payload": dict, "submitted_at": float},
+    "shard_block": {"shard_id": int, "height": int, "prev_hash": str, "merkle_root": str,
+                    "validator": str, "created_at": float, "records": list, "nonce": int},
+    "root_block": {"height": int, "prev_hash": str, "headers": list, "regulator": str,
+                   "created_at": float, "nonce": int},
+}
+_LINE_KEYS = {kind: (tuple(fields), tuple(fields.values()))
+              for kind, fields in _LINE_FIELDS.items()}
+# one line's JSON value without json.loads' per-call wrapping; parse_chain
+# rejects trailing data itself
+_decode = json.JSONDecoder().raw_decode
+# value -> member maps, a dict lookup instead of an enum call per record
+_ROLES = {role.value: role for role in ParticipantRole}
+_RECORD_KINDS = {kind.value: kind for kind in RecordKind}
+
+
+def _check_fields(obj: dict, kind: str) -> None:
+    """Raise ValueError naming the first field of `kind` that `obj` lacks or
+    holds with the wrong JSON type."""
+    keys, types = _LINE_KEYS[kind]
+    if tuple(map(type, map(obj.get, keys))) == types:
+        return
+    for key, typ in _LINE_FIELDS[kind].items():
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        got = type(obj[key])
+        if got is not typ and not (typ is float and got is int):
+            raise ValueError(f"field {key!r} must be {typ.__name__}, got {got.__name__}")
+
+
+def _parse_line(obj, chain: ChainState | None) -> ChainState:
+    """Add one decoded export line to `chain`; the meta line starts it."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
+    kind = obj.get("kind")
+    if kind == "meta":
+        if chain is not None:
+            # a later meta line would silently discard everything before it
+            raise ValueError("second meta line")
+        _check_fields(obj, kind)
+        return ChainState(topology=Topology(obj["topology"]), n_shards=obj["n_shards"])
+    if chain is None:
+        raise ValueError("content before meta line")
+    if type(kind) is not str or kind not in _LINE_FIELDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    _check_fields(obj, kind)
+    if kind == "record":
+        role = _ROLES.get(obj["role"])
+        if role is None:
+            raise ValueError(f"unknown role {obj['role']!r}")
+        record_kind = _RECORD_KINDS.get(obj["record_kind"])
+        if record_kind is None:
+            raise ValueError(f"unknown record kind {obj['record_kind']!r}")
+        rec = DataRecord(
+            record_id=obj["record_id"],
+            lot_id=obj["lot_id"],
+            participant_role=role,
+            record_kind=record_kind,
+            location_index=obj["location"],
+            payload=obj["payload"],
+            submitted_at=float(obj["submitted_at"]),
+        )
+        chain.records[rec.record_id] = rec
+    elif kind == "shard_block":
+        if not all(type(rid) is str for rid in obj["records"]):
+            raise ValueError("field 'records' must list strings")
+        block = ShardBlock(
+            shard_id=obj["shard_id"],
+            height=obj["height"],
+            prev_hash=obj["prev_hash"],
+            merkle_root=obj["merkle_root"],
+            validator_signature=obj["validator"],
+            created_at=float(obj["created_at"]),
+            record_ids=obj["records"],
+            nonce=obj["nonce"],
+        )
+        chain.shard_blocks(block.shard_id).append(block)
+    else:
+        headers = [tuple(h) for h in obj["headers"]
+                   if type(h) is list and len(h) == 3 and type(h[0]) is int
+                   and type(h[1]) is int and type(h[2]) is str]
+        if len(headers) != len(obj["headers"]):
+            raise ValueError("field 'headers' must list [shard_id, height, hash] triples")
+        chain.roots.append(
+            RootBlock(
+                height=obj["height"],
+                prev_hash=obj["prev_hash"],
+                shard_headers=headers,
+                regulator_id=obj["regulator"],
+                created_at=float(obj["created_at"]),
+                nonce=obj["nonce"],
+            )
+        )
+    return chain
+
+
 def parse_chain(text: str) -> ChainState:
+    """Rebuild a chain from `export_chain` text.  A line that is not a JSON
+    object, a second meta line, or a line missing a field of its kind or
+    holding one of the wrong type or an unknown enum value raises
+    ChainParseError naming the line."""
     chain: ChainState | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj, end = _decode(line)
+            if end != len(line):
+                raise ValueError(f"extra data at column {end + 1}")
+            chain = _parse_line(obj, chain)
+        except (ValueError, RecursionError) as exc:
             raise ChainParseError(f"line {lineno}: {exc}") from exc
-        kind = obj.get("kind")
-        if kind == "meta":
-            chain = ChainState(
-                topology=Topology(obj["topology"]), n_shards=int(obj["n_shards"])
-            )
-        elif chain is None:
-            raise ChainParseError(f"line {lineno}: content before meta line")
-        elif kind == "record":
-            rec = DataRecord(
-                record_id=obj["record_id"],
-                lot_id=obj["lot_id"],
-                participant_role=ParticipantRole(obj["role"]),
-                record_kind=RecordKind(obj["record_kind"]),
-                location_index=int(obj["location"]),
-                payload=obj["payload"],
-                submitted_at=float(obj["submitted_at"]),
-            )
-            chain.records[rec.record_id] = rec
-        elif kind == "shard_block":
-            chain.shard_blocks(int(obj["shard_id"])).append(
-                ShardBlock(
-                    shard_id=int(obj["shard_id"]),
-                    height=int(obj["height"]),
-                    prev_hash=obj["prev_hash"],
-                    merkle_root=obj["merkle_root"],
-                    validator_signature=obj["validator"],
-                    created_at=float(obj["created_at"]),
-                    record_ids=list(obj["records"]),
-                    nonce=int(obj["nonce"]),
-                )
-            )
-        elif kind == "root_block":
-            chain.roots.append(
-                RootBlock(
-                    height=int(obj["height"]),
-                    prev_hash=obj["prev_hash"],
-                    shard_headers=[tuple(h) for h in obj["headers"]],
-                    regulator_id=obj["regulator"],
-                    created_at=float(obj["created_at"]),
-                    nonce=int(obj["nonce"]),
-                )
-            )
-        else:
-            raise ChainParseError(f"line {lineno}: unknown kind {kind!r}")
     if chain is None:
         # an empty export is a vacuously intact chain
         chain = ChainState(topology=Topology.NONE, n_shards=0)

@@ -107,9 +107,13 @@ class RngStream:
         self.counter += size
         return out
 
-    def permutation(self, n: int) -> np.ndarray:
-        out = self._generator().permutation(n)
-        self.counter += 1
+    def permutations(self, m: int, n: int) -> np.ndarray:
+        """(m, n) matrix whose rows are the permutations of range(n) that m
+        successive ``Generator.permutation(n)`` calls would return; counts as
+        m draws."""
+        out = np.tile(np.arange(n), (m, 1))
+        self._generator().permuted(out, axis=1, out=out)
+        self.counter += m
         return out
 
 

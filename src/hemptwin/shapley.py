@@ -10,6 +10,12 @@ replication, so both the exact (all L! orderings) and the permutation-sampled
 estimators touch at most 2^L cost evaluations, and the telescoping identity
 sum(s) = c(full) - c(empty) holds exactly for the cached estimates.
 
+Both estimators share one array pass over an (orderings x L) matrix: prefix
+bit masks by a cumulative OR, one cost per distinct mask, increments by a row
+difference, and per-input sums by `np.bincount`, which adds in the same order
+as an ordering-by-ordering loop, so the results are bit-identical to it.  The
+sampled estimator draws its m orderings in one batch.
+
 Models are deterministic callables mapping an (n, L) matrix of uniform seeds
 in [0,1) to n outputs; fixing an input means reusing its seed.
 """
@@ -167,21 +173,22 @@ def estimate_cost(
 
 
 def _shapley_from_permutations(est: _CostEstimator, perms) -> np.ndarray:
-    L = est.n_inputs
-    s = np.zeros(L)
-    count = 0
-    for perm in perms:
-        mask = 0
-        prev = 0.0
-        for l in perm:
-            mask |= 1 << int(l)
-            c = est.cost(mask)
-            s[int(l)] += c - prev
-            prev = c
-        count += 1
-    if count == 0:
-        raise TooFewSamplesError("need at least one permutation")
-    return s / count
+    """Average the marginal cost increments over the rows of an (n, L)
+    ordering matrix in one array pass.
+
+    Row prefixes become bit masks, each distinct mask is costed once, and the
+    increments are summed per input in row-major order -- the order a loop
+    over orderings and positions would add them, so the sums are bit-for-bit
+    those of that loop.
+    """
+    perms = np.asarray(perms, dtype=np.int64)
+    masks = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
+    costs = np.zeros(1 << est.n_inputs)
+    for mask in np.unique(masks).tolist():
+        costs[mask] = est.cost(mask)
+    increments = np.diff(costs[masks], axis=1, prepend=0.0)
+    s = np.bincount(perms.ravel(), weights=increments.ravel(), minlength=est.n_inputs)
+    return s / len(perms)
 
 
 def shapley_exact(
@@ -200,7 +207,7 @@ def shapley_exact(
         )
     stream = RngStream(seed, ("shapley", rep_index))
     est = _CostEstimator(model, n_inputs, k_outer, i_inner, stream)
-    s = _shapley_from_permutations(est, itertools.permutations(range(n_inputs)))
+    s = _shapley_from_permutations(est, list(itertools.permutations(range(n_inputs))))
     return ShapleyResult(
         labels=labels or tuple(f"z{l}" for l in range(n_inputs)),
         s=s,
@@ -225,8 +232,7 @@ def shapley_sampled(
         raise TooFewSamplesError("need at least one permutation")
     stream = RngStream(seed, ("shapley", rep_index))
     est = _CostEstimator(model, n_inputs, k_outer, i_inner, stream)
-    perm_stream = stream.child("perms")
-    perms = (perm_stream.permutation(n_inputs) for _ in range(m_permutations))
+    perms = stream.child("perms").permutations(m_permutations, n_inputs)
     s = _shapley_from_permutations(est, perms)
     return ShapleyResult(
         labels=labels or tuple(f"z{l}" for l in range(n_inputs)),

@@ -80,6 +80,14 @@ def test_final_limit_must_be_below_preharvest_limit():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_lot_count_must_be_positive(n):
+    cfg = dataclasses.replace(default_config(), n_lots_per_season=n)
+    with pytest.raises(ConfigValidationError) as err:
+        validate_config(cfg)
+    assert ("lots.n", "invalid_range") in {(key, kind) for key, kind, _ in err.value.violations}
+
+
 def test_multi_validator_panels_rejected():
     cfg = dataclasses.replace(
         default_config(), chain=dataclasses.replace(default_config().chain, panel_size=3)

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemptwin.config import ChainConfig, Topology
 from hemptwin.kernel import EventCalendar
@@ -277,9 +280,73 @@ class TestAudit:
         with pytest.raises(ChainParseError):
             parse_chain("not json at all\n")
 
+    def test_second_meta_line_raises_parse_error(self):
+        lines = list(small_export_lines())
+        with pytest.raises(ChainParseError, match=f"line {len(lines) + 1}: second meta"):
+            parse_chain("\n".join(lines + [lines[0]]))
+
     def test_duplicate_root_reference_detected(self):
         system = TestChainStructure().run_traffic(n=6)
         chain = system.confirmed_chain()
         chain.roots.append(chain.roots[-1])
         result = audit_chain(chain)
         assert not result.ok
+
+
+@functools.cache
+def small_export_lines() -> tuple:
+    system = TestChainStructure().run_traffic(n=6)
+    return tuple(export_chain(system.confirmed_chain()).splitlines())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6),
+                                                                inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_exports(draw):
+    """A valid export with a few lines damaged: a field dropped or replaced
+    by any JSON value, a line replaced by any JSON value or by any text."""
+    original = small_export_lines()
+    lines = list(original)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        action = draw(st.sampled_from(["drop", "replace", "json", "text"]))
+        if action == "json":
+            lines[i] = json.dumps(draw(json_values))
+        elif action == "text":
+            lines[i] = draw(st.text(max_size=40))
+        else:
+            obj = json.loads(original[i])
+            key = draw(st.sampled_from(sorted(obj)))
+            if action == "drop":
+                del obj[key]
+            else:
+                obj[key] = draw(json_values)
+            lines[i] = json.dumps(obj)
+    return "\n".join(lines)
+
+
+def parses_or_raises_parse_error(text):
+    try:
+        chain = parse_chain(text)
+    except ChainParseError:
+        return
+    # a chain that parses must also audit to a verdict
+    assert isinstance(audit_chain(chain).ok, bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=damaged_exports())
+def test_damaged_export_parses_or_raises_parse_error(text):
+    parses_or_raises_parse_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text())
+def test_any_text_parses_or_raises_parse_error(text):
+    parses_or_raises_parse_error(text)

@@ -107,6 +107,20 @@ def test_distinct_labels_are_uncorrelated():
     assert abs(corr) < 0.01
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (5, 3), (300, 7), (40, 16)])
+def test_batched_permutations_equal_sequential_draws(m, n):
+    # the batch must replay numpy's own one-at-a-time permutation draws on the
+    # same stream; a numpy release that changes either algorithm fails here
+    batched = RngStream(2021, ("shapley", 0, "perms"))
+    sequential = RngStream(2021, ("shapley", 0, "perms"))
+    rows = batched.permutations(m, n)
+    gen = sequential._generator()
+    expected = np.vstack([gen.permutation(n) for _ in range(m)])
+    assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
+    assert batched.counter == m
+    assert batched.uniform() == sequential.uniform()
+
+
 def test_child_streams_differ_from_parent():
     parent = RngStream(8, ("p",))
     child = parent.child("c")

@@ -109,6 +109,33 @@ def test_cli_audit_parse_error_exit_code(tmp_path):
     assert main(["audit", "--chain", str(bad)]) == 2
 
 
+META = '{"kind":"meta","n_shards":1,"topology":"TwoLayer"}'
+RECORD = {"kind": "record", "record_id": "r0", "lot_id": "lot-0-0", "role": "grower",
+          "record_kind": "field_info", "location": 0, "payload": {}, "submitted_at": 0.0}
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param([META, json.dumps({k: v for k, v in RECORD.items() if k != "lot_id"})],
+                 id="missing-field"),
+    pytest.param([META, "[1, 2, 3]"], id="non-object-line"),
+    pytest.param(['{"kind":"meta","n_shards":1,"topology":"TripleLayer"}'],
+                 id="unknown-topology"),
+    pytest.param([META, json.dumps({**RECORD, "role": "wizard"})], id="unknown-role"),
+    pytest.param([META, json.dumps({**RECORD, "location": "0"})], id="wrong-type"),
+])
+def test_cli_audit_malformed_json_is_a_parse_error(tmp_path, capsys, lines):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "--chain", str(bad)]) == 2
+    assert f"line {len(lines)}:" in capsys.readouterr().err
+
+
+def test_cli_audit_undecodable_bytes_are_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00garbage\n")
+    assert main(["audit", "--chain", str(bad)]) == 2
+
+
 def test_cli_rejects_invalid_config(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("adversary.p2 = 1.5\n")

@@ -161,6 +161,50 @@ class TestShapleyExact:
             shapley_exact(additive_two, 9, 10, 10, seed=1)
 
 
+def loop_shapley(est, perms):
+    """Reference: add the increments ordering by ordering, input by input."""
+    s = np.zeros(est.n_inputs)
+    for perm in perms:
+        mask = 0
+        prev = 0.0
+        for l in perm:
+            mask |= 1 << int(l)
+            c = est.cost(mask)
+            s[int(l)] += c - prev
+            prev = c
+    return s / len(perms)
+
+
+def sum_of_squares(u):
+    return (gaussian(u) ** 2).sum(axis=1)
+
+
+class TestOrderingAccumulator:
+    @pytest.mark.parametrize("n_inputs", [1, 3, 8])
+    def test_exact_orderings_match_the_loop_bit_for_bit(self, n_inputs):
+        est = _CostEstimator(sum_of_squares, n_inputs, 6, 5, RngStream(5, ("acc",)))
+        perms = list(itertools.permutations(range(n_inputs)))
+        assert np.array_equal(_shapley_from_permutations(est, perms),
+                              loop_shapley(est, perms))
+
+    def test_sampled_orderings_match_the_loop_bit_for_bit(self):
+        est = _CostEstimator(sum_of_squares, 7, 6, 5, RngStream(8, ("acc",)))
+        perms = RngStream(8, ("orderings",)).permutations(500, 7)
+        assert np.array_equal(_shapley_from_permutations(est, perms),
+                              loop_shapley(est, perms))
+
+    def test_each_distinct_prefix_is_costed_once(self):
+        calls = []
+
+        def model(u):
+            calls.append(len(u))
+            return sum_of_squares(u)
+
+        est = _CostEstimator(model, 4, 3, 3, RngStream(2, ("acc",)))
+        _shapley_from_permutations(est, list(itertools.permutations(range(4))))
+        assert len(calls) == 2**4 - 1
+
+
 class TestShapleySampled:
     def test_all_permutations_with_shared_cache_equals_exact(self):
         # the sampled estimator walked over every distinct ordering must agree
