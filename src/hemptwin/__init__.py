@@ -44,7 +44,7 @@ from .ledger import (
     export_chain,
     parse_chain,
 )
-from .randomness import DistributionSpec, RngStream, sample, sample_growth_noise
+from .randomness import RngStream, sample_growth_noise
 from .simulation import SupplyChainSimulation, run_replication
 
 __version__ = "0.1.0"

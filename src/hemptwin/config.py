@@ -8,6 +8,8 @@ is an identity.
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "load_config",
     "save_config",
     "DURATION_STAGES",
+    "FILE_KEYS",
 ]
 
 
@@ -62,7 +65,6 @@ class ChainConfig:
     verification_mean_days: float = 0.1
     confirmation_mean_days: float = 0.05
     single_chain_mean_days: float = 0.15
-    panel_size: int = 1
     miss_probability: float = 0.0  # verification miss chance; detection is perfect by default
 
 
@@ -72,7 +74,6 @@ class RunConfig:
     run_length_lots: int = 500
     replications: int = 100
     master_seed: int = 20210
-
 
 
 # Stage keys that carry a uniform duration range in the config file.
@@ -159,29 +160,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if not (0.0 <= value <= 1.0):
             bad.append((key, "invalid_probability", f"{value} outside [0, 1]"))
 
-    def nonneg(key: str, value) -> None:
-        if value < 0:
-            bad.append((key, "invalid_range", f"{value} is negative"))
-
     prob("adversary.p2", cfg.tamper_probability)
     prob("chain.miss_probability", cfg.chain.miss_probability)
     if cfg.n_lots_per_season < 1:
         bad.append(("lots.n", "invalid_range", "need at least one lot per season"))
-    nonneg("growth.g", cfg.growth_rate)
-    nonneg("growth.lambda", cfg.lambda_var)
     if cfg.cbd_thc_ratio <= 0:
         bad.append(("growth.r", "invalid_range", "ratio must be positive"))
-    nonneg("limits.gamma_v", cfg.thc_preharvest_limit)
-    nonneg("limits.gamma", cfg.thc_final_limit)
     if cfg.thc_final_limit >= cfg.thc_preharvest_limit:
         bad.append(
             ("limits.gamma", "invalid_range",
              "final limit must be below the pre-harvest limit")
         )
-    nonneg("limits.harvest_deadline", cfg.harvest_deadline_days)
-    nonneg("limits.Lt", cfg.seedling_wait_limit)
-    nonneg("limits.Ld", cfg.dry_wait_limit)
-    nonneg("policy.harvest_delay", cfg.harvest_delay_days)
     for key, count in (
         ("resources.n_f", cfg.n_field_workers),
         ("resources.n_l", cfg.n_lab_servers),
@@ -213,17 +202,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     ):
         if mean <= 0:
             bad.append((key, "invalid_range", "service mean must be positive"))
-    if ch.panel_size != 1:
-        bad.append(
-            ("chain.panel_m", "unsupported",
-             "only single-validator panels are implemented")
-        )
-    for key, count in (
-        ("run.warmup", cfg.run.warmup_lots),
-        ("run.length", cfg.run.run_length_lots),
-        ("run.reps", cfg.run.replications),
-    ):
-        nonneg(key, count)
     if cfg.run.run_length_lots < 1:
         bad.append(("run.length", "invalid_range", "need a measured window"))
     for stage, dur in cfg.stage_durations:
@@ -242,6 +220,26 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if not (0.0 <= lo <= hi <= 1.0):
             bad.append((f"fractions.{key}", "invalid_range",
                         f"bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1"))
+    for key, value in (
+        ("growth.g", cfg.growth_rate),
+        ("growth.lambda", cfg.lambda_var),
+        ("limits.gamma_v", cfg.thc_preharvest_limit),
+        ("limits.gamma", cfg.thc_final_limit),
+        ("limits.harvest_deadline", cfg.harvest_deadline_days),
+        ("limits.Lt", cfg.seedling_wait_limit),
+        ("limits.Ld", cfg.dry_wait_limit),
+        ("policy.harvest_delay", cfg.harvest_delay_days),
+        ("lots.season_interval", cfg.season_interval_days),
+        ("run.warmup", cfg.run.warmup_lots),
+        ("run.length", cfg.run.run_length_lots),
+        ("run.reps", cfg.run.replications),
+        ("run.seed", cfg.run.master_seed),
+    ):
+        if value < 0:
+            bad.append((key, "invalid_range", f"{value} is negative"))
+    for key, value in _flatten(cfg).items():
+        if isinstance(value, float) and math.isnan(value):
+            bad.append((key, "invalid_range", "value is NaN"))
 
     if bad:
         raise ConfigValidationError(bad)
@@ -252,42 +250,92 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 # external key-value format
 
 
+def _parse_bool(s: str) -> bool:
+    low = s.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_topology(s: str) -> Topology:
+    for topology in Topology:
+        if topology.value.lower() == s.lower():
+            return topology
+    raise ValueError(f"unknown topology {s!r}, expected one of "
+                     f"{[t.value for t in Topology]}")
+
+
+# Every file key, mapped to its dotted field path in ScenarioConfig and to the
+# parser for its value.  Writing, reading and validation all read this table;
+# a path step into `stage_durations` names the stage.
+FILE_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "lots.n": ("n_lots_per_season", int),
+    "lots.season_interval": ("season_interval_days", float),
+    "growth.g": ("growth_rate", float),
+    "growth.r": ("cbd_thc_ratio", float),
+    "growth.lambda": ("lambda_var", float),
+    "limits.gamma_v": ("thc_preharvest_limit", float),
+    "limits.gamma": ("thc_final_limit", float),
+    "limits.harvest_deadline": ("harvest_deadline_days", float),
+    "limits.Lt": ("seedling_wait_limit", float),
+    "limits.Ld": ("dry_wait_limit", float),
+    "policy.harvest_delay": ("harvest_delay_days", float),
+    "policy.max_plc_passes": ("max_plc_passes", int),
+    "resources.n_f": ("n_field_workers", int),
+    "resources.n_l": ("n_lab_servers", int),
+    "resources.n_d": ("n_dryers", int),
+    "resources.n_p": ("n_processors", int),
+    "resources.dynamic_dryers": ("dynamic_dryers", _parse_bool),
+    "chain.topology": ("chain.topology", _parse_topology),
+    "chain.n_shards": ("chain.n_shards", int),
+    "chain.n_s": ("chain.n_validators_per_shard", int),
+    "chain.n_r": ("chain.n_regulators", int),
+    "chain.mu_v": ("chain.verification_mean_days", float),
+    "chain.mu_c": ("chain.confirmation_mean_days", float),
+    "chain.mu_s": ("chain.single_chain_mean_days", float),
+    "chain.miss_probability": ("chain.miss_probability", float),
+    "adversary.p2": ("tamper_probability", float),
+    "run.warmup": ("run.warmup_lots", int),
+    "run.length": ("run.run_length_lots", int),
+    "run.reps": ("run.replications", int),
+    "run.seed": ("run.master_seed", int),
+    "fractions.extraction.lo": ("extraction_lo", float),
+    "fractions.extraction.hi": ("extraction_hi", float),
+    "fractions.winterization.lo": ("winterization_lo", float),
+    "fractions.winterization.hi": ("winterization_hi", float),
+    "fractions.plc_cbd.lo": ("plc_cbd_lo", float),
+    "fractions.plc_cbd.hi": ("plc_cbd_hi", float),
+    "fractions.plc_thc.lo": ("plc_thc_lo", float),
+    "fractions.plc_thc.hi": ("plc_thc_hi", float),
+    **{
+        f"durations.{stage}.{end}": (f"stage_durations.{stage}.{end}", float)
+        for stage in DURATION_STAGES
+        for end in ("lo", "hi")
+    },
+}
+
+
+def _get(obj, path: str):
+    for name in path.split("."):
+        obj = dict(obj)[name] if isinstance(obj, tuple) else getattr(obj, name)
+    return obj
+
+
+def _set(obj, names: list[str], value):
+    head, *rest = names
+    if isinstance(obj, tuple):
+        merged = dict(obj)
+        merged[head] = _set(merged[head], rest, value)
+        return tuple(sorted(merged.items()))
+    if rest:
+        value = _set(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
 def _flatten(cfg: ScenarioConfig) -> dict[str, object]:
-    out: dict[str, object] = {
-        "lots.n": cfg.n_lots_per_season,
-        "growth.g": cfg.growth_rate,
-        "growth.r": cfg.cbd_thc_ratio,
-        "growth.lambda": cfg.lambda_var,
-        "limits.gamma_v": cfg.thc_preharvest_limit,
-        "limits.gamma": cfg.thc_final_limit,
-        "limits.harvest_deadline": cfg.harvest_deadline_days,
-        "limits.Lt": cfg.seedling_wait_limit,
-        "limits.Ld": cfg.dry_wait_limit,
-        "policy.harvest_delay": cfg.harvest_delay_days,
-        "resources.n_f": cfg.n_field_workers,
-        "resources.n_l": cfg.n_lab_servers,
-        "resources.n_d": cfg.n_dryers,
-        "resources.n_p": cfg.n_processors,
-        "resources.dynamic_dryers": cfg.dynamic_dryers,
-        "chain.topology": cfg.chain.topology.value,
-        "chain.n_shards": cfg.chain.n_shards,
-        "chain.n_s": cfg.chain.n_validators_per_shard,
-        "chain.n_r": cfg.chain.n_regulators,
-        "chain.mu_v": cfg.chain.verification_mean_days,
-        "chain.mu_c": cfg.chain.confirmation_mean_days,
-        "chain.mu_s": cfg.chain.single_chain_mean_days,
-        "chain.panel_m": cfg.chain.panel_size,
-        "chain.miss_probability": cfg.chain.miss_probability,
-        "adversary.p2": cfg.tamper_probability,
-        "run.warmup": cfg.run.warmup_lots,
-        "run.length": cfg.run.run_length_lots,
-        "run.reps": cfg.run.replications,
-        "run.seed": cfg.run.master_seed,
-    }
-    for stage, dur in cfg.stage_durations:
-        out[f"durations.{stage}.lo"] = dur.lo
-        out[f"durations.{stage}.hi"] = dur.hi
-    return out
+    return {key: _get(cfg, path) for key, (path, _) in FILE_KEYS.items()}
 
 
 def config_to_text(cfg: ScenarioConfig) -> str:
@@ -298,98 +346,29 @@ def config_to_text(cfg: ScenarioConfig) -> str:
 def _format_value(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, enum.Enum):
+        return v.value
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
 def config_from_text(text: str) -> ScenarioConfig:
-    values: dict[str, str] = {}
+    cfg = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
-
-    cfg = default_config()
-    flat = _flatten(cfg)
-    unknown = set(values) - set(flat)
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
-
-    def geti(key: str, cur: int) -> int:
-        return int(values[key]) if key in values else cur
-
-    def getf(key: str, cur: float) -> float:
-        return float(values[key]) if key in values else cur
-
-    def getb(key: str, cur: bool) -> bool:
-        return _parse_bool(values[key]) if key in values else cur
-
-    topo = cfg.chain.topology
-    if "chain.topology" in values:
-        raw = values["chain.topology"].strip()
-        matches = [t for t in Topology if t.value.lower() == raw.lower()]
-        if not matches:
-            raise ConfigError(f"unknown chain.topology {raw!r}")
-        topo = matches[0]
-
-    chain = ChainConfig(
-        topology=topo,
-        n_shards=geti("chain.n_shards", cfg.chain.n_shards),
-        n_validators_per_shard=geti("chain.n_s", cfg.chain.n_validators_per_shard),
-        n_regulators=geti("chain.n_r", cfg.chain.n_regulators),
-        verification_mean_days=getf("chain.mu_v", cfg.chain.verification_mean_days),
-        confirmation_mean_days=getf("chain.mu_c", cfg.chain.confirmation_mean_days),
-        single_chain_mean_days=getf("chain.mu_s", cfg.chain.single_chain_mean_days),
-        panel_size=geti("chain.panel_m", cfg.chain.panel_size),
-        miss_probability=getf("chain.miss_probability", cfg.chain.miss_probability),
-    )
-    run = RunConfig(
-        warmup_lots=geti("run.warmup", cfg.run.warmup_lots),
-        run_length_lots=geti("run.length", cfg.run.run_length_lots),
-        replications=geti("run.reps", cfg.run.replications),
-        master_seed=geti("run.seed", cfg.run.master_seed),
-    )
-    durations = {}
-    for stage in DURATION_STAGES:
-        cur = cfg.duration(stage)
-        durations[stage] = StageDuration(
-            lo=getf(f"durations.{stage}.lo", cur.lo),
-            hi=getf(f"durations.{stage}.hi", cur.hi),
-        )
-
-    return ScenarioConfig(
-        n_lots_per_season=geti("lots.n", cfg.n_lots_per_season),
-        growth_rate=getf("growth.g", cfg.growth_rate),
-        cbd_thc_ratio=getf("growth.r", cfg.cbd_thc_ratio),
-        lambda_var=getf("growth.lambda", cfg.lambda_var),
-        thc_preharvest_limit=getf("limits.gamma_v", cfg.thc_preharvest_limit),
-        thc_final_limit=getf("limits.gamma", cfg.thc_final_limit),
-        harvest_deadline_days=getf("limits.harvest_deadline", cfg.harvest_deadline_days),
-        seedling_wait_limit=getf("limits.Lt", cfg.seedling_wait_limit),
-        dry_wait_limit=getf("limits.Ld", cfg.dry_wait_limit),
-        harvest_delay_days=getf("policy.harvest_delay", cfg.harvest_delay_days),
-        n_field_workers=geti("resources.n_f", cfg.n_field_workers),
-        n_lab_servers=geti("resources.n_l", cfg.n_lab_servers),
-        n_dryers=geti("resources.n_d", cfg.n_dryers),
-        n_processors=geti("resources.n_p", cfg.n_processors),
-        dynamic_dryers=getb("resources.dynamic_dryers", cfg.dynamic_dryers),
-        chain=chain,
-        tamper_probability=getf("adversary.p2", cfg.tamper_probability),
-        run=run,
-        stage_durations=tuple(sorted(durations.items())),
-    )
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in FILE_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        path, parse = FILE_KEYS[key]
+        try:
+            value = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+        cfg = _set(cfg, path.split("."), value)
+    return cfg
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:

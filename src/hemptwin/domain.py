@@ -5,6 +5,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .kernel import PoolRequest
+    from .randomness import RngStream
 
 __all__ = [
     "Stage",
@@ -44,7 +49,6 @@ class DropReason(enum.Enum):
     SEEDLING_WAIT_EXCEEDED = "seedling_wait_exceeded"
     DRY_WAIT_EXCEEDED = "dry_wait_exceeded"
     PREHARVEST_FAIL = "preharvest_fail"
-    HARVEST_DEADLINE_EXCEEDED = "harvest_deadline_exceeded"
     FINAL_COA_FAIL = "final_coa_fail"
 
 
@@ -194,6 +198,17 @@ class Lot:
     fake_qualified: bool = False
     terminated: bool = False
     termination_time: float | None = None
+
+    # process state owned by the simulation
+    life: RngStream | None = None  # stage durations, growth noise, fractions
+    tamper: RngStream | None = None  # falsification draws
+    pending_parallel: int = 0  # germination / soil preparation still running
+    cultivation_days: float = 0.0
+    pending_duration: float = 0.0  # duration of the test or harvest in progress
+    harvest_end: float = 0.0
+    dry_episode: int = 0  # harvests completed; stale dry-wait timeouts compare it
+    dry_active: bool = False  # wet biomass waiting for or entering a dryer
+    dryer_request: PoolRequest | None = None
 
     def enter_stage(self, stage: Stage, now: float) -> None:
         if self.terminated:

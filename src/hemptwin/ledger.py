@@ -66,7 +66,6 @@ class ParticipantRole(enum.Enum):
     PROCESSOR = "processor"
     TRANSPORTER = "transporter"
     LAB = "lab"
-    AUTHORITY = "authority"
 
 
 class RecordKind(enum.Enum):
@@ -83,7 +82,6 @@ class RecordKind(enum.Enum):
     PLC_DATA = "plc_data"
     FINAL_COA = "final_coa"
     TRANSPORT_DATA = "transport_data"
-    VERIFICATION_RESULT = "verification_result"
 
 
 # Kinds whose confirmation blocks the lot's progression to the next stage.

@@ -19,10 +19,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "DistributionSpec",
-    "InvalidSpecError",
     "InvalidParamsError",
-    "sample",
     "sample_growth_noise",
     "GROWTH_NOISE_MAX_ROUNDS",
 ]
@@ -32,10 +29,6 @@ __all__ = [
 # failing has probability below 2**-1000; the cap exists to turn a parameter
 # pathology into a loud error instead of a hang.
 GROWTH_NOISE_MAX_ROUNDS = 1000
-
-
-class InvalidSpecError(ValueError):
-    """A DistributionSpec with out-of-range parameters."""
 
 
 class InvalidParamsError(ValueError):
@@ -115,80 +108,6 @@ class RngStream:
         self._generator().permuted(out, axis=1, out=out)
         self.counter += m
         return out
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """One of the supported input distributions.
-
-    kind is "uniform" (lo, hi), "exponential" (mean), or "truncated_normal"
-    (mean, var, lower, upper); upper may be +inf.
-    """
-
-    kind: str
-    lo: float = 0.0
-    hi: float = 0.0
-    mean: float = 0.0
-    var: float = 0.0
-    lower: float = -math.inf
-    upper: float = math.inf
-
-    @staticmethod
-    def uniform(lo: float, hi: float) -> "DistributionSpec":
-        return DistributionSpec(kind="uniform", lo=lo, hi=hi)
-
-    @staticmethod
-    def exponential(mean: float) -> "DistributionSpec":
-        return DistributionSpec(kind="exponential", mean=mean)
-
-    @staticmethod
-    def truncated_normal(
-        mean: float, var: float, lower: float = -math.inf, upper: float = math.inf
-    ) -> "DistributionSpec":
-        return DistributionSpec(
-            kind="truncated_normal", mean=mean, var=var, lower=lower, upper=upper
-        )
-
-    def validate(self) -> None:
-        if self.kind == "uniform":
-            if not (self.lo <= self.hi):
-                raise InvalidSpecError(f"uniform needs lo <= hi, got ({self.lo}, {self.hi})")
-        elif self.kind == "exponential":
-            if not (self.mean > 0):
-                raise InvalidSpecError(f"exponential needs mean > 0, got {self.mean}")
-        elif self.kind == "truncated_normal":
-            if self.var < 0:
-                raise InvalidSpecError(f"truncated_normal needs var >= 0, got {self.var}")
-            if not (self.lower <= self.upper):
-                raise InvalidSpecError(
-                    f"truncated_normal needs lower <= upper, got ({self.lower}, {self.upper})"
-                )
-        else:
-            raise InvalidSpecError(f"unknown distribution kind {self.kind!r}")
-
-
-def sample(spec: DistributionSpec, stream: RngStream) -> float:
-    """Draw one value from `spec`; exactly one stream draw per call for the
-    closed-form kinds, one dedicated rejection loop for the truncated normal."""
-    spec.validate()
-    if spec.kind == "uniform":
-        return stream.uniform(spec.lo, spec.hi)
-    if spec.kind == "exponential":
-        return stream.exponential(spec.mean)
-    # truncated normal by rejection on a derived substream so the parent
-    # stream advances by exactly one call regardless of rejection count
-    sub = stream.child("tn", stream.counter)
-    stream.counter += 1
-    sigma = math.sqrt(spec.var)
-    if sigma == 0.0:
-        return float(min(max(spec.mean, spec.lower), spec.upper))
-    for _ in range(GROWTH_NOISE_MAX_ROUNDS):
-        x = spec.mean + sigma * sub.standard_normal()
-        if spec.lower <= x <= spec.upper:
-            return x
-    raise RuntimeError(
-        f"rejection sampling failed after {GROWTH_NOISE_MAX_ROUNDS} rounds for {spec}"
-    )
 
 
 def sample_growth_noise(

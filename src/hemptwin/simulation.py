@@ -101,13 +101,13 @@ class SupplyChainSimulation:
                 season_index=season,
                 index_in_season=i,
                 arrival_time=now,
+                life=self.base.child("lot", season, i, "life"),
+                tamper=self.base.child("lot", season, i, "tamper"),
+                pending_parallel=2,
             )
-            lot.life = self.base.child("lot", season, i, "life")
-            lot.tamper = self.base.child("lot", season, i, "tamper")
             lot.timestamps[Stage.GERMINATION] = (now, None)
             lot.timestamps[Stage.SOIL_PREP] = (now, None)
             lot.stage_log += [Stage.GERMINATION, Stage.SOIL_PREP]
-            lot.pending_parallel = 2
             self._submit(lot, RecordKind.SEED_SOURCE, ParticipantRole.BREEDER,
                          {"variety": "special-sauce", "seed_lot": lot.id})
             self._submit(lot, RecordKind.FIELD_INFO, ParticipantRole.GROWER,
@@ -274,7 +274,7 @@ class SupplyChainSimulation:
         # proceed: the biomass is wet from this moment; ledger resolution and
         # dryer queueing both burn the dry-wait budget
         lot.harvest_end = now
-        lot.dry_episode = getattr(lot, "dry_episode", 0) + 1
+        lot.dry_episode += 1
         lot.dry_active = True
         lot.dryer_request = None
         self._dry_phase += 1

@@ -17,7 +17,6 @@ from .domain import CannabinoidState
 __all__ = [
     "GateDecision",
     "GateResult",
-    "WaitDecision",
     "NegativeCannabinoidError",
     "cultivation_growth",
     "harvest_increment",
@@ -27,7 +26,6 @@ __all__ = [
     "winterization_step",
     "plc_step",
     "final_coa_gate",
-    "drop_rules",
 ]
 
 
@@ -43,11 +41,6 @@ class GateDecision(enum.Enum):
     ACCEPT = "accept"
     REPEAT_PLC = "repeat_plc"
     REJECT = "reject"
-
-
-class WaitDecision(enum.Enum):
-    KEEP = "keep"
-    DROP = "drop"
 
 
 @dataclass(frozen=True)
@@ -158,13 +151,6 @@ def final_coa_gate(
     if tampered:
         return GateResult(GateDecision.ACCEPT, gamma * 0.9, thc, True)
     return GateResult(GateDecision.REJECT, thc, thc, False)
-
-
-def drop_rules(waited: float, limit: float) -> WaitDecision:
-    """Waiting-time discard rule for the transplant and drying buffers."""
-    if waited < 0:
-        raise ValueError(f"waited must be non-negative, got {waited}")
-    return WaitDecision.DROP if waited > limit else WaitDecision.KEEP
 
 
 def _check_fraction(name: str, value: float) -> None:

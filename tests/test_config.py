@@ -1,14 +1,18 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemptwin.config import (
+    DURATION_STAGES,
+    FILE_KEYS,
     ChainConfig,
     ConfigError,
     ConfigValidationError,
     RunConfig,
+    ScenarioConfig,
     StageDuration,
     Topology,
     config_from_text,
@@ -88,13 +92,20 @@ def test_lot_count_must_be_positive(n):
     assert ("lots.n", "invalid_range") in {(key, kind) for key, kind, _ in err.value.violations}
 
 
-def test_multi_validator_panels_rejected():
-    cfg = dataclasses.replace(
-        default_config(), chain=dataclasses.replace(default_config().chain, panel_size=3)
-    )
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("growth.g", {"growth_rate": math.nan}),
+        ("limits.Ld", {"dry_wait_limit": math.nan}),
+        ("run.seed", {"run": RunConfig(master_seed=-1)}),
+        ("lots.season_interval", {"season_interval_days": -1.0}),
+    ],
+)
+def test_configs_that_cannot_run_are_rejected(key, overrides):
+    cfg = dataclasses.replace(default_config(), **overrides)
     with pytest.raises(ConfigValidationError) as err:
         validate_config(cfg)
-    assert any(kind == "unsupported" for _, kind, _ in err.value.violations)
+    assert (key, "invalid_range") in {(k, kind) for k, kind, _ in err.value.violations}
 
 
 def test_every_violation_is_reported_at_once():
@@ -145,23 +156,87 @@ def test_unknown_topology_rejected():
         config_from_text("chain.topology = TripleLayer\n")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=500),
-    g=st.floats(min_value=1e-6, max_value=0.1, allow_nan=False),
-    lam=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=2**63 - 1),
-    p2=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    topo=st.sampled_from(list(Topology)),
-)
-def test_round_trip_property(n, g, lam, seed, p2, topo):
+def _with(cfg, path, value):
+    """`cfg` with the field at dotted `path` set to `value`."""
+    head, _, rest = path.partition(".")
+    if head == "stage_durations":
+        stage, end = rest.split(".")
+        bounds = dataclasses.replace(cfg.duration(stage), **{end: value})
+        return cfg.with_durations(**{stage: bounds})
+    if rest:
+        value = _with(getattr(cfg, head), rest, value)
+    return dataclasses.replace(cfg, **{head: value})
+
+
+def test_every_field_has_a_file_key():
+    paths = {path for path, _ in FILE_KEYS.values()}
+    expected = set()
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name in ("chain", "run"):
+            sub = ChainConfig if f.name == "chain" else RunConfig
+            expected |= {f"{f.name}.{g.name}" for g in dataclasses.fields(sub)}
+        elif f.name == "stage_durations":
+            expected |= {f"stage_durations.{stage}.{end}"
+                         for stage in DURATION_STAGES for end in ("lo", "hi")}
+        else:
+            expected.add(f.name)
+    assert expected - paths == set()
+    assert len(paths) == len(FILE_KEYS)
+
+
+def test_round_trip_keeps_fields_the_old_format_dropped():
     cfg = dataclasses.replace(
-        default_config(),
-        n_lots_per_season=n,
-        growth_rate=g,
-        lambda_var=lam,
-        tamper_probability=p2,
-        chain=dataclasses.replace(default_config().chain, topology=topo),
-        run=dataclasses.replace(default_config().run, master_seed=seed),
+        default_config(), extraction_lo=0.5, max_plc_passes=7, season_interval_days=200.0
     )
+    assert config_from_text(config_to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("line", ["lots.n = abc", "lots.n = 1.5",
+                                  "resources.dynamic_dryers = maybe"])
+def test_unparsable_value_names_line_and_key(line):
+    with pytest.raises(ConfigError, match=rf"line 2: {line.split()[0]}"):
+        config_from_text("growth.g = 0.002\n" + line + "\n")
+
+
+def _violation_keys(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigValidationError as err:
+        return {key for key, _, _ in err.violations}
+    return set()
+
+
+def test_validation_reports_only_file_keys():
+    reported = set()
+    for topology in Topology:
+        for bad in ({int: -1, float: -1.0}, {int: 0, float: math.nan}):
+            cfg = dataclasses.replace(
+                default_config(), chain=ChainConfig(topology=topology))
+            for path, parse in FILE_KEYS.values():
+                if parse in bad:
+                    cfg = _with(cfg, path, bad[parse])
+            reported |= _violation_keys(cfg)
+    assert len(reported) > 30
+    for key in reported:
+        assert key in FILE_KEYS or any(k.startswith(key + ".") for k in FILE_KEYS), key
+
+
+def _strategy(key, parse):
+    if key == "chain.topology":
+        return st.sampled_from(list(Topology))
+    if key == "resources.dynamic_dryers":
+        return st.booleans()
+    if parse is int:
+        return st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    assert parse is float, key
+    return st.floats(allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries(
+    {key: _strategy(key, parse) for key, (_, parse) in FILE_KEYS.items()}))
+def test_round_trip_property(values):
+    cfg = default_config()
+    for key, value in values.items():
+        cfg = _with(cfg, FILE_KEYS[key][0], value)
     assert config_from_text(config_to_text(cfg)) == cfg

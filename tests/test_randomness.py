@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemptwin.randomness import (
-    DistributionSpec,
-    InvalidParamsError,
-    InvalidSpecError,
-    RngStream,
-    sample,
-    sample_growth_noise,
-)
+from hemptwin.randomness import InvalidParamsError, RngStream, sample_growth_noise
 
 
 def test_uniform_within_support_and_mean():
     stream = RngStream(123, ("u",))
-    spec = DistributionSpec.uniform(5.0, 10.0)
-    draws = np.array([sample(spec, stream) for _ in range(100_000)])
+    draws = np.array([stream.uniform(5.0, 10.0) for _ in range(100_000)])
     assert draws.min() >= 5.0 and draws.max() <= 10.0
     # analytic mean (5+10)/2 = 7.5
     assert abs(draws.mean() - 7.5) < 0.05
@@ -26,37 +18,13 @@ def test_uniform_within_support_and_mean():
 
 def test_uniform_degenerate_support():
     stream = RngStream(1, ("deg",))
-    assert sample(DistributionSpec.uniform(3.0, 3.0), stream) == 3.0
+    assert stream.uniform(3.0, 3.0) == 3.0
 
 
 def test_exponential_mean_one_tenth_day():
     stream = RngStream(7, ("e",))
-    spec = DistributionSpec.exponential(0.1)
-    draws = np.array([sample(spec, stream) for _ in range(100_000)])
+    draws = np.array([stream.exponential(0.1) for _ in range(100_000)])
     assert abs(draws.mean() - 0.1) < 0.005
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        DistributionSpec.uniform(2.0, 1.0),
-        DistributionSpec.exponential(0.0),
-        DistributionSpec.exponential(-1.0),
-        DistributionSpec.truncated_normal(0.0, -1.0),
-        DistributionSpec.truncated_normal(0.0, 1.0, lower=2.0, upper=1.0),
-        DistributionSpec(kind="zipf"),
-    ],
-)
-def test_invalid_specs_rejected(spec):
-    with pytest.raises(InvalidSpecError):
-        sample(spec, RngStream(0, ("bad",)))
-
-
-def test_truncated_normal_respects_bounds():
-    stream = RngStream(11, ("tn",))
-    spec = DistributionSpec.truncated_normal(0.0, 1.0, lower=-0.5, upper=2.0)
-    draws = [sample(spec, stream) for _ in range(5000)]
-    assert min(draws) >= -0.5 and max(draws) <= 2.0
 
 
 def test_growth_noise_zero_time_is_exactly_zero():
@@ -127,16 +95,6 @@ def test_child_streams_differ_from_parent():
     assert parent.uniform() != child.uniform()
 
 
-def test_sample_advances_counter_by_one_per_call():
-    stream = RngStream(3, ("cnt",))
-    spec = DistributionSpec.truncated_normal(0.0, 4.0, lower=1.9)  # heavy rejection
-    before = stream.counter
-    sample(spec, stream)
-    assert stream.counter == before + 1
-    sample(DistributionSpec.uniform(0, 1), stream)
-    assert stream.counter == before + 2
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     lo=st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -144,6 +102,5 @@ def test_sample_advances_counter_by_one_per_call():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_uniform_sample_always_in_support(lo, width, seed):
-    spec = DistributionSpec.uniform(lo, lo + width)
-    value = sample(spec, RngStream(seed, ("prop",)))
+    value = RngStream(seed, ("prop",)).uniform(lo, lo + width)
     assert lo <= value <= lo + width

@@ -142,6 +142,18 @@ def test_cli_rejects_invalid_config(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+def test_cli_rejects_unparsable_config_value(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("lots.n = abc\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "line 1: lots.n" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed(tmp_path, cfg_file):
+    argv = ["simulate", "--config", str(cfg_file), "--seed", "-1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+
+
 def test_cli_byte_identical_reports_for_identical_seeds(tmp_path, cfg_file):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

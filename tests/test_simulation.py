@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from hemptwin.config import RunConfig, Topology, default_config
-from hemptwin.domain import Stage, validate_stage_trace
+from hemptwin.domain import Lot, Stage, validate_stage_trace
+from hemptwin.ledger import ParticipantRole, RecordKind
 from hemptwin.simulation import SupplyChainSimulation, run_replication
 
 
@@ -103,6 +104,22 @@ def test_stage_traces_follow_partial_order(baseline_stats):
     sim.run()
     for lot in sim.measured:
         assert validate_stage_trace(lot.trace()), lot.trace()
+
+
+def test_lots_carry_only_declared_fields():
+    sim = SupplyChainSimulation(small_cfg(), 0)
+    sim.run()
+    declared = {f.name for f in dataclasses.fields(Lot)}
+    for lot in sim.measured:
+        assert set(vars(lot)) == declared, lot.id
+
+
+def test_every_record_kind_and_role_is_emitted():
+    sim = SupplyChainSimulation(small_cfg(), 0, keep_chain=True)
+    sim.run()
+    records = sim.ledger.confirmed_chain().records.values()
+    assert {r.record_kind for r in records} == set(RecordKind)
+    assert {r.participant_role for r in records} == set(ParticipantRole)
 
 
 def test_timestamps_non_decreasing():

@@ -6,9 +6,7 @@ from hemptwin.domain import CannabinoidState
 from hemptwin.stages import (
     GateDecision,
     NegativeCannabinoidError,
-    WaitDecision,
     cultivation_growth,
-    drop_rules,
     extraction_step,
     final_coa_gate,
     harvest_deadline_gate,
@@ -145,24 +143,6 @@ class TestFinalCoaGate:
         res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 2, 2, True)
         assert res.decision is GateDecision.ACCEPT
         assert res.reported_thc < 0.0005 and res.tampered
-
-
-class TestDropRules:
-    @pytest.mark.parametrize(
-        "waited,limit,expected",
-        [
-            (1.5, 2.0, WaitDecision.KEEP),
-            (2.0, 2.0, WaitDecision.KEEP),
-            (2.5, 2.0, WaitDecision.DROP),
-            (2.1, 2.0, WaitDecision.DROP),
-        ],
-    )
-    def test_boundaries(self, waited, limit, expected):
-        assert drop_rules(waited, limit) is expected
-
-    def test_negative_wait_rejected(self):
-        with pytest.raises(ValueError):
-            drop_rules(-0.1, 2.0)
 
 
 # ---------------------------------------------------------------------------
