@@ -1,0 +1,117 @@
+"""Cross-commit golden digests: SHA-256 of the reports, chain exports and
+decomposition arrays that small fixed-seed runs write.  A change that must
+not move output passes this test without touching `golden/digests.json`; a
+change that means to move output regenerates it with
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+and says why in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hemptwin.cli import main
+from hemptwin.config import (
+    RunConfig,
+    StageDuration,
+    Topology,
+    default_config,
+    save_config,
+)
+from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+
+def golden_config(topology=Topology.TWO_LAYER):
+    cfg = dataclasses.replace(
+        default_config(),
+        n_lots_per_season=20,
+        run=RunConfig(warmup_lots=5, run_length_lots=30, replications=2,
+                      master_seed=20210),
+    )
+    return dataclasses.replace(
+        cfg, chain=dataclasses.replace(cfg.chain, topology=topology)
+    )
+
+
+def stress_config(topology=Topology.TWO_LAYER):
+    """Scarce field workers, lab servers and dryers: every drop reason, the
+    harvest retest and the repeat purification pass all occur."""
+    cfg = dataclasses.replace(
+        golden_config(topology),
+        n_lots_per_season=50,
+        n_field_workers=5,
+        n_lab_servers=3,
+        n_dryers=1,
+        run=RunConfig(warmup_lots=5, run_length_lots=200, replications=2,
+                      master_seed=4242),
+    )
+    return cfg.with_durations(drying=StageDuration(2.0, 4.0))
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_files(work: Path, name: str, cfg, argv: list) -> dict:
+    out = work / name
+    cfg_path = work / f"{name}.cfg"
+    save_config(cfg, cfg_path)
+    rc = main(argv + ["--config", str(cfg_path), "--out", str(out),
+                      "--format", "csv,json"])
+    assert rc == 0, name
+    return {f"{name}/{p.name}": _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def _floats(values) -> bytes:
+    return " ".join(float(v).hex() for v in values).encode("ascii")
+
+
+def compute_digests(work: Path) -> dict:
+    """Run every golden case under `work`; returns {case: sha256 hex}."""
+    digests = {}
+    for topology in Topology:
+        for name, make in (("simulate", golden_config), ("stress", stress_config)):
+            digests |= _cli_files(work, f"{name}-{topology.value}",
+                                  make(topology), ["simulate"])
+    digests |= _cli_files(work, "compare-security", golden_config(),
+                          ["compare", "--scenario", "security"])
+    digests |= _cli_files(work, "compare-resource", stress_config(),
+                          ["compare", "--scenario", "resource"])
+    cfg = golden_config()
+    t_prime = collect_t_prime_samples(cfg)
+    for target, estimator in (("thc", "exact"), ("cbd", "sampled")):
+        decomp = decompose_final_product(
+            cfg, target, estimator, m_permutations=40, k_outer=4, i_inner=5,
+            macro_replications=2, t_prime_sample=t_prime,
+        )
+        name = f"shapley-{target}-{estimator}"
+        for j, result in enumerate(decomp.results):
+            digests[f"{name}/s[{j}]"] = _sha(_floats(result.s))
+        digests[f"{name}/rc_mean"] = _sha(_floats(decomp.rc_mean))
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return compute_digests(tmp_path_factory.mktemp("golden"))
+
+
+# empty when the file is missing, so the case-list test fails and the
+# regenerate script can still import this module
+GOLDEN = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+
+
+def test_every_golden_case_is_computed(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_output_matches_golden_digest(digests, case):
+    assert digests.get(case) == GOLDEN[case], f"{case} moved"
