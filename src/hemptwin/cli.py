@@ -60,7 +60,12 @@ def _formats(args) -> tuple:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    reps = run_replications(cfg, parallel=args.parallel)
+    # replication 0 keeps its chain for the export; the others do not, and
+    # its simulation is dropped before they run
+    stats, sim = run_replication(cfg, 0, keep_chain=True)
+    chain_text = export_chain(sim.ledger.confirmed_chain())
+    del sim
+    reps = [stats] + run_replications(cfg, parallel=args.parallel, first=1)
     table = build_table("simulate", ALL_METRICS, [("baseline", reps)])
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -70,10 +75,7 @@ def cmd_simulate(args) -> int:
     if "json" in formats:
         (out / "simulate.json").write_text(table.to_json(), encoding="utf-8")
     write_lot_dump(out / "simulate_lots.csv", [("baseline", reps)])
-    _, sim = run_replication(cfg, 0, keep_chain=True)
-    (out / "chain_export.txt").write_text(
-        export_chain(sim.ledger.confirmed_chain()), encoding="utf-8"
-    )
+    (out / "chain_export.txt").write_text(chain_text, encoding="utf-8")
     for metric in ALL_METRICS:
         mean, sd = table.cells[(metric, "baseline")]
         print(f"{metric:32s} {mean:10.4f} +- {sd:.4f}")

@@ -204,6 +204,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             bad.append((key, "invalid_range", "service mean must be positive"))
     if cfg.run.run_length_lots < 1:
         bad.append(("run.length", "invalid_range", "need a measured window"))
+    if cfg.run.replications < 1:
+        bad.append(("run.reps", "invalid_range", "need at least one replication"))
+    if cfg.max_plc_passes < 1:
+        bad.append(("policy.max_plc_passes", "invalid_range",
+                    "the final test follows at least one purification pass"))
     for stage, dur in cfg.stage_durations:
         if dur.lo > dur.hi:
             bad.append(
@@ -238,8 +243,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if value < 0:
             bad.append((key, "invalid_range", f"{value} is negative"))
     for key, value in _flatten(cfg).items():
-        if isinstance(value, float) and math.isnan(value):
-            bad.append((key, "invalid_range", "value is NaN"))
+        if isinstance(value, float) and not math.isfinite(value):
+            bad.append((key, "invalid_range", f"{value} is not finite"))
 
     if bad:
         raise ConfigValidationError(bad)

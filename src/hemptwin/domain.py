@@ -204,7 +204,7 @@ class Lot:
     tamper: RngStream | None = None  # falsification draws
     pending_parallel: int = 0  # germination / soil preparation still running
     cultivation_days: float = 0.0
-    pending_duration: float = 0.0  # duration of the test or harvest in progress
+    pending_duration: float = 0.0  # duration of the pooled step in progress
     harvest_end: float = 0.0
     dry_episode: int = 0  # harvests completed; stale dry-wait timeouts compare it
     dry_active: bool = False  # wet biomass waiting for or entering a dryer

@@ -144,9 +144,6 @@ class ResourcePool:
         self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
         req.on_grant()
 
-    def queued_count(self) -> int:
-        return self._waiting
-
     def average_queue_length(self) -> float:
         self._advance_areas()
         return self._queue_area / self._last_t if self._last_t > 0 else 0.0

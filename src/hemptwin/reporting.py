@@ -63,11 +63,16 @@ def _run_one(args) -> ReplicationStats:
 
 
 def run_replications(
-    cfg: ScenarioConfig, replications: int | None = None, parallel: int = 1
+    cfg: ScenarioConfig,
+    replications: int | None = None,
+    parallel: int = 1,
+    first: int = 0,
 ) -> list[ReplicationStats]:
+    """Replications `first` .. n-1, where n is `replications` or, when that
+    is None, the configured count."""
     validate_config(cfg)
     n = cfg.run.replications if replications is None else replications
-    jobs = [(cfg, j) for j in range(n)]
+    jobs = [(cfg, j) for j in range(first, n)]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_run_one, jobs))

@@ -31,12 +31,9 @@ import numpy as np
 from .randomness import RngStream
 
 __all__ = [
-    "InputIndexSet",
     "ShapleyResult",
     "TooFewSamplesError",
     "TooManyInputsError",
-    "sample_variance",
-    "estimate_cost",
     "shapley_exact",
     "shapley_sampled",
     "relative_contributions",
@@ -51,45 +48,6 @@ class TooFewSamplesError(ValueError):
 
 class TooManyInputsError(ValueError):
     pass
-
-
-def sample_variance(outputs) -> float:
-    """Unbiased sample variance with 1/(n-1) normalization."""
-    arr = np.asarray(outputs, dtype=float)
-    if arr.size < 2:
-        raise TooFewSamplesError(f"need at least 2 outputs, got {arr.size}")
-    return float(np.var(arr, ddof=1))
-
-
-@dataclass(frozen=True)
-class InputIndexSet:
-    """A validated subset of input indices with its complement derivable."""
-
-    n_inputs: int
-    indices: frozenset
-
-    @classmethod
-    def of(cls, n_inputs: int, indices) -> "InputIndexSet":
-        idx = frozenset(int(i) for i in indices)
-        if n_inputs < 1 or n_inputs > 16:
-            raise ValueError(f"n_inputs must be in 1..16, got {n_inputs}")
-        if any(i < 0 or i >= n_inputs for i in idx):
-            raise ValueError(f"indices {sorted(idx)} outside 0..{n_inputs - 1}")
-        return cls(n_inputs, idx)
-
-    @property
-    def mask(self) -> int:
-        out = 0
-        for i in self.indices:
-            out |= 1 << i
-        return out
-
-    def complement(self) -> "InputIndexSet":
-        rest = frozenset(range(self.n_inputs)) - self.indices
-        return InputIndexSet(self.n_inputs, rest)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass
@@ -150,26 +108,6 @@ class _CostEstimator:
         value = float(np.var(y, axis=1, ddof=1).mean())
         self._cache[mask] = value
         return value
-
-
-def estimate_cost(
-    model,
-    n_inputs: int,
-    subset,
-    k_outer: int,
-    i_inner: int,
-    seed: int,
-    rep_index: int = 0,
-) -> float:
-    """Estimate c(J) = E[Var[Y | Z_-J]] for the redrawn index set `subset`
-    (an InputIndexSet or any iterable of indices)."""
-    if not isinstance(subset, InputIndexSet):
-        subset = InputIndexSet.of(n_inputs, subset)
-    elif subset.n_inputs != n_inputs:
-        raise ValueError("subset sized for a different input count")
-    stream = RngStream(seed, ("shapley-cost", rep_index))
-    est = _CostEstimator(model, n_inputs, k_outer, i_inner, stream)
-    return est.cost(subset.mask)
 
 
 def _shapley_from_permutations(est: _CostEstimator, perms) -> np.ndarray:

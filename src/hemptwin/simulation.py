@@ -33,12 +33,26 @@ from .domain import (
     Stage,
     StageOutcome,
 )
-from .kernel import EventCalendar, ResourcePool
+from .kernel import EventCalendar, PoolRequest, ResourcePool
 from .ledger import DataRecord, LedgerSystem, ParticipantRole, RecordKind
 from .randomness import RngStream, sample_growth_noise
 from . import stages
 
 __all__ = ["SupplyChainSimulation", "run_replication"]
+
+
+# How each drop reason ends a lot: the stage its decision outcome is recorded
+# at, the terminal stage, the decision word, and the ReplicationStats counter.
+_ENDINGS = {
+    DropReason.SEEDLING_WAIT_EXCEEDED:
+        (Stage.TRANSPLANT, Stage.DROPPED, "drop", "seedling_drop_count"),
+    DropReason.DRY_WAIT_EXCEEDED:
+        (Stage.DRY_WAIT, Stage.DROPPED, "drop", "dry_drop_count"),
+    DropReason.PREHARVEST_FAIL:
+        (Stage.PREHARVEST_TEST, Stage.DESTROYED, "destroy", "destroyed_preharvest_count"),
+    DropReason.FINAL_COA_FAIL:
+        (Stage.FINAL_COA, Stage.DESTROYED, "destroy", "destroyed_final_count"),
+}
 
 
 def _sd(values: list[float]) -> float:
@@ -122,14 +136,14 @@ class SupplyChainSimulation:
             )
 
     def _parallel_prep_done(self, lot: Lot, stage: Stage) -> None:
-        enter, _ = lot.timestamps[stage]
-        lot.timestamps[stage] = (enter, self.calendar.now)
+        self._close_stage(lot, stage)
         lot.pending_parallel -= 1
         if lot.pending_parallel == 0:
             self._ready_for_transplant(lot)
 
     def _ready_for_transplant(self, lot: Lot) -> None:
-        req = self.field_pool.request(lot.id, lambda: self._transplant_start(lot))
+        req = self._step(lot, self.field_pool, Stage.TRANSPLANT, "transplant",
+                         self._transplant_done)
         if not req.granted:
             self.calendar.schedule_in(
                 self.cfg.seedling_wait_limit, lambda: self._seedling_timeout(lot, req)
@@ -139,22 +153,11 @@ class SupplyChainSimulation:
         if req.granted or lot.terminated:
             return
         req.cancel()
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.TRANSPLANT, self.cfg.seedling_wait_limit, lot.state,
-            "drop",
-        ))
-        self._terminate(lot, Stage.DROPPED, DropReason.SEEDLING_WAIT_EXCEEDED)
+        self._end(lot, DropReason.SEEDLING_WAIT_EXCEEDED, self.cfg.seedling_wait_limit)
 
     # ----------------------------------------------------- field operations
 
-    def _transplant_start(self, lot: Lot) -> None:
-        lot.enter_stage(Stage.TRANSPLANT, self.calendar.now)
-        self.calendar.schedule_in(
-            self._dur(lot, "transplant"), lambda: self._transplant_done(lot)
-        )
-
     def _transplant_done(self, lot: Lot) -> None:
-        self.field_pool.release()
         lot.enter_stage(Stage.CULTIVATION, self.calendar.now)
         t_c = self._dur(lot, "cultivation")
         lot.cultivation_days = t_c
@@ -181,36 +184,31 @@ class SupplyChainSimulation:
     def _enter_test_queue(self, lot: Lot) -> None:
         lot.enter_stage(Stage.PREHARVEST_TEST, self.calendar.now)
         lot.sample_time = self.calendar.now
-        self.lab_pool.request(lot.id, lambda: self._test_start(lot))
-
-    def _test_start(self, lot: Lot) -> None:
-        lot.pending_duration = self._dur(lot, "preharvest_test")
-        self.calendar.schedule_in(lot.pending_duration,
-                                  lambda: self._test_done(lot))
+        self._step(lot, self.lab_pool, None, "preharvest_test", self._test_done)
 
     def _test_done(self, lot: Lot) -> None:
-        self.lab_pool.release()
         self._close_stage(lot, Stage.PREHARVEST_TEST)
         cfg = self.cfg
         would_fail = lot.state.thc_pct > cfg.thc_preharvest_limit
         tampered = would_fail and lot.tamper.bernoulli(cfg.tamper_probability)
         result = stages.preharvest_gate(lot.state, cfg.thc_preharvest_limit, tampered)
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.PREHARVEST_TEST, lot.pending_duration, lot.state,
-            "destroy" if result.decision is stages.GateDecision.DESTROY
-            else "proceed",
-        ))
+        if result.decision is stages.GateDecision.DESTROY:
+            self._end(lot, DropReason.PREHARVEST_FAIL, lot.pending_duration)
+            on_resolved = None
+        else:
+            lot.outcomes.append(StageOutcome(
+                lot.id, Stage.PREHARVEST_TEST, lot.pending_duration, lot.state,
+                "proceed",
+            ))
+            on_resolved = lambda ok, lot=lot: self._preharvest_resolved(lot, ok)
         self._submit(
             lot, RecordKind.PREHARVEST_RESULT, ParticipantRole.LAB,
             {"cbd": lot.state.cbd_pct, "thc": result.reported_thc,
              "sampled_at": lot.sample_time},
             true_values={"cbd": lot.state.cbd_pct, "thc": result.true_thc},
             tampered=result.tampered,
-            on_resolved=None if result.decision is stages.GateDecision.DESTROY
-            else (lambda ok, lot=lot: self._preharvest_resolved(lot, ok)),
+            on_resolved=on_resolved,
         )
-        if result.decision is stages.GateDecision.DESTROY:
-            self._terminate(lot, Stage.DESTROYED, DropReason.PREHARVEST_FAIL)
 
     def _preharvest_resolved(self, lot: Lot, accepted: bool) -> None:
         if lot.terminated:
@@ -218,11 +216,7 @@ class SupplyChainSimulation:
         if not accepted:
             # on-site validation exposed the falsified result; the true values
             # re-trigger the destruction the falsifier tried to dodge
-            lot.outcomes.append(StageOutcome(
-                lot.id, Stage.PREHARVEST_TEST, lot.pending_duration, lot.state,
-                "destroy",
-            ))
-            self._terminate(lot, Stage.DESTROYED, DropReason.PREHARVEST_FAIL)
+            self._end(lot, DropReason.PREHARVEST_FAIL, lot.pending_duration)
             return
         if lot.state.thc_pct > self.cfg.thc_preharvest_limit:
             lot.false_pass_preharvest = True
@@ -235,16 +229,9 @@ class SupplyChainSimulation:
     def _request_harvest(self, lot: Lot) -> None:
         if lot.terminated:
             return
-        self.field_pool.request(lot.id, lambda: self._harvest_start(lot))
-
-    def _harvest_start(self, lot: Lot) -> None:
-        lot.enter_stage(Stage.HARVEST, self.calendar.now)
-        lot.pending_duration = self._dur(lot, "harvest")
-        self.calendar.schedule_in(lot.pending_duration,
-                                  lambda: self._harvest_done(lot))
+        self._step(lot, self.field_pool, Stage.HARVEST, "harvest", self._harvest_done)
 
     def _harvest_done(self, lot: Lot) -> None:
-        self.field_pool.release()
         cfg = self.cfg
         now = self.calendar.now
         t_prime = now - lot.sample_time
@@ -319,13 +306,10 @@ class SupplyChainSimulation:
             lot.dryer_request.cancel()
         lot.dry_active = False
         self._dry_phase -= 1
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.DRY_WAIT, self.cfg.dry_wait_limit, lot.state, "drop"
-        ))
         if lot.stage is not Stage.DRY_WAIT:
             # record still pending resolution; the biomass spoiled regardless
             lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
-        self._terminate(lot, Stage.DROPPED, DropReason.DRY_WAIT_EXCEEDED)
+        self._end(lot, DropReason.DRY_WAIT_EXCEEDED, self.cfg.dry_wait_limit)
 
     # ------------------------------------------------------- stabilization
 
@@ -354,48 +338,31 @@ class SupplyChainSimulation:
                      {"from": "dryer", "to": "processor",
                       "shipped_at": self.calendar.now})
         lot.enter_stage(Stage.EXTRACT_WAIT, self.calendar.now)
-        self.processor_pool.request(lot.id, lambda: self._extraction_start(lot))
+        self._step(lot, self.processor_pool, Stage.EXTRACTION, "extraction",
+                   self._extraction_done)
 
     # -------------------------------------------------------- manufacturing
 
-    def _extraction_start(self, lot: Lot) -> None:
-        lot.enter_stage(Stage.EXTRACTION, self.calendar.now)
-        self.calendar.schedule_in(
-            self._dur(lot, "extraction"), lambda: self._extraction_done(lot)
-        )
-
     def _extraction_done(self, lot: Lot) -> None:
-        self.processor_pool.release()
         self._close_stage(lot, Stage.EXTRACTION)
         q = lot.life.uniform(self.cfg.extraction_lo, self.cfg.extraction_hi)
         lot.inputs.q_extract = q
         lot.record_state(Stage.EXTRACTION, stages.extraction_step(lot.state, q))
         self._submit(lot, RecordKind.EXTRACTION_DATA, ParticipantRole.PROCESSOR,
                      {"retained_fraction": q})
-        self.processor_pool.request(lot.id, lambda: self._winterization_start(lot))
-
-    def _winterization_start(self, lot: Lot) -> None:
-        lot.enter_stage(Stage.WINTERIZATION, self.calendar.now)
-        self.calendar.schedule_in(
-            self._dur(lot, "winterization"), lambda: self._winterization_done(lot)
-        )
+        self._step(lot, self.processor_pool, Stage.WINTERIZATION, "winterization",
+                   self._winterization_done)
 
     def _winterization_done(self, lot: Lot) -> None:
-        self.processor_pool.release()
         self._close_stage(lot, Stage.WINTERIZATION)
         w = lot.life.uniform(self.cfg.winterization_lo, self.cfg.winterization_hi)
         lot.inputs.w_winter = w
         lot.record_state(Stage.WINTERIZATION, stages.winterization_step(lot.state, w))
         self._submit(lot, RecordKind.WINTERIZATION_DATA, ParticipantRole.PROCESSOR,
                      {"retained_fraction": w})
-        self.processor_pool.request(lot.id, lambda: self._plc_start(lot))
-
-    def _plc_start(self, lot: Lot) -> None:
-        lot.enter_stage(Stage.PLC, self.calendar.now)
-        self.calendar.schedule_in(self._dur(lot, "plc"), lambda: self._plc_done(lot))
+        self._step(lot, self.processor_pool, Stage.PLC, "plc", self._plc_done)
 
     def _plc_done(self, lot: Lot) -> None:
-        self.processor_pool.release()
         q_u = lot.life.uniform(self.cfg.plc_cbd_lo, self.cfg.plc_cbd_hi)
         q_v = lot.life.uniform(self.cfg.plc_thc_lo, self.cfg.plc_thc_hi)
         if lot.plc_passes == 0:
@@ -424,20 +391,17 @@ class SupplyChainSimulation:
             lot.state, cfg.thc_final_limit, lot.plc_passes, cfg.max_plc_passes,
             tampered,
         )
-        decision_word = {
-            stages.GateDecision.ACCEPT: "proceed",
-            stages.GateDecision.REPEAT_PLC: "retest",
-            stages.GateDecision.REJECT: "destroy",
-        }[result.decision]
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.FINAL_COA, self.cfg.duration("final_coa").hi,
-            lot.state, decision_word,
-        ))
-        if result.decision is stages.GateDecision.REPEAT_PLC:
-            self.processor_pool.request(lot.id, lambda: self._plc_start(lot))
-            return
+        coa_hi = cfg.duration("final_coa").hi
         if result.decision is stages.GateDecision.REJECT:
-            self._terminate(lot, Stage.DESTROYED, DropReason.FINAL_COA_FAIL)
+            self._end(lot, DropReason.FINAL_COA_FAIL, coa_hi)
+            return
+        repeat = result.decision is stages.GateDecision.REPEAT_PLC
+        lot.outcomes.append(StageOutcome(
+            lot.id, Stage.FINAL_COA, coa_hi, lot.state,
+            "retest" if repeat else "proceed",
+        ))
+        if repeat:
+            self._step(lot, self.processor_pool, Stage.PLC, "plc", self._plc_done)
             return
         self._submit(
             lot, RecordKind.FINAL_COA, ParticipantRole.PROCESSOR,
@@ -451,17 +415,40 @@ class SupplyChainSimulation:
         if lot.terminated:
             return
         if not accepted:
-            lot.outcomes.append(StageOutcome(
-                lot.id, Stage.FINAL_COA, self.cfg.duration("final_coa").hi,
-                lot.state, "destroy",
-            ))
-            self._terminate(lot, Stage.DESTROYED, DropReason.FINAL_COA_FAIL)
+            self._end(lot, DropReason.FINAL_COA_FAIL, self.cfg.duration("final_coa").hi)
             return
         if lot.state.thc_pct >= self.cfg.thc_final_limit:
             lot.fake_qualified = True
         self._terminate(lot, Stage.FINISHED, None)
 
     # ----------------------------------------------------------- accounting
+
+    def _step(self, lot: Lot, pool: ResourcePool, stage: Stage | None,
+              duration_key: str, then) -> PoolRequest:
+        """Queue `lot` for one server of `pool`.  On the grant it enters
+        `stage` (None: entered at queue time) and holds the server for a
+        `duration_key` draw kept in `lot.pending_duration`; then the server
+        is released and `then(lot)` runs."""
+
+        def start() -> None:
+            if stage is not None:
+                lot.enter_stage(stage, self.calendar.now)
+            lot.pending_duration = self._dur(lot, duration_key)
+            self.calendar.schedule_in(lot.pending_duration, done)
+
+        def done() -> None:
+            pool.release()
+            then(lot)
+
+        return pool.request(lot.id, start)
+
+    def _end(self, lot: Lot, reason: DropReason, duration: float) -> None:
+        """Record the decision that drops or destroys `lot`, then terminate it."""
+        outcome_stage, terminal, decision, _ = _ENDINGS[reason]
+        lot.outcomes.append(
+            StageOutcome(lot.id, outcome_stage, duration, lot.state, decision)
+        )
+        self._terminate(lot, terminal, reason)
 
     def _terminate(self, lot: Lot, stage: Stage, reason: DropReason | None) -> None:
         lot.enter_stage(stage, self.calendar.now)
@@ -514,21 +501,16 @@ class SupplyChainSimulation:
         measured_ids = {lot.id for lot in self.measured}
         stats.lots_observed = len(self.measured)
         for lot in self.measured:
-            if lot.stage is Stage.FINISHED:
+            finished = lot.stage is Stage.FINISHED
+            if finished:
                 stats.finished_count += 1
-            elif lot.drop_reason is DropReason.SEEDLING_WAIT_EXCEEDED:
-                stats.seedling_drop_count += 1
-            elif lot.drop_reason is DropReason.DRY_WAIT_EXCEEDED:
-                stats.dry_drop_count += 1
-            elif lot.drop_reason is DropReason.PREHARVEST_FAIL:
-                stats.destroyed_preharvest_count += 1
-            elif lot.drop_reason is DropReason.FINAL_COA_FAIL:
-                stats.destroyed_final_count += 1
+            else:
+                *_, counter = _ENDINGS[lot.drop_reason]
+                setattr(stats, counter, getattr(stats, counter) + 1)
             stats.false_pass_preharvest += lot.false_pass_preharvest
             stats.false_pass_harvest += lot.false_pass_harvest
             stats.fake_qualified += lot.fake_qualified
             stats.t_prime_samples.extend(lot.t_prime_legs)
-            finished = lot.stage is Stage.FINISHED
             stats.lot_outputs.append(
                 LotOutput(
                     lot_id=lot.id,

@@ -99,6 +99,11 @@ def test_lot_count_must_be_positive(n):
         ("limits.Ld", {"dry_wait_limit": math.nan}),
         ("run.seed", {"run": RunConfig(master_seed=-1)}),
         ("lots.season_interval", {"season_interval_days": -1.0}),
+        ("chain.mu_v", {"chain": ChainConfig(verification_mean_days=math.inf)}),
+        ("growth.g", {"growth_rate": math.inf}),
+        ("policy.max_plc_passes", {"max_plc_passes": 0}),
+        ("policy.max_plc_passes", {"max_plc_passes": -1}),
+        ("run.reps", {"run": RunConfig(replications=0)}),
     ],
 )
 def test_configs_that_cannot_run_are_rejected(key, overrides):

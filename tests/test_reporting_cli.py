@@ -154,6 +154,12 @@ def test_cli_rejects_negative_seed(tmp_path, cfg_file):
     assert main(argv) == 2
 
 
+def test_cli_rejects_zero_reps(tmp_path, cfg_file, capsys):
+    argv = ["simulate", "--config", str(cfg_file), "--reps", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "run.reps" in capsys.readouterr().err
+
+
 def test_cli_byte_identical_reports_for_identical_seeds(tmp_path, cfg_file):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -230,17 +230,34 @@ def test_gate_records_block_stage_progression():
 
 
 def test_stage_outcomes_recorded_at_decision_points():
-    sim = SupplyChainSimulation(small_cfg(), 0)
+    # scarce field workers and one slow dryer: every drop reason occurs
+    from hemptwin.config import StageDuration
+
+    cfg = dataclasses.replace(
+        small_cfg(), n_field_workers=5, n_dryers=1,
+        run=RunConfig(warmup_lots=0, run_length_lots=200, replications=1,
+                      master_seed=4242),
+    ).with_durations(drying=StageDuration(2.0, 4.0))
+    sim = SupplyChainSimulation(cfg, 0)
     sim.run()
+    ending = {
+        None: (Stage.FINISHED, Stage.FINAL_COA, "proceed"),
+        "seedling_wait_exceeded": (Stage.DROPPED, Stage.TRANSPLANT, "drop"),
+        "dry_wait_exceeded": (Stage.DROPPED, Stage.DRY_WAIT, "drop"),
+        "preharvest_fail": (Stage.DESTROYED, Stage.PREHARVEST_TEST, "destroy"),
+        "final_coa_fail": (Stage.DESTROYED, Stage.FINAL_COA, "destroy"),
+    }
     seen_decisions = set()
+    seen_reasons = set()
     for lot in sim.measured:
         for outcome in lot.outcomes:
             assert outcome.lot_id == lot.id
             seen_decisions.add((outcome.stage, outcome.decision))
-        if lot.drop_reason is not None and lot.drop_reason.value == "preharvest_fail":
-            assert any(o.decision == "destroy" for o in lot.outcomes)
-        if lot.stage is Stage.FINISHED:
-            assert lot.outcomes[-1].decision == "proceed"
+        reason = lot.drop_reason.value if lot.drop_reason else None
+        seen_reasons.add(reason)
+        last = lot.outcomes[-1]
+        assert (lot.stage, last.stage, last.decision) == ending[reason], lot.id
+    assert seen_reasons == set(ending)
     assert (Stage.PREHARVEST_TEST, "destroy") in seen_decisions
     assert (Stage.PREHARVEST_TEST, "proceed") in seen_decisions
 
