@@ -26,6 +26,7 @@ from .reporting import (
     run_experiment,
 )
 from .riskmodel import collect_t_prime_samples, decompose_final_product
+from .shapley import TooFewSamplesError, TooManyInputsError
 from .simulation import run_replication
 
 
@@ -183,6 +184,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ConfigValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (TooFewSamplesError, TooManyInputsError) as exc:
+        # shapley counts that cannot run; shapley.py owns the bounds
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

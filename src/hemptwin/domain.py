@@ -268,7 +268,7 @@ class LotOutput:
     """Per-lot outcome row for the measured window."""
 
     lot_id: str
-    season_index: int
+    season: int
     outcome: str
     drop_reason: str | None
     final_cbd: float | None

@@ -18,8 +18,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+import typing
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .config import ChainConfig, Topology
 from .kernel import EventCalendar, ResourcePool
@@ -139,24 +141,147 @@ class RootBlock:
     nonce: int = 0
 
 
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+@dataclass
+class ChainState:
+    """Everything a chain export contains: confirmed records and blocks."""
+
+    topology: Topology
+    n_shards: int
+    records: dict = field(default_factory=dict)  # record_id -> DataRecord
+    shards: dict = field(default_factory=dict)  # shard_id -> [ShardBlock]
+    roots: list = field(default_factory=list)
+
+    def shard_blocks(self, shard_id: int) -> list:
+        return self.shards.setdefault(shard_id, [])
+
+
+# ---------------------------------------------------------------------------
+# chain export schema: export, hashing and parsing all read this table
+
+# Each export line is one JSON object tagged by `kind`.  Per line kind: the
+# class it describes and, for every export key in the order of the class's
+# fields, the value's type, paired with the attribute it comes from when that
+# is not named like the key.  An enum is written as its member's value, a
+# float field also accepts a JSON integer, and a list type names its items (a
+# tuple item is a fixed array).
+_LINE_FIELDS = {
+    "meta": (ChainState, {"topology": Topology, "n_shards": int}),
+    "record": (DataRecord, {
+        "record_id": str,
+        "lot_id": str,
+        "role": (ParticipantRole, "participant_role"),
+        "record_kind": RecordKind,
+        "location": (int, "location_index"),
+        "payload": dict,
+        "submitted_at": float,
+    }),
+    "shard_block": (ShardBlock, {
+        "shard_id": int,
+        "height": int,
+        "prev_hash": str,
+        "merkle_root": str,
+        "validator": (str, "validator_signature"),
+        "created_at": float,
+        "records": (list[str], "record_ids"),
+        "nonce": int,
+    }),
+    "root_block": (RootBlock, {
+        "height": int,
+        "prev_hash": str,
+        "headers": (list[tuple[int, int, str]], "shard_headers"),
+        "regulator": (str, "regulator_id"),
+        "created_at": float,
+        "nonce": int,
+    }),
+}
+# A hash is the SHA-256 of the canonical JSON of the object's export line
+# without its `kind` tag, with these keys renamed, or left out where renamed
+# to None.
+_HASH_RENAMES = {"record": {"record_kind": "kind"}, "shard_block": {"records": None}}
+
+
+class _Line(NamedTuple):
+    """One line kind of `_LINE_FIELDS`, compiled for export, hash and parse."""
+
+    cls: type
+    keys: tuple  # export keys
+    types: tuple  # their JSON types
+    get: Callable  # object -> export values in `keys` order
+    readers: tuple  # (index into keys, reader) for values converted on parse
+    hash_keys: tuple
+    hash_get: Callable
+
+
+def _reader(typ) -> Callable | None:
+    """Conversion of a type-checked JSON value into the attribute value of a
+    field of type `typ` (KeyError for an unknown enum value); None where the
+    value is kept as it is."""
+    if typ is float:
+        return float
+    if isinstance(typ, enum.EnumMeta):
+        return {member.value: member for member in typ}.__getitem__
+    if typing.get_origin(typ) is list:
+        (item,) = typing.get_args(typ)
+        shape = typing.get_args(item)
+
+        def to_items(value):
+            if shape:
+                items = [tuple(v) for v in value
+                         if type(v) is list and tuple(map(type, v)) == shape]
+            else:
+                items = [v for v in value if type(v) is item]
+            if len(items) != len(value):
+                raise ValueError(f"must be {typ}")
+            return items
+
+        return to_items
+    return None
+
+
+def _compile(kind: str) -> _Line:
+    cls, line_fields = _LINE_FIELDS[kind]
+    keys, types, attrs, paths, readers = [], [], [], [], []
+    for i, (key, spec) in enumerate(line_fields.items()):
+        typ, attr = spec if type(spec) is tuple else (spec, key)
+        is_enum = isinstance(typ, enum.EnumMeta)
+        keys.append(key)
+        types.append(str if is_enum else typing.get_origin(typ) or typ)
+        attrs.append(attr)
+        paths.append(attr + ".value" if is_enum else attr)
+        read = _reader(typ)
+        if read is not None:
+            readers.append((i, read))
+    # parsing constructs the object from the line's values by position
+    if attrs != [f.name for f in fields(cls)][:len(attrs)]:
+        raise TypeError(f"{kind} keys must follow the fields of {cls.__name__}")
+    renames = _HASH_RENAMES.get(kind, {})
+    hashed = [(renames.get(key, key), path) for key, path in zip(keys, paths)
+              if renames.get(key, key) is not None]
+    return _Line(cls, tuple(keys), tuple(types), attrgetter(*paths),
+                 tuple(readers), tuple(key for key, _ in hashed),
+                 attrgetter(*(path for _, path in hashed)))
+
+
+_LINES = {kind: _compile(kind) for kind in _LINE_FIELDS}
+# canonical JSON: sorted keys, no whitespace; one encoder for every call
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _export_line(obj, kind: str) -> str:
+    line = _LINES[kind]
+    values = dict(zip(line.keys, line.get(obj)))
+    values["kind"] = kind
+    return _canonical(values)
+
+
+def _digest(obj, kind: str) -> str:
+    line = _LINES[kind]
+    values = dict(zip(line.hash_keys, line.hash_get(obj)))
+    return hashlib.sha256(_canonical(values).encode("ascii")).hexdigest()
 
 
 def record_hash(rec: DataRecord) -> str:
-    return hashlib.sha256(
-        _canonical(
-            {
-                "record_id": rec.record_id,
-                "lot_id": rec.lot_id,
-                "role": rec.participant_role.value,
-                "kind": rec.record_kind.value,
-                "location": rec.location_index,
-                "payload": rec.payload,
-                "submitted_at": rec.submitted_at,
-            }
-        )
-    ).hexdigest()
+    return _digest(rec, "record")
 
 
 def merkle_root(leaf_hashes: list[str]) -> str:
@@ -176,34 +301,11 @@ def merkle_root(leaf_hashes: list[str]) -> str:
 
 
 def shard_header_hash(block: ShardBlock) -> str:
-    return hashlib.sha256(
-        _canonical(
-            {
-                "shard_id": block.shard_id,
-                "height": block.height,
-                "prev_hash": block.prev_hash,
-                "merkle_root": block.merkle_root,
-                "validator": block.validator_signature,
-                "created_at": block.created_at,
-                "nonce": block.nonce,
-            }
-        )
-    ).hexdigest()
+    return _digest(block, "shard_block")
 
 
 def root_header_hash(block: RootBlock) -> str:
-    return hashlib.sha256(
-        _canonical(
-            {
-                "height": block.height,
-                "prev_hash": block.prev_hash,
-                "headers": [list(h) for h in block.shard_headers],
-                "regulator": block.regulator_id,
-                "created_at": block.created_at,
-                "nonce": block.nonce,
-            }
-        )
-    ).hexdigest()
+    return _digest(block, "root_block")
 
 
 def assign_shard(location_index: int, n_shards: int) -> int:
@@ -211,20 +313,6 @@ def assign_shard(location_index: int, n_shards: int) -> int:
     if n_shards < 1:
         raise ValueError("need at least one shard")
     return location_index % n_shards
-
-
-@dataclass
-class ChainState:
-    """Everything a chain export contains: confirmed records and blocks."""
-
-    topology: Topology
-    n_shards: int
-    records: dict = field(default_factory=dict)  # record_id -> DataRecord
-    shards: dict = field(default_factory=dict)  # shard_id -> [ShardBlock]
-    roots: list = field(default_factory=list)
-
-    def shard_blocks(self, shard_id: int) -> list:
-        return self.shards.setdefault(shard_id, [])
 
 
 @dataclass(frozen=True)
@@ -325,97 +413,23 @@ def audit_chain(chain: ChainState) -> AuditResult:
 def export_chain(chain: ChainState) -> str:
     """Line-delimited export, one object per line, canonical field order.
     Bit-exact across runs with the same seed."""
-    lines = [
-        json.dumps(
-            {"kind": "meta", "topology": chain.topology.value, "n_shards": chain.n_shards},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for rid in sorted(chain.records):
-        rec = chain.records[rid]
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "record",
-                    "record_id": rec.record_id,
-                    "lot_id": rec.lot_id,
-                    "role": rec.participant_role.value,
-                    "record_kind": rec.record_kind.value,
-                    "location": rec.location_index,
-                    "payload": rec.payload,
-                    "submitted_at": rec.submitted_at,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+    lines = [_export_line(chain, "meta")]
+    lines += [_export_line(chain.records[rid], "record") for rid in sorted(chain.records)]
     for shard_id in sorted(chain.shards):
-        for block in chain.shards[shard_id]:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "shard_block",
-                        "shard_id": block.shard_id,
-                        "height": block.height,
-                        "prev_hash": block.prev_hash,
-                        "merkle_root": block.merkle_root,
-                        "validator": block.validator_signature,
-                        "created_at": block.created_at,
-                        "records": block.record_ids,
-                        "nonce": block.nonce,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-    for root in chain.roots:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "root_block",
-                    "height": root.height,
-                    "prev_hash": root.prev_hash,
-                    "headers": [list(h) for h in root.shard_headers],
-                    "regulator": root.regulator_id,
-                    "created_at": root.created_at,
-                    "nonce": root.nonce,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        lines += [_export_line(block, "shard_block") for block in chain.shards[shard_id]]
+    lines += [_export_line(root, "root_block") for root in chain.roots]
     return "\n".join(lines) + "\n"
 
 
-# JSON type of every field of each export line kind (an integer passes as a
-# number); a line must hold all of its kind's fields with these types.
-_LINE_FIELDS = {
-    "meta": {"topology": str, "n_shards": int},
-    "record": {"record_id": str, "lot_id": str, "role": str, "record_kind": str,
-               "location": int, "payload": dict, "submitted_at": float},
-    "shard_block": {"shard_id": int, "height": int, "prev_hash": str, "merkle_root": str,
-                    "validator": str, "created_at": float, "records": list, "nonce": int},
-    "root_block": {"height": int, "prev_hash": str, "headers": list, "regulator": str,
-                   "created_at": float, "nonce": int},
-}
-_LINE_KEYS = {kind: (tuple(fields), tuple(fields.values()))
-              for kind, fields in _LINE_FIELDS.items()}
 # one line's JSON value without json.loads' per-call wrapping; parse_chain
 # rejects trailing data itself
 _decode = json.JSONDecoder().raw_decode
-# value -> member maps, a dict lookup instead of an enum call per record
-_ROLES = {role.value: role for role in ParticipantRole}
-_RECORD_KINDS = {kind.value: kind for kind in RecordKind}
 
 
-def _check_fields(obj: dict, kind: str) -> None:
-    """Raise ValueError naming the first field of `kind` that `obj` lacks or
-    holds with the wrong JSON type."""
-    keys, types = _LINE_KEYS[kind]
-    if tuple(map(type, map(obj.get, keys))) == types:
-        return
-    for key, typ in _LINE_FIELDS[kind].items():
+def _check_fields(obj: dict, line: _Line) -> None:
+    """Raise ValueError naming the first field of `line` that `obj` lacks or
+    holds with the wrong JSON type (an integer passes as a number)."""
+    for key, typ in zip(line.keys, line.types):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
         got = type(obj[key])
@@ -428,72 +442,46 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
     if type(obj) is not dict:
         raise ValueError(f"expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "meta":
-        if chain is not None:
-            # a later meta line would silently discard everything before it
-            raise ValueError("second meta line")
-        _check_fields(obj, kind)
-        return ChainState(topology=Topology(obj["topology"]), n_shards=obj["n_shards"])
-    if chain is None:
-        raise ValueError("content before meta line")
-    if type(kind) is not str or kind not in _LINE_FIELDS:
+    if type(kind) is not str or kind not in _LINES:
         raise ValueError(f"unknown kind {kind!r}")
-    _check_fields(obj, kind)
+    if chain is None and kind != "meta":
+        raise ValueError("content before meta line")
+    if chain is not None and kind == "meta":
+        # a later meta line would silently discard everything before it
+        raise ValueError("second meta line")
+    line = _LINES[kind]
+    values = list(map(obj.get, line.keys))
+    # one type comparison for the whole line; the field-by-field check only
+    # runs when it fails
+    if tuple(map(type, values)) != line.types:
+        _check_fields(obj, line)
+    try:
+        for i, read in line.readers:
+            values[i] = read(values[i])
+    except KeyError as exc:
+        raise ValueError(f"field {line.keys[i]!r}: unknown value {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"field {line.keys[i]!r}: {exc}") from None
+    item = line.cls(*values)
+    if kind == "meta":
+        return item
     if kind == "record":
-        role = _ROLES.get(obj["role"])
-        if role is None:
-            raise ValueError(f"unknown role {obj['role']!r}")
-        record_kind = _RECORD_KINDS.get(obj["record_kind"])
-        if record_kind is None:
-            raise ValueError(f"unknown record kind {obj['record_kind']!r}")
-        rec = DataRecord(
-            record_id=obj["record_id"],
-            lot_id=obj["lot_id"],
-            participant_role=role,
-            record_kind=record_kind,
-            location_index=obj["location"],
-            payload=obj["payload"],
-            submitted_at=float(obj["submitted_at"]),
-        )
-        chain.records[rec.record_id] = rec
+        # a second copy would silently replace the first, forged or genuine
+        if item.record_id in chain.records:
+            raise ValueError(f"duplicate record {item.record_id!r}")
+        chain.records[item.record_id] = item
     elif kind == "shard_block":
-        if not all(type(rid) is str for rid in obj["records"]):
-            raise ValueError("field 'records' must list strings")
-        block = ShardBlock(
-            shard_id=obj["shard_id"],
-            height=obj["height"],
-            prev_hash=obj["prev_hash"],
-            merkle_root=obj["merkle_root"],
-            validator_signature=obj["validator"],
-            created_at=float(obj["created_at"]),
-            record_ids=obj["records"],
-            nonce=obj["nonce"],
-        )
-        chain.shard_blocks(block.shard_id).append(block)
+        chain.shard_blocks(item.shard_id).append(item)
     else:
-        headers = [tuple(h) for h in obj["headers"]
-                   if type(h) is list and len(h) == 3 and type(h[0]) is int
-                   and type(h[1]) is int and type(h[2]) is str]
-        if len(headers) != len(obj["headers"]):
-            raise ValueError("field 'headers' must list [shard_id, height, hash] triples")
-        chain.roots.append(
-            RootBlock(
-                height=obj["height"],
-                prev_hash=obj["prev_hash"],
-                shard_headers=headers,
-                regulator_id=obj["regulator"],
-                created_at=float(obj["created_at"]),
-                nonce=obj["nonce"],
-            )
-        )
+        chain.roots.append(item)
     return chain
 
 
 def parse_chain(text: str) -> ChainState:
     """Rebuild a chain from `export_chain` text.  A line that is not a JSON
-    object, a second meta line, or a line missing a field of its kind or
-    holding one of the wrong type or an unknown enum value raises
-    ChainParseError naming the line."""
+    object, a second meta line, a second record line with the same id, or a
+    line missing a field of its kind or holding one of the wrong type or an
+    unknown enum value raises ChainParseError naming the line."""
     chain: ChainState | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -527,7 +515,7 @@ class RecordTicket:
     shard: int | None = None
     height: int | None = None
     verify_end: float | None = None
-    block: ShardBlock | None = None
+    header_hash: str | None = None  # its shard block's, when the chain is kept
 
 
 class LedgerSystem:
@@ -658,10 +646,9 @@ class LedgerSystem:
             created_at=now,
             record_ids=[ticket.record.record_id],
         )
-        self._prev_hash[shard] = shard_header_hash(block)
+        ticket.header_hash = self._prev_hash[shard] = shard_header_hash(block)
         self.chain.records[ticket.record.record_id] = ticket.record
         self.chain.shard_blocks(shard).append(block)
-        ticket.block = block
 
     def _start_confirmation(self, ticket: RecordTicket) -> None:
         service = self.root_stream.exponential(self.cfg.confirmation_mean_days)
@@ -682,14 +669,11 @@ class LedgerSystem:
     def _commit_root(self, ticket: RecordTicket) -> None:
         now = self.calendar.now
         ticket.confirmation_time = now - ticket.verify_end
-        if self.keep_chain and ticket.block is not None:
-            block = ticket.block
+        if ticket.header_hash is not None:
             root = RootBlock(
                 height=self._root_height,
                 prev_hash=self._root_prev,
-                shard_headers=[
-                    (block.shard_id, block.height, shard_header_hash(block))
-                ],
+                shard_headers=[(ticket.shard, ticket.height, ticket.header_hash)],
                 regulator_id="regulator-root",
                 created_at=now,
             )

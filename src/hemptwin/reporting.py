@@ -12,12 +12,13 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig, Topology, validate_config
-from .domain import ReplicationStats
+from .domain import LotOutput, ReplicationStats
 from .riskmodel import RiskDecomposition
 from .simulation import run_replication
 
@@ -188,35 +189,27 @@ def build_table(
     )
 
 
+def _cell(value) -> str:
+    """One lot-dump cell: None is empty, a bool 0 or 1, a float its repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def write_lot_dump(path: Path, variant_reps: list) -> None:
-    """Per-lot raw rows for every measured lot of every replication."""
-    lines = [
-        "variant,replication,lot_id,season,outcome,drop_reason,final_cbd,"
-        "final_thc,cycle_days,t_prime,false_pass_preharvest,false_pass_harvest,"
-        "fake_qualified"
-    ]
+    """Per-lot raw rows for every measured lot of every replication: one
+    column per `LotOutput` field after the variant and replication."""
+    names = [f.name for f in dataclasses.fields(LotOutput)]
+    cells = attrgetter(*names)
+    lines = [",".join(["variant", "replication", *names])]
     for label, reps in variant_reps:
         for stats in reps:
-            for lot in stats.lot_outputs:
-                lines.append(
-                    ",".join(
-                        [
-                            label,
-                            str(stats.replication_index),
-                            lot.lot_id,
-                            str(lot.season_index),
-                            lot.outcome,
-                            lot.drop_reason or "",
-                            "" if lot.final_cbd is None else repr(lot.final_cbd),
-                            "" if lot.final_thc is None else repr(lot.final_thc),
-                            "" if lot.cycle_days is None else repr(lot.cycle_days),
-                            "" if lot.t_prime is None else repr(lot.t_prime),
-                            str(int(lot.false_pass_preharvest)),
-                            str(int(lot.false_pass_harvest)),
-                            str(int(lot.fake_qualified)),
-                        ]
-                    )
-                )
+            prefix = f"{label},{stats.replication_index},"
+            lines += [prefix + ",".join(map(_cell, cells(lot))) for lot in stats.lot_outputs]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -514,7 +514,7 @@ class SupplyChainSimulation:
             stats.lot_outputs.append(
                 LotOutput(
                     lot_id=lot.id,
-                    season_index=lot.season_index,
+                    season=lot.season_index,
                     outcome=lot.stage.value,
                     drop_reason=lot.drop_reason.value if lot.drop_reason else None,
                     final_cbd=lot.state.cbd_pct if finished else None,

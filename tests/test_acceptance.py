@@ -42,27 +42,29 @@ def base_cfg():
 
 @pytest.fixture(scope="module")
 def two_layer_runs(base_cfg):
-    return run_replications(base_cfg, replications=J_REPS)
+    return run_replications(base_cfg, replications=J_REPS, parallel=2)
 
 
 @pytest.fixture(scope="module")
 def no_ledger_runs(base_cfg):
     return run_replications(
-        _with_topology(base_cfg, Topology.NONE), replications=J_REPS
+        _with_topology(base_cfg, Topology.NONE), replications=J_REPS, parallel=2
     )
 
 
 @pytest.fixture(scope="module")
 def single_chain_runs(base_cfg):
     return run_replications(
-        _with_topology(base_cfg, Topology.SINGLE_CHAIN), replications=J_REPS
+        _with_topology(base_cfg, Topology.SINGLE_CHAIN), replications=J_REPS,
+        parallel=2,
     )
 
 
 @pytest.fixture(scope="module")
 def dynamic_dryer_runs(base_cfg):
     return run_replications(
-        dataclasses.replace(base_cfg, dynamic_dryers=True), replications=J_REPS
+        dataclasses.replace(base_cfg, dynamic_dryers=True), replications=J_REPS,
+        parallel=2,
     )
 
 

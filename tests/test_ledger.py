@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemptwin.config import ChainConfig, Topology
+from hemptwin.config import ChainConfig, RunConfig, Topology, default_config
 from hemptwin.kernel import EventCalendar
 from hemptwin.ledger import (
     ChainParseError,
@@ -21,8 +23,11 @@ from hemptwin.ledger import (
     merkle_root,
     parse_chain,
     record_hash,
+    root_header_hash,
+    shard_header_hash,
 )
 from hemptwin.randomness import RngStream
+from hemptwin.simulation import run_replication
 
 
 def make_record(i=0, kind=RecordKind.CULTIVATION_DATA, location=0, tampered=False,
@@ -285,6 +290,18 @@ class TestAudit:
         with pytest.raises(ChainParseError, match=f"line {len(lines) + 1}: second meta"):
             parse_chain("\n".join(lines + [lines[0]]))
 
+    def test_forged_duplicate_record_line_raises_parse_error(self):
+        # a forged copy inserted before the genuine line used to be replaced
+        # by it on parse, so the export audited Ok
+        lines = list(small_export_lines())
+        i = next(i for i, line in enumerate(lines) if '"kind":"record"' in line)
+        forged = json.loads(lines[i])
+        forged["payload"] = {"forged": True}
+        lines.insert(i, json.dumps(forged, sort_keys=True, separators=(",", ":")))
+        with pytest.raises(ChainParseError,
+                           match=f"line {i + 2}: duplicate record '{forged['record_id']}'"):
+            parse_chain("\n".join(lines))
+
     def test_duplicate_root_reference_detected(self):
         system = TestChainStructure().run_traffic(n=6)
         chain = system.confirmed_chain()
@@ -350,3 +367,37 @@ def test_damaged_export_parses_or_raises_parse_error(text):
 @given(text=st.text())
 def test_any_text_parses_or_raises_parse_error(text):
     parses_or_raises_parse_error(text)
+
+
+def line_hash(obj: dict) -> str:
+    """The hash rule stated for the chain export: SHA-256 of the canonical
+    JSON of the line without `kind`; a record's kind goes under `kind`, and a
+    shard header leaves out `records`."""
+    body = {key: value for key, value in obj.items() if key != "kind"}
+    if obj["kind"] == "record":
+        body["kind"] = body.pop("record_kind")
+    elif obj["kind"] == "shard_block":
+        del body["records"]
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+def test_every_hash_is_the_hash_of_its_export_line(topology):
+    cfg = dataclasses.replace(
+        default_config(),
+        chain=dataclasses.replace(default_config().chain, topology=topology),
+        run=RunConfig(warmup_lots=5, run_length_lots=30, replications=1, master_seed=77),
+    )
+    _, sim = run_replication(cfg, 0, keep_chain=True)
+    chain = sim.ledger.confirmed_chain()
+    lines = [json.loads(line) for line in export_chain(chain).splitlines()]
+    by_kind = {kind: [line_hash(o) for o in lines if o["kind"] == kind]
+               for kind in ("record", "shard_block", "root_block")}
+    blocks = [block for sid in sorted(chain.shards) for block in chain.shards[sid]]
+    assert by_kind["record"] == [record_hash(chain.records[rid]) for rid in sorted(chain.records)]
+    assert by_kind["shard_block"] == [shard_header_hash(block) for block in blocks]
+    assert by_kind["root_block"] == [root_header_hash(root) for root in chain.roots]
+    assert len(lines) == 1 + len(chain.records) + len(blocks) + len(chain.roots)
+    assert bool(chain.records) == (topology is not Topology.NONE)
+    assert bool(chain.roots) == (topology is Topology.TWO_LAYER)

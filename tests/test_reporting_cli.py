@@ -122,6 +122,10 @@ RECORD = {"kind": "record", "record_id": "r0", "lot_id": "lot-0-0", "role": "gro
                  id="unknown-topology"),
     pytest.param([META, json.dumps({**RECORD, "role": "wizard"})], id="unknown-role"),
     pytest.param([META, json.dumps({**RECORD, "location": "0"})], id="wrong-type"),
+    pytest.param([META, json.dumps({**RECORD, "submitted_at": 10**400})],
+                 id="number-too-large-for-a-float"),
+    pytest.param([META, json.dumps({**RECORD, "payload": {"forged": True}}),
+                  json.dumps(RECORD)], id="duplicate-record"),
 ])
 def test_cli_audit_malformed_json_is_a_parse_error(tmp_path, capsys, lines):
     bad = tmp_path / "bad.txt"
@@ -212,6 +216,17 @@ def test_cli_shapley_cbd_has_seven_inputs(tmp_path, cfg_file):
     rows = (out / "risk_cbd.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 7 + 1
     assert rows[-1].startswith("#") and "residual" in rows[-1]
+
+
+@pytest.mark.parametrize("flag", [("--macro-reps", "1"), ("--inner-i", "1"),
+                                  ("--perms", "0")], ids=lambda f: f[0])
+def test_cli_shapley_rejects_counts_that_cannot_run(tmp_path, cfg_file, capsys, flag):
+    argv = ["shapley", "--config", str(cfg_file), "--estimator", "sampled",
+            "--perms", "20", "--outer-k", "2", "--inner-i", "5", "--macro-reps", "2",
+            "--out", str(tmp_path), *flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parallel_replications_match_serial():

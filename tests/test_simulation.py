@@ -57,7 +57,7 @@ def test_zero_warmup_single_season_window():
     )
     stats = run_replication(cfg, 0)
     assert stats.lots_observed == 50
-    seasons = {out.season_index for out in stats.lot_outputs}
+    seasons = {out.season for out in stats.lot_outputs}
     assert seasons == {0}
 
 
@@ -294,4 +294,4 @@ def test_run_length_window_excludes_warmup():
     stats = run_replication(cfg, 0)
     assert stats.lots_observed == 50
     # warmup discards the first full season here, so season 0 cannot appear
-    assert {out.season_index for out in stats.lot_outputs} == {1}
+    assert {out.season for out in stats.lot_outputs} == {1}
