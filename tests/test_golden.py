@@ -86,7 +86,7 @@ def compute_digests(work: Path) -> dict:
                           ["compare", "--scenario", "resource"])
     cfg = golden_config()
     t_prime = collect_t_prime_samples(cfg)
-    for target, estimator in (("thc", "exact"), ("cbd", "sampled")):
+    for target, estimator in (("thc", "exact"), ("cbd", "exact"), ("cbd", "sampled")):
         decomp = decompose_final_product(
             cfg, target, estimator, m_permutations=40, k_outer=4, i_inner=5,
             macro_replications=2, t_prime_sample=t_prime,
