@@ -25,7 +25,7 @@ from .reporting import (
     write_lot_dump,
     run_experiment,
 )
-from .riskmodel import collect_t_prime_samples, decompose_final_product
+from .riskmodel import decompose_final_product
 from .shapley import TooFewSamplesError, TooManyInputsError
 from .simulation import run_replication
 
@@ -110,7 +110,6 @@ def cmd_compare(args) -> int:
 
 def cmd_shapley(args) -> int:
     cfg = _load(args)
-    t_prime = collect_t_prime_samples(cfg)
     decomp = decompose_final_product(
         cfg,
         target=args.target,
@@ -119,7 +118,6 @@ def cmd_shapley(args) -> int:
         k_outer=args.outer_k,
         i_inner=args.inner_i,
         macro_replications=args.macro_reps,
-        t_prime_sample=t_prime,
     )
     paths = shapley_table(decomp, _formats(args), args.out)
     print(f"{args.target} variance decomposition ({decomp.estimator_kind}, "

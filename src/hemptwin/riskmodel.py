@@ -7,9 +7,16 @@ cannabinoid trajectory without queueing: cultivation at the mean configured
 duration, t' resampled from an empirical distribution recorded by the full
 simulation, growth noises mapped through exact truncated-normal inverse CDFs,
 and the multiplicative extraction/winterization/purification pipeline with
-the data-driven purification pass count.  Given the seed matrix the output is
+the data-driven purification pass count.  Given the seeds the output is
 fully deterministic, so redrawing a subset of inputs while holding the rest
 fixed is exact.
+
+For the decomposition (`FinalProductModel.outputs_by_mask`), each input's
+outer and inner seeds are transformed once per macro-replication -- eps' for
+each inner/outer pairing with t' -- and each subset's outputs combine the
+picked arrays by broadcasting, in the operation order of the one-block
+evaluation `__call__`, so they are bit-identical to evaluating the assembled
+seed matrix.
 
 Both cannabinoid targets share the input list eps, t_prime, eps_prime,
 q_extract, w_winter, q_u, q_v; the THC model drops q_u, which cannot touch
@@ -29,6 +36,7 @@ from .config import ScenarioConfig
 from .domain import FACTOR_NAMES
 from .shapley import (
     ShapleyResult,
+    check_counts,
     relative_contributions,
     shapley_exact,
     shapley_sampled,
@@ -48,6 +56,12 @@ CBD_FACTORS = FACTOR_NAMES  # eps, t_prime, eps_prime, q_extract, w_winter, q_u,
 THC_FACTORS = tuple(n for n in FACTOR_NAMES if n != "q_u")
 
 _EPS = 1e-12
+
+
+def _factor_names(target: str) -> tuple:
+    if target not in ("cbd", "thc"):
+        raise ValueError(f"target must be 'cbd' or 'thc', got {target!r}")
+    return CBD_FACTORS if target == "cbd" else THC_FACTORS
 
 
 def _truncated_normal_from_seed(u, sigma, lower):
@@ -77,9 +91,7 @@ class FinalProductModel:
     factor_names: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.target not in ("cbd", "thc"):
-            raise ValueError(f"target must be 'cbd' or 'thc', got {self.target!r}")
-        self.factor_names = CBD_FACTORS if self.target == "cbd" else THC_FACTORS
+        self.factor_names = _factor_names(self.target)
         self.t_prime_sample = np.sort(np.asarray(self.t_prime_sample, dtype=float))
         if self.t_prime_sample.size == 0:
             raise ValueError("empty t' sample")
@@ -109,45 +121,85 @@ class FinalProductModel:
         return len(self.factor_names)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        cols = {name: u[:, j] for j, name in enumerate(self.factor_names)}
-        g, r = self.growth_rate, self.cbd_thc_ratio
+        """Outputs of an (n, L) seed matrix: `outputs_by_mask` on one block."""
+        cols = self._columns(u)
+        x = self._transforms(cols)
+        x["eps_prime"] = self._eps_prime(cols["t_prime"], cols["eps_prime"])
+        return self._output(x)
 
+    def outputs_by_mask(self, outer: np.ndarray, inner: np.ndarray):
+        """Transform each input's outer (K, 1, L) and inner (K, I, L) seeds
+        once; return `outputs(mask)`, the (K, I) outputs with the inputs in
+        bit mask `mask` on their inner seeds and the rest on their outer ones
+        (for mask 0, which redraws nothing, the (K, 1) outputs of the outer
+        seeds).
+
+        eps' depends on t' too, so it is mapped for all four inner/outer
+        combinations of the two.  A mask then picks one array per input, and
+        the output is broadcast arithmetic in `__call__`'s operation order:
+        bit for bit the outputs of the assembled seed matrix.
+        """
+        cols = [self._columns(outer), self._columns(inner)]
+        blocks = [self._transforms(c) for c in cols]
+        eps_prime = [[self._eps_prime(t["t_prime"], e["eps_prime"]) for e in cols]
+                     for t in cols]
+        bits = tuple(enumerate(self.factor_names))
+
+        def outputs(mask: int) -> np.ndarray:
+            side = {name: mask >> l & 1 for l, name in bits}
+            x = {name: blocks[side[name]][name] for name in blocks[0]}
+            x["eps_prime"] = eps_prime[side["t_prime"]][side["eps_prime"]]
+            return self._output(x)
+
+        return outputs
+
+    def _columns(self, u) -> dict:
+        """Each input's seeds in one block (inputs on the last axis)."""
+        u = np.asarray(u, dtype=float)
+        return dict(zip(self.factor_names, np.moveaxis(u, -1, 0)))
+
+    def _t_prime(self, seeds: np.ndarray) -> np.ndarray:
+        n = self.t_prime_sample.size
+        return self.t_prime_sample[np.minimum((seeds * n).astype(int), n - 1)]
+
+    def _eps_prime(self, t_seeds: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Growth noise after sampling, given the t' seeds."""
+        g = self.growth_rate
+        t_p = self._t_prime(t_seeds)
+        sigma_p = self.lambda_var * np.sqrt(g * t_p)
+        return _truncated_normal_from_seed(seeds, sigma_p, -g * t_p)
+
+    def _transforms(self, cols: dict) -> dict:
+        """Each input's transform of one block, except eps': eps becomes
+        g*t_c + eps and t_prime becomes g*t'."""
+        g = self.growth_rate
         t_c = self.cultivation_days
         sigma_c = self.lambda_var * math.sqrt(g * t_c)
         eps = _truncated_normal_from_seed(cols["eps"], sigma_c, -g * t_c)
-        total = g * t_c + eps
+        x = {"eps": g * t_c + eps, "t_prime": g * self._t_prime(cols["t_prime"])}
+        uniform = {
+            "q_extract": self.extraction_bounds,
+            "w_winter": self.winterization_bounds,
+            "q_v": self.plc_thc_bounds,
+            "q_u": self.plc_cbd_bounds,  # not an input of the THC model
+        }
+        for name, (lo, hi) in uniform.items():
+            if name in cols:
+                x[name] = lo + cols[name] * (hi - lo)
+        return x
 
-        n = self.t_prime_sample.size
-        idx = np.minimum((cols["t_prime"] * n).astype(int), n - 1)
-        t_p = self.t_prime_sample[idx]
-        sigma_p = self.lambda_var * np.sqrt(g * t_p)
-        eps_p = _truncated_normal_from_seed(cols["eps_prime"], sigma_p, -g * t_p)
-        total = total + g * t_p + eps_p
-
-        def unif(name, bounds):
-            lo, hi = bounds
-            return lo + cols[name] * (hi - lo)
-
-        q = unif("q_extract", self.extraction_bounds)
-        w = unif("w_winter", self.winterization_bounds)
-        q_v = unif("q_v", self.plc_thc_bounds)
-        if self.target == "cbd":
-            q_u = unif("q_u", self.plc_cbd_bounds)
-        else:
-            # THC is independent of the CBD retention; hold it at its mean
-            lo, hi = self.plc_cbd_bounds
-            q_u = 0.5 * (lo + hi)
-
-        cbd = total * r / (r + 1.0) * q * w
-        thc = total / (r + 1.0) * q * w
-
-        thc_1 = thc * q_v
+    def _output(self, x: dict) -> np.ndarray:
+        """Final CBD or THC from the transformed inputs: eps is g*t_c + eps,
+        t_prime is g*t'."""
+        r = self.cbd_thc_ratio
+        total = x["eps"] + x["t_prime"] + x["eps_prime"]
+        q, w, q_v = x["q_extract"], x["w_winter"], x["q_v"]
+        thc_1 = total / (r + 1.0) * q * w * q_v
         second = (thc_1 >= self.thc_final_limit) & (self.max_plc_passes >= 2)
         if self.target == "thc":
             return np.where(second, thc_1 * q_v, thc_1)
-        cbd_1 = cbd * q_u
-        return np.where(second, cbd_1 * q_u, cbd_1)
+        cbd_1 = total * r / (r + 1.0) * q * w * x["q_u"]
+        return np.where(second, cbd_1 * x["q_u"], cbd_1)
 
 
 def collect_t_prime_samples(
@@ -202,7 +254,16 @@ def decompose_final_product(
     t_prime_sample=None,
     seed: int | None = None,
 ) -> RiskDecomposition:
-    """Full risk-decomposition pipeline for one cannabinoid target."""
+    """Full risk-decomposition pipeline for one cannabinoid target.  The
+    target, the estimator and the sample counts are checked before the t'
+    sample is collected."""
+    _factor_names(target)
+    if estimator not in ("exact", "sampled"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    counts = dict(k_outer=k_outer, i_inner=i_inner, macro_replications=macro_replications)
+    if estimator == "sampled":
+        counts["m_permutations"] = m_permutations
+    check_counts(**counts)
     if t_prime_sample is None:
         t_prime_sample = collect_t_prime_samples(cfg)
     model = FinalProductModel.from_config(cfg, target, t_prime_sample)
@@ -211,16 +272,14 @@ def decompose_final_product(
     for j in range(macro_replications):
         if estimator == "exact":
             res = shapley_exact(
-                model, model.n_inputs, k_outer, i_inner, seed,
-                rep_index=j, labels=model.factor_names,
-            )
-        elif estimator == "sampled":
-            res = shapley_sampled(
-                model, model.n_inputs, m_permutations, k_outer, i_inner, seed,
+                model.outputs_by_mask, model.n_inputs, k_outer, i_inner, seed,
                 rep_index=j, labels=model.factor_names,
             )
         else:
-            raise ValueError(f"unknown estimator {estimator!r}")
+            res = shapley_sampled(
+                model.outputs_by_mask, model.n_inputs, m_permutations, k_outer,
+                i_inner, seed, rep_index=j, labels=model.factor_names,
+            )
         results.append(res)
     rc_mean, rc_stderr = relative_contributions(results)
     return RiskDecomposition(

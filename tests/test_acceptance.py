@@ -25,6 +25,7 @@ from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
 from hemptwin.shapley import shapley_exact, shapley_sampled
 from hemptwin.simulation import SupplyChainSimulation, run_replication
 from hemptwin.stages import cultivation_growth
+from seed_matrix import seed_matrix_model
 
 J_REPS = 100
 
@@ -188,6 +189,7 @@ def test_criterion_05_decomposition_identity(risk_results):
 
 
 def test_criterion_06_shapley_oracle():
+    @seed_matrix_model
     def model(u):
         z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
         return z[:, 0] + z[:, 1] + 0.0 * z[:, 2]

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hemptwin import riskmodel
 from hemptwin.cli import main
 from hemptwin.config import RunConfig, default_config, save_config
 from hemptwin.reporting import (
@@ -219,8 +220,15 @@ def test_cli_shapley_cbd_has_seven_inputs(tmp_path, cfg_file):
 
 
 @pytest.mark.parametrize("flag", [("--macro-reps", "1"), ("--inner-i", "1"),
-                                  ("--perms", "0")], ids=lambda f: f[0])
-def test_cli_shapley_rejects_counts_that_cannot_run(tmp_path, cfg_file, capsys, flag):
+                                  ("--perms", "0"), ("--outer-k", "0")],
+                         ids=lambda f: f[0])
+def test_cli_shapley_rejects_counts_that_cannot_run(tmp_path, cfg_file, capsys, flag,
+                                                    monkeypatch):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("t' collected before the counts were checked")
+
+    # collect_t_prime_samples runs its replications through this name
+    monkeypatch.setattr(riskmodel, "run_replication", no_replications)
     argv = ["shapley", "--config", str(cfg_file), "--estimator", "sampled",
             "--perms", "20", "--outer-k", "2", "--inner-i", "5", "--macro-reps", "2",
             "--out", str(tmp_path), *flag]

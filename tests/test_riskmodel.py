@@ -15,6 +15,7 @@ from hemptwin.riskmodel import (
     collect_t_prime_samples,
     decompose_final_product,
 )
+from seed_matrix import seed_matrix_model
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,24 @@ def test_outputs_positive_and_cbd_exceeds_thc(t_prime):
     thc = make_model("thc", t_prime)(u[:, [0, 1, 2, 3, 4, 6]])
     assert np.all(cbd > 0) and np.all(thc > 0)
     assert np.all(cbd > thc)
+
+
+@pytest.mark.parametrize("target", ["cbd", "thc"])
+@pytest.mark.parametrize("k_outer,i_inner", [(1, 2), (3, 5), (10, 100)])
+def test_outputs_by_mask_equal_the_assembled_seed_matrix(t_prime, target, k_outer,
+                                                         i_inner):
+    model = make_model(target, t_prime)
+    n = model.n_inputs
+    u = RngStream(9, ("masks", target)).random(k_outer * (1 + i_inner) * n)
+    outer = u[: k_outer * n].reshape(k_outer, 1, n)
+    inner = u[k_outer * n:].reshape(k_outer, i_inner, n)
+    factored = model.outputs_by_mask(outer, inner)
+    assembled = seed_matrix_model(model)(outer, inner)
+    # mask 0 redraws nothing: each row is one outer-seed output
+    assert np.array_equal(np.broadcast_to(factored(0), (k_outer, i_inner)),
+                          assembled(0))
+    for mask in range(1, 1 << n):
+        assert np.array_equal(factored(mask), assembled(mask)), mask
 
 
 def test_high_growth_draws_get_second_purification_pass(t_prime):

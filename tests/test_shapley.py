@@ -7,11 +7,14 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 from hemptwin.randomness import RngStream
+from seed_matrix import seed_matrix_model
 from hemptwin.shapley import (
     ShapleyResult,
     TooFewSamplesError,
     TooManyInputsError,
     _CostEstimator,
+    _exact_orderings,
+    _orderings,
     _shapley_from_permutations,
     relative_contributions,
     shapley_exact,
@@ -23,11 +26,13 @@ def gaussian(u):
     return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
 
 
+@seed_matrix_model
 def additive_two(u):
     z = gaussian(u)
     return z[:, 0] + z[:, 1]
 
 
+@seed_matrix_model
 def additive_with_dummy(u):
     z = gaussian(u)
     return z[:, 0] + z[:, 1] + 0.0 * z[:, 2]
@@ -90,7 +95,8 @@ class TestShapleyExact:
         assert np.all(np.abs(s.mean(axis=0) - oracle) <= 3 * stderr + 1e-9)
 
     def test_constant_output_gives_zeros(self):
-        res = shapley_exact(lambda u: np.zeros(len(u)), 3, 20, 10, seed=3)
+        res = shapley_exact(seed_matrix_model(lambda u: np.zeros(len(u))), 3, 20, 10,
+                            seed=3)
         assert_allclose(res.s, 0.0)
         assert res.total_variance == 0.0
         assert_allclose(res.rc, 0.0)
@@ -144,26 +150,39 @@ def sum_of_squares(u):
 class TestOrderingAccumulator:
     @pytest.mark.parametrize("n_inputs", [1, 3, 8])
     def test_exact_orderings_match_the_loop_bit_for_bit(self, n_inputs):
-        est = _CostEstimator(sum_of_squares, n_inputs, 6, 5, RngStream(5, ("acc",)))
+        est = _CostEstimator(seed_matrix_model(sum_of_squares), n_inputs, 6, 5,
+                             RngStream(5, ("acc",)))
         perms = list(itertools.permutations(range(n_inputs)))
-        assert np.array_equal(_shapley_from_permutations(est, perms),
+        assert np.array_equal(_shapley_from_permutations(est, _orderings(perms)),
                               loop_shapley(est, perms))
 
     def test_sampled_orderings_match_the_loop_bit_for_bit(self):
-        est = _CostEstimator(sum_of_squares, 7, 6, 5, RngStream(8, ("acc",)))
+        est = _CostEstimator(seed_matrix_model(sum_of_squares), 7, 6, 5,
+                             RngStream(8, ("acc",)))
         perms = RngStream(8, ("orderings",)).permutations(500, 7)
-        assert np.array_equal(_shapley_from_permutations(est, perms),
+        assert np.array_equal(_shapley_from_permutations(est, _orderings(perms)),
                               loop_shapley(est, perms))
+
+    @pytest.mark.parametrize("n_inputs", [1, 3, 7])
+    def test_exact_orderings_are_built_once_in_permutations_order(self, n_inputs):
+        arrays = _exact_orderings(n_inputs)
+        assert _exact_orderings(n_inputs) is arrays
+        perms = list(itertools.permutations(range(n_inputs)))
+        assert np.array_equal(arrays[0], perms)
+        for cached, fresh in zip(arrays, _orderings(perms)):
+            assert np.array_equal(cached, fresh)
+            assert not cached.flags.writeable
 
     def test_each_distinct_prefix_is_costed_once(self):
         calls = []
 
+        @seed_matrix_model
         def model(u):
             calls.append(len(u))
             return sum_of_squares(u)
 
         est = _CostEstimator(model, 4, 3, 3, RngStream(2, ("acc",)))
-        _shapley_from_permutations(est, list(itertools.permutations(range(4))))
+        _shapley_from_permutations(est, _exact_orderings(4))
         assert len(calls) == 2**4 - 1
 
 
@@ -174,8 +193,8 @@ class TestShapleySampled:
         stream = RngStream(77, ("equivalence",))
         est = _CostEstimator(additive_with_dummy, 3, 30, 30, stream)
         perms = list(itertools.permutations(range(3)))
-        exact_s = _shapley_from_permutations(est, perms)
-        doubled = _shapley_from_permutations(est, perms + perms)
+        exact_s = _shapley_from_permutations(est, _orderings(perms))
+        doubled = _shapley_from_permutations(est, _orderings(perms + perms))
         # identical cached costs, so agreement is exact up to float roundoff
         assert_allclose(doubled, exact_s, rtol=1e-12, atol=1e-15)
 
