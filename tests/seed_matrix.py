@@ -14,7 +14,8 @@ def seed_matrix_model(fn):
             u = np.empty((k, i, n_inputs))
             for l in range(n_inputs):
                 u[:, :, l] = inner[:, :, l] if mask >> l & 1 else outer[:, :, l]
-            return np.asarray(fn(u.reshape(k * i, n_inputs)), dtype=float).reshape(k, i)
+            y = fn(u.reshape(k * i, n_inputs))
+            return np.asarray(y, dtype=float).reshape(k, i)
 
         return outputs
 
