@@ -11,12 +11,12 @@ the data-driven purification pass count.  Given the seeds the output is
 fully deterministic, so redrawing a subset of inputs while holding the rest
 fixed is exact.
 
-For the decomposition (`FinalProductModel.outputs_by_mask`), each input's
-outer and inner seeds are transformed once per macro-replication -- eps' for
-each inner/outer pairing with t' -- and each subset's outputs combine the
-picked arrays by broadcasting, in the operation order of the one-block
-evaluation `__call__`, so they are bit-identical to evaluating the assembled
-seed matrix.
+For the decomposition (`FinalProductModel.subset_outputs`), each input's
+outer and inner seeds are transformed once per block of outer rows and set on
+a length-2 axis at the input's bit position (eps' on the pair of axes of t'
+and eps'), so one broadcast pass through the one-block evaluation's
+arithmetic gives the outputs of all 2^L subsets, in `__call__`'s operation
+order, bit-identical to evaluating each subset's assembled seed matrix.
 
 Both cannabinoid targets share the input list eps, t_prime, eps_prime,
 q_extract, w_winter, q_u, q_v; the THC model drops q_u, which cannot touch
@@ -121,37 +121,34 @@ class FinalProductModel:
         return len(self.factor_names)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Outputs of an (n, L) seed matrix: `outputs_by_mask` on one block."""
-        cols = self._columns(u)
+        """Outputs of an (n, L) seed matrix."""
+        return self._evaluate(self._columns(u))
+
+    def subset_outputs(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """The (2^L, K, I) outputs of every subset of inputs: row `mask` has
+        the inputs in bit mask `mask` on their inner (K, I, L) seeds and the
+        rest on their outer (K, 1, L) ones.
+
+        Each input's transformed [outer, inner] pair lies on a length-2 axis
+        at its bit position, highest bit first, and eps' is mapped on the
+        (t', eps') pair of axes, so one broadcast pass through `__call__`'s
+        arithmetic evaluates every subset: bit for bit the outputs of each
+        subset's assembled seed matrix.
+        """
+        n = self.n_inputs
+        k, i = inner.shape[:2]
+        cols = self._columns(np.stack([np.broadcast_to(outer, inner.shape), inner]))
+        for l, name in enumerate(self.factor_names):
+            shape = [1] * n + [k, i]
+            shape[n - 1 - l] = 2
+            cols[name] = cols[name].reshape(shape)
+        return self._evaluate(cols).reshape(1 << n, k, i)
+
+    def _evaluate(self, cols: dict) -> np.ndarray:
+        """Outputs of each input's seeds, broadcast against each other."""
         x = self._transforms(cols)
         x["eps_prime"] = self._eps_prime(cols["t_prime"], cols["eps_prime"])
         return self._output(x)
-
-    def outputs_by_mask(self, outer: np.ndarray, inner: np.ndarray):
-        """Transform each input's outer (K, 1, L) and inner (K, I, L) seeds
-        once; return `outputs(mask)`, the (K, I) outputs with the inputs in
-        bit mask `mask` on their inner seeds and the rest on their outer ones
-        (for mask 0, which redraws nothing, the (K, 1) outputs of the outer
-        seeds).
-
-        eps' depends on t' too, so it is mapped for all four inner/outer
-        combinations of the two.  A mask then picks one array per input, and
-        the output is broadcast arithmetic in `__call__`'s operation order:
-        bit for bit the outputs of the assembled seed matrix.
-        """
-        cols = [self._columns(outer), self._columns(inner)]
-        blocks = [self._transforms(c) for c in cols]
-        eps_prime = [[self._eps_prime(t["t_prime"], e["eps_prime"]) for e in cols]
-                     for t in cols]
-        bits = tuple(enumerate(self.factor_names))
-
-        def outputs(mask: int) -> np.ndarray:
-            side = {name: mask >> l & 1 for l, name in bits}
-            x = {name: blocks[side[name]][name] for name in blocks[0]}
-            x["eps_prime"] = eps_prime[side["t_prime"]][side["eps_prime"]]
-            return self._output(x)
-
-        return outputs
 
     def _columns(self, u) -> dict:
         """Each input's seeds in one block (inputs on the last axis)."""
@@ -272,12 +269,12 @@ def decompose_final_product(
     for j in range(macro_replications):
         if estimator == "exact":
             res = shapley_exact(
-                model.outputs_by_mask, model.n_inputs, k_outer, i_inner, seed,
+                model.subset_outputs, model.n_inputs, k_outer, i_inner, seed,
                 rep_index=j, labels=model.factor_names,
             )
         else:
             res = shapley_sampled(
-                model.outputs_by_mask, model.n_inputs, m_permutations, k_outer,
+                model.subset_outputs, model.n_inputs, m_permutations, k_outer,
                 i_inner, seed, rep_index=j, labels=model.factor_names,
             )
         results.append(res)

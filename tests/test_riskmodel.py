@@ -15,7 +15,8 @@ from hemptwin.riskmodel import (
     collect_t_prime_samples,
     decompose_final_product,
 )
-from seed_matrix import seed_matrix_model
+from hemptwin.shapley import _subset_costs
+from seed_matrix import assembled_outputs
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +73,33 @@ def test_outputs_by_mask_equal_the_assembled_seed_matrix(t_prime, target, k_oute
     u = RngStream(9, ("masks", target)).random(k_outer * (1 + i_inner) * n)
     outer = u[: k_outer * n].reshape(k_outer, 1, n)
     inner = u[k_outer * n:].reshape(k_outer, i_inner, n)
-    factored = model.outputs_by_mask(outer, inner)
-    assembled = seed_matrix_model(model)(outer, inner)
-    # mask 0 redraws nothing: each row is one outer-seed output
-    assert np.array_equal(np.broadcast_to(factored(0), (k_outer, i_inner)),
-                          assembled(0))
+    factored = model.subset_outputs(outer, inner)
+    assert factored.shape == (1 << n, k_outer, i_inner)
+    for mask in range(1 << n):
+        assert np.array_equal(factored[mask],
+                              assembled_outputs(model, outer, inner, mask)), mask
+
+
+@pytest.mark.parametrize("target,k_outer,i_inner",
+                         [("thc", 3, 5), ("cbd", 10, 100), ("cbd", 200, 100)])
+def test_subset_costs_equal_the_per_mask_variances(t_prime, target, k_outer, i_inner):
+    model = make_model(target, t_prime)
+    n = model.n_inputs
+    blocks = []
+
+    def recording(outer, inner):
+        blocks.append((outer, inner))
+        return model.subset_outputs(outer, inner)
+
+    costs = _subset_costs(recording, n, k_outer, i_inner, RngStream(4, ("costs",)))
+    outer, inner = (np.concatenate(a) for a in zip(*blocks))
+    assert inner.shape == (k_outer, i_inner, n)
+    # 2^20 floats per block: 200 outer rows of 128 x 100 outputs take three
+    assert len(blocks) == (3 if k_outer == 200 else 1)
+    assert costs[0] == 0.0
     for mask in range(1, 1 << n):
-        assert np.array_equal(factored(mask), assembled(mask)), mask
+        y = assembled_outputs(model, outer, inner, mask)
+        assert costs[mask] == np.var(y, axis=1, ddof=1).mean(), mask
 
 
 def test_high_growth_draws_get_second_purification_pass(t_prime):

@@ -12,10 +12,10 @@ from hemptwin.shapley import (
     ShapleyResult,
     TooFewSamplesError,
     TooManyInputsError,
-    _CostEstimator,
     _exact_orderings,
     _orderings,
     _shapley_from_permutations,
+    _subset_costs,
     relative_contributions,
     shapley_exact,
     shapley_sampled,
@@ -41,8 +41,8 @@ def additive_with_dummy(u):
 def cost_of(model, n_inputs, indices, k_outer, i_inner, seed):
     """c(J) for the redrawn indices J, from a fresh estimator."""
     stream = RngStream(seed, ("shapley-cost", 0))
-    est = _CostEstimator(model, n_inputs, k_outer, i_inner, stream)
-    return est.cost(sum(1 << i for i in indices))
+    costs = _subset_costs(model, n_inputs, k_outer, i_inner, stream)
+    return costs[sum(1 << i for i in indices)]
 
 
 class TestCostEstimator:
@@ -129,15 +129,15 @@ class TestShapleyExact:
             shapley_exact(additive_two, 9, 10, 10, seed=1)
 
 
-def loop_shapley(est, perms):
+def loop_shapley(costs, perms):
     """Reference: add the increments ordering by ordering, input by input."""
-    s = np.zeros(est.n_inputs)
+    s = np.zeros(len(perms[0]))
     for perm in perms:
         mask = 0
         prev = 0.0
         for l in perm:
             mask |= 1 << int(l)
-            c = est.cost(mask)
+            c = costs[mask]
             s[int(l)] += c - prev
             prev = c
     return s / len(perms)
@@ -150,18 +150,18 @@ def sum_of_squares(u):
 class TestOrderingAccumulator:
     @pytest.mark.parametrize("n_inputs", [1, 3, 8])
     def test_exact_orderings_match_the_loop_bit_for_bit(self, n_inputs):
-        est = _CostEstimator(seed_matrix_model(sum_of_squares), n_inputs, 6, 5,
-                             RngStream(5, ("acc",)))
+        costs = _subset_costs(seed_matrix_model(sum_of_squares), n_inputs, 6, 5,
+                              RngStream(5, ("acc",)))
         perms = list(itertools.permutations(range(n_inputs)))
-        assert np.array_equal(_shapley_from_permutations(est, _orderings(perms)),
-                              loop_shapley(est, perms))
+        assert np.array_equal(_shapley_from_permutations(costs, _orderings(perms)),
+                              loop_shapley(costs, perms))
 
     def test_sampled_orderings_match_the_loop_bit_for_bit(self):
-        est = _CostEstimator(seed_matrix_model(sum_of_squares), 7, 6, 5,
-                             RngStream(8, ("acc",)))
+        costs = _subset_costs(seed_matrix_model(sum_of_squares), 7, 6, 5,
+                              RngStream(8, ("acc",)))
         perms = RngStream(8, ("orderings",)).permutations(500, 7)
-        assert np.array_equal(_shapley_from_permutations(est, _orderings(perms)),
-                              loop_shapley(est, perms))
+        assert np.array_equal(_shapley_from_permutations(costs, _orderings(perms)),
+                              loop_shapley(costs, perms))
 
     @pytest.mark.parametrize("n_inputs", [1, 3, 7])
     def test_exact_orderings_are_built_once_in_permutations_order(self, n_inputs):
@@ -173,17 +173,18 @@ class TestOrderingAccumulator:
             assert np.array_equal(cached, fresh)
             assert not cached.flags.writeable
 
-    def test_each_distinct_prefix_is_costed_once(self):
+    def test_the_model_is_called_once_per_macro_replication(self):
         calls = []
+        assembled = seed_matrix_model(sum_of_squares)
 
-        @seed_matrix_model
-        def model(u):
-            calls.append(len(u))
-            return sum_of_squares(u)
+        def model(outer, inner):
+            calls.append(inner.shape)
+            return assembled(outer, inner)
 
-        est = _CostEstimator(model, 4, 3, 3, RngStream(2, ("acc",)))
-        _shapley_from_permutations(est, _exact_orderings(4))
-        assert len(calls) == 2**4 - 1
+        for j in range(3):
+            shapley_exact(model, 4, 3, 3, seed=2, rep_index=j)
+        shapley_sampled(model, 4, 5, 3, 3, seed=2)
+        assert calls == [(3, 3, 4)] * 4
 
 
 class TestShapleySampled:
@@ -191,10 +192,10 @@ class TestShapleySampled:
         # the sampled estimator walked over every distinct ordering must agree
         # with the exact estimator bit for bit when both share one cache
         stream = RngStream(77, ("equivalence",))
-        est = _CostEstimator(additive_with_dummy, 3, 30, 30, stream)
+        costs = _subset_costs(additive_with_dummy, 3, 30, 30, stream)
         perms = list(itertools.permutations(range(3)))
-        exact_s = _shapley_from_permutations(est, _orderings(perms))
-        doubled = _shapley_from_permutations(est, _orderings(perms + perms))
+        exact_s = _shapley_from_permutations(costs, _orderings(perms))
+        doubled = _shapley_from_permutations(costs, _orderings(perms + perms))
         # identical cached costs, so agreement is exact up to float roundoff
         assert_allclose(doubled, exact_s, rtol=1e-12, atol=1e-15)
 
@@ -218,6 +219,13 @@ class TestShapleySampled:
     def test_telescoping_identity_holds_for_sampled(self):
         res = shapley_sampled(additive_two, 2, 7, 50, 50, seed=47)
         assert res.s.sum() == pytest.approx(res.total_variance, rel=1e-12)
+
+    def test_too_many_inputs_rejected_before_the_model_is_called(self):
+        def model(outer, inner):
+            raise AssertionError("the model was called")
+
+        with pytest.raises(TooManyInputsError):
+            shapley_sampled(model, 9, 10, 10, 10, seed=1)
 
     def test_needs_at_least_one_permutation(self):
         with pytest.raises(TooFewSamplesError):
