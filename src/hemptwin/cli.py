@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="csv", choices=["csv", "json", "csv,json"],
                         help="report formats")
     parser.add_argument("--parallel", type=int, default=1,
-                        help="worker processes for replications")
+                        help="worker processes for replications, at least 1")
 
 
 def _load(args) -> "ScenarioConfig":
@@ -178,6 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "parallel", 1) < 1:
+        print(f"error: --parallel must be at least 1, got {args.parallel}",
+              file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ConfigError, ConfigValidationError) as exc:

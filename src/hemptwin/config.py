@@ -141,11 +141,6 @@ class ScenarioConfig:
     def duration(self, stage: str) -> StageDuration:
         return dict(self.stage_durations)[stage]
 
-    def with_durations(self, **overrides: StageDuration) -> "ScenarioConfig":
-        merged = dict(self.stage_durations)
-        merged.update(overrides)
-        return replace(self, stage_durations=tuple(sorted(merged.items())))
-
 
 def default_config() -> ScenarioConfig:
     """The baseline scenario used throughout the bundled experiments."""
@@ -358,6 +353,7 @@ def _format_value(v: object) -> str:
 
 def config_from_text(text: str) -> ScenarioConfig:
     cfg = default_config()
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -367,6 +363,10 @@ def config_from_text(text: str) -> ScenarioConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in FILE_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            # a later value would silently override the earlier one
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         path, parse = FILE_KEYS[key]
         try:
             value = parse(val)

@@ -1,9 +1,8 @@
-"""Shared domain types: lots, cannabinoid state, stage order, run statistics."""
+"""Shared domain types: lots, cannabinoid state, run statistics."""
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -20,9 +19,6 @@ __all__ = [
     "LotOutput",
     "StageOutcome",
     "ReplicationStats",
-    "MANDATORY_PATH",
-    "allowed_successors",
-    "validate_stage_trace",
 ]
 
 
@@ -52,85 +48,6 @@ class DropReason(enum.Enum):
     FINAL_COA_FAIL = "final_coa_fail"
 
 
-# The linear backbone every finished lot walks through, in order.  Germination
-# and soil preparation run in parallel ahead of transplant; retest loops send a
-# lot from HARVEST back to PREHARVEST_TEST; repeat purification loops PLC ->
-# FINAL_COA -> PLC.
-MANDATORY_PATH = (
-    Stage.GERMINATION,
-    Stage.TRANSPLANT,
-    Stage.CULTIVATION,
-    Stage.PREHARVEST_TEST,
-    Stage.HARVEST,
-    Stage.DRY_WAIT,
-    Stage.DRYING,
-    Stage.EXTRACT_WAIT,
-    Stage.EXTRACTION,
-    Stage.WINTERIZATION,
-    Stage.PLC,
-    Stage.FINAL_COA,
-    Stage.FINISHED,
-)
-
-_SUCCESSORS: dict[Stage, frozenset[Stage]] = {
-    Stage.GERMINATION: frozenset({Stage.TRANSPLANT, Stage.DROPPED}),
-    Stage.SOIL_PREP: frozenset({Stage.TRANSPLANT, Stage.DROPPED}),
-    Stage.TRANSPLANT: frozenset({Stage.CULTIVATION}),
-    Stage.CULTIVATION: frozenset({Stage.PREHARVEST_TEST}),
-    Stage.PREHARVEST_TEST: frozenset({Stage.HARVEST, Stage.DESTROYED}),
-    Stage.HARVEST: frozenset({Stage.DRY_WAIT, Stage.PREHARVEST_TEST}),
-    Stage.DRY_WAIT: frozenset({Stage.DRYING, Stage.DROPPED}),
-    Stage.DRYING: frozenset({Stage.EXTRACT_WAIT}),
-    Stage.EXTRACT_WAIT: frozenset({Stage.EXTRACTION}),
-    Stage.EXTRACTION: frozenset({Stage.WINTERIZATION}),
-    Stage.WINTERIZATION: frozenset({Stage.PLC}),
-    Stage.PLC: frozenset({Stage.FINAL_COA}),
-    Stage.FINAL_COA: frozenset({Stage.FINISHED, Stage.PLC, Stage.DESTROYED}),
-    Stage.FINISHED: frozenset(),
-    Stage.DROPPED: frozenset(),
-    Stage.DESTROYED: frozenset(),
-}
-
-
-def allowed_successors(stage: Stage) -> frozenset[Stage]:
-    return _SUCCESSORS[stage]
-
-
-def validate_stage_trace(trace: list[Stage]) -> bool:
-    """True iff `trace` follows the stage partial order without skipping a
-    mandatory stage.  The trace is the sequence of entered stages; germination
-    and soil preparation form an unordered prefix, and transplant requires
-    both."""
-    if not trace:
-        return False
-    pre = {Stage.GERMINATION, Stage.SOIL_PREP}
-    seen_pre: set[Stage] = set()
-    i = 0
-    while i < len(trace) and trace[i] in pre:
-        if trace[i] in seen_pre:
-            return False
-        seen_pre.add(trace[i])
-        i += 1
-    if Stage.GERMINATION not in seen_pre:
-        return False
-    rest = trace[i:]
-    if not rest:
-        return True  # still in preparation
-    if rest[0] is Stage.TRANSPLANT and seen_pre != pre:
-        return False
-    if rest[0] not in _SUCCESSORS[Stage.GERMINATION]:
-        return False
-    terminal = {Stage.FINISHED, Stage.DROPPED, Stage.DESTROYED}
-    current = rest[0]
-    for nxt in rest[1:]:
-        if current in terminal or nxt in pre:
-            return False
-        if nxt not in _SUCCESSORS[current]:
-            return False
-        current = nxt
-    return True
-
-
 @dataclass(frozen=True)
 class CannabinoidState:
     """CBD and THC as fractions of dry mass (0.097 means 9.7%)."""
@@ -147,9 +64,6 @@ class CannabinoidState:
 
     def scaled(self, cbd_factor: float, thc_factor: float) -> "CannabinoidState":
         return CannabinoidState(self.cbd_pct * cbd_factor, self.thc_pct * thc_factor)
-
-    def ratio(self) -> float:
-        return self.cbd_pct / self.thc_pct if self.thc_pct > 0 else math.inf
 
 
 @dataclass
@@ -228,10 +142,6 @@ class Lot:
     def record_state(self, stage: Stage, state: CannabinoidState) -> None:
         self.state = state
         self.cannabinoid_history.append((stage, state))
-
-    def trace(self) -> list[Stage]:
-        """Entered stages in order, revisits included."""
-        return list(self.stage_log)
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,6 @@ class EventCalendar:
                 return
             self.step()
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 @dataclass
 class PoolRequest:
@@ -88,10 +85,8 @@ class ResourcePool:
     busy: int = 0
     queue: deque = field(default_factory=deque)
     waits: list = field(default_factory=list)
-    served: int = 0
     _waiting: int = 0
     _queue_area: float = 0.0
-    _busy_area: float = 0.0
     _last_t: float = 0.0
 
     def _advance_areas(self) -> None:
@@ -99,7 +94,6 @@ class ResourcePool:
         dt = now - self._last_t
         if dt > 0:
             self._queue_area += dt * self._waiting
-            self._busy_area += dt * self.busy
             self._last_t = now
 
     def request(
@@ -140,7 +134,6 @@ class ResourcePool:
     def _grant(self, req: PoolRequest) -> None:
         req.granted = True
         self.busy += 1
-        self.served += 1
         self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
         req.on_grant()
 

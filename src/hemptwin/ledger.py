@@ -518,12 +518,26 @@ class RecordTicket:
     header_hash: str | None = None  # its shard block's, when the chain is kept
 
 
+# Per topology: the number of verification pools, the servers per pool and
+# the verification service mean.  The single chain is one pool with no root
+# layer; with the ledger disabled there are no pools at all.
+_ROUTES = {
+    Topology.TWO_LAYER: lambda cfg: (
+        cfg.n_shards, cfg.n_validators_per_shard, cfg.verification_mean_days
+    ),
+    Topology.SINGLE_CHAIN: lambda cfg: (1, cfg.n_regulators, cfg.single_chain_mean_days),
+    Topology.NONE: lambda cfg: (0, 0, 0.0),
+}
+
+
 class LedgerSystem:
     """Verification and confirmation queues wired into an event calendar.
 
-    `submit` routes a record per the configured topology and calls
-    `on_resolved(accepted)` once the record is usable: immediately with the
-    ledger disabled, at verification for the single chain, at root
+    The route is fixed when the ledger is built: the topology decides the
+    verification pools, their service mean and whether a root confirmation
+    layer exists, and no later call looks at the topology again.  `submit`
+    calls `on_resolved(accepted)` once the record is usable: immediately with
+    the ledger disabled, at verification for the single chain, at root
     confirmation for the two-layer chain.  Rejected (falsified) records
     resolve with accepted=False and never enter a block.
     """
@@ -541,33 +555,23 @@ class LedgerSystem:
         self.chain = ChainState(topology=cfg.topology, n_shards=cfg.n_shards)
         self.latencies: list[tuple[str, str, float, float | None]] = []
         self._miss_stream = stream.child("miss")
-        self._heights: dict[int, int] = {}
-        self._prev_hash: dict[int, str] = {}
+        n_pools, servers, self._verify_mean = _ROUTES[cfg.topology](cfg)
+        self.shard_pools = [
+            ResourcePool(calendar, f"shard-{s}-verify", servers) for s in range(n_pools)
+        ]
+        self.shard_streams = [stream.child("shard", s) for s in range(n_pools)]
+        self.root_pool = self.root_stream = None
+        if cfg.topology is Topology.TWO_LAYER:
+            self.root_pool = ResourcePool(calendar, "root-confirm", cfg.n_regulators)
+            self.root_stream = stream.child("root")
+        self._heights = [0] * n_pools
+        self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_height = 0
         self._root_prev = GENESIS_HASH
         # root-chain-first consensus commits each shard's headers in height
-        # order; reviews that finish early park here until their turn
-        self._next_commit: dict[int, int] = {}
-        self._parked: dict[int, dict[int, RecordTicket]] = {}
-
-        if cfg.topology is Topology.TWO_LAYER:
-            self.shard_pools = [
-                ResourcePool(calendar, f"shard-{s}-verify", cfg.n_validators_per_shard)
-                for s in range(cfg.n_shards)
-            ]
-            self.shard_streams = [stream.child("shard", s) for s in range(cfg.n_shards)]
-            self.root_pool = ResourcePool(calendar, "root-confirm", cfg.n_regulators)
-            self.root_stream = stream.child("root")
-        elif cfg.topology is Topology.SINGLE_CHAIN:
-            self.shard_pools = [
-                ResourcePool(calendar, "chain-verify", cfg.n_regulators)
-            ]
-            self.shard_streams = [stream.child("shard", 0)]
-            self.root_pool = None
-            self.root_stream = None
-        else:
-            self.shard_pools = []
-            self.root_pool = None
+        # order; reviews that finish early park here, by height, until their turn
+        self._next_commit = [0] * n_pools
+        self._parked: list[dict[int, RecordTicket]] = [{} for _ in range(n_pools)]
 
     # -- submission --------------------------------------------------------
 
@@ -576,29 +580,20 @@ class LedgerSystem:
     ) -> RecordTicket:
         record.validate()
         ticket = RecordTicket(record, on_resolved)
-        if self.cfg.topology is Topology.NONE:
+        if not self.shard_pools:
             # no ledger: face-value acceptance, zero delay, no detection
             ticket.verification_time = 0.0
             self._record_latency(ticket)
             if on_resolved is not None:
                 on_resolved(True)
             return ticket
-        shard = (
-            assign_shard(record.location_index, self.cfg.n_shards)
-            if self.cfg.topology is Topology.TWO_LAYER
-            else 0
-        )
+        shard = assign_shard(record.location_index, len(self.shard_pools))
         pool = self.shard_pools[shard]
         pool.request(record.record_id, lambda: self._start_verification(ticket, shard))
         return ticket
 
-    def _service_mean(self) -> float:
-        if self.cfg.topology is Topology.TWO_LAYER:
-            return self.cfg.verification_mean_days
-        return self.cfg.single_chain_mean_days
-
     def _start_verification(self, ticket: RecordTicket, shard: int) -> None:
-        service = self.shard_streams[shard].exponential(self._service_mean())
+        service = self.shard_streams[shard].exponential(self._verify_mean)
         self.calendar.schedule_in(
             service, lambda: self._finish_verification(ticket, shard)
         )
@@ -620,7 +615,7 @@ class LedgerSystem:
             return
         self._append_shard_block(ticket, shard, now)
         pool.release()
-        if self.cfg.topology is Topology.SINGLE_CHAIN:
+        if self.root_pool is None:
             self._record_latency(ticket)
             if ticket.on_resolved is not None:
                 ticket.on_resolved(True)
@@ -631,7 +626,7 @@ class LedgerSystem:
         )
 
     def _append_shard_block(self, ticket: RecordTicket, shard: int, now: float) -> None:
-        height = self._heights.get(shard, 0)
+        height = self._heights[shard]
         self._heights[shard] = height + 1
         ticket.shard = shard
         ticket.height = height
@@ -640,7 +635,7 @@ class LedgerSystem:
         block = ShardBlock(
             shard_id=shard,
             height=height,
-            prev_hash=self._prev_hash.get(shard, GENESIS_HASH),
+            prev_hash=self._prev_hash[shard],
             merkle_root=merkle_root([record_hash(ticket.record)]),
             validator_signature=f"authority-s{shard}",
             created_at=now,
@@ -659,11 +654,11 @@ class LedgerSystem:
         # order, so an early finisher parks until its predecessors commit
         self.root_pool.release()
         shard = ticket.shard
-        self._parked.setdefault(shard, {})[ticket.height] = ticket
         parked = self._parked[shard]
-        while self._next_commit.get(shard, 0) in parked:
-            ready = parked.pop(self._next_commit.get(shard, 0))
-            self._next_commit[shard] = ready.height + 1
+        parked[ticket.height] = ticket
+        while self._next_commit[shard] in parked:
+            ready = parked.pop(self._next_commit[shard])
+            self._next_commit[shard] += 1
             self._commit_root(ready)
 
     def _commit_root(self, ticket: RecordTicket) -> None:
@@ -700,7 +695,7 @@ class LedgerSystem:
         """Snapshot restricted to blocks already confirmed (root-covered for
         the two-layer topology); in-flight work is excluded so the snapshot
         always audits clean."""
-        if self.cfg.topology is not Topology.TWO_LAYER:
+        if self.root_pool is None:
             return self.chain
         covered = {
             (sid, h) for root in self.chain.roots for sid, h, _ in root.shard_headers

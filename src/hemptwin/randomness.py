@@ -50,14 +50,12 @@ def _encode_label_part(part) -> int:
 class RngStream:
     """A deterministic stream of variates addressed by (master_seed, label).
 
-    The counter records how many draw calls the stream has served; replaying
-    a rebuilt stream yields the identical sequence.  A single stream must not
-    be shared between concurrent consumers.
+    Replaying a rebuilt stream yields the identical sequence.  A single
+    stream must not be shared between concurrent consumers.
     """
 
     master_seed: int
     label: tuple = ()
-    counter: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False)
 
     def _generator(self) -> np.random.Generator:
@@ -75,38 +73,26 @@ class RngStream:
         return RngStream(self.master_seed, self.label + tuple(extra))
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = self._generator().random()
-        self.counter += 1
-        return lo + u * (hi - lo)
+        return lo + self._generator().random() * (hi - lo)
 
     def exponential(self, mean: float) -> float:
-        u = self._generator().random()
-        self.counter += 1
-        return -mean * math.log1p(-u)
+        return -mean * math.log1p(-self._generator().random())
 
     def standard_normal(self) -> float:
-        z = self._generator().standard_normal()
-        self.counter += 1
-        return float(z)
+        return float(self._generator().standard_normal())
 
     def bernoulli(self, p: float) -> bool:
-        u = self._generator().random()
-        self.counter += 1
-        return u < p
+        return self._generator().random() < p
 
     def random(self, size: int) -> np.ndarray:
-        """Vector of iid U(0,1); counts as `size` draws."""
-        out = self._generator().random(size)
-        self.counter += size
-        return out
+        """Vector of iid U(0,1)."""
+        return self._generator().random(size)
 
     def permutations(self, m: int, n: int) -> np.ndarray:
         """(m, n) matrix whose rows are the permutations of range(n) that m
-        successive ``Generator.permutation(n)`` calls would return; counts as
-        m draws."""
+        successive ``Generator.permutation(n)`` calls would return."""
         out = np.tile(np.arange(n), (m, 1))
         self._generator().permuted(out, axis=1, out=out)
-        self.counter += m
         return out
 
 

@@ -70,12 +70,14 @@ def run_replications(
     first: int = 0,
 ) -> list[ReplicationStats]:
     """Replications `first` .. n-1, where n is `replications` or, when that
-    is None, the configured count."""
+    is None, the configured count, on at most `parallel` worker processes and
+    never more than there are replications."""
     validate_config(cfg)
     n = cfg.run.replications if replications is None else replications
     jobs = [(cfg, j) for j in range(first, n)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, jobs))
     return [_run_one(job) for job in jobs]
 

@@ -20,6 +20,7 @@ from hemptwin.config import (
     default_config,
     validate_config,
 )
+from stage_order import with_durations
 
 
 def test_default_config_is_accepted():
@@ -72,7 +73,7 @@ def test_zero_dryers_allowed_with_dynamic_sizing():
 
 
 def test_inverted_duration_bounds_rejected():
-    cfg = default_config().with_durations(drying=StageDuration(3.0, 1.0))
+    cfg = with_durations(default_config(), drying=StageDuration(3.0, 1.0))
     with pytest.raises(ConfigValidationError) as err:
         validate_config(cfg)
     assert any(kind == "invalid_range" for _, kind, _ in err.value.violations)
@@ -128,7 +129,7 @@ def test_round_trip_default_config_is_identity():
 
 
 def test_round_trip_nondefault_config_is_identity():
-    cfg = dataclasses.replace(
+    cfg = with_durations(dataclasses.replace(
         default_config(),
         n_lots_per_season=73,
         growth_rate=0.00213,
@@ -137,7 +138,7 @@ def test_round_trip_nondefault_config_is_identity():
                           verification_mean_days=0.37),
         run=RunConfig(warmup_lots=11, run_length_lots=97, replications=4,
                       master_seed=987654321),
-    ).with_durations(plc=StageDuration(0.5, 9.25))
+    ), plc=StageDuration(0.5, 9.25))
     assert config_from_text(config_to_text(cfg)) == cfg
 
 
@@ -149,6 +150,11 @@ def test_comments_and_blank_lines_ignored():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         config_from_text("growth.gg = 1\n")
+
+
+def test_duplicate_key_rejected():
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'lots.n'$"):
+        config_from_text("lots.n = 5\nlots.n = 7\n")
 
 
 def test_garbled_line_rejected():
@@ -167,7 +173,7 @@ def _with(cfg, path, value):
     if head == "stage_durations":
         stage, end = rest.split(".")
         bounds = dataclasses.replace(cfg.duration(stage), **{end: value})
-        return cfg.with_durations(**{stage: bounds})
+        return with_durations(cfg, **{stage: bounds})
     if rest:
         value = _with(getattr(cfg, head), rest, value)
     return dataclasses.replace(cfg, **{head: value})

@@ -2,14 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemptwin.domain import (
-    MANDATORY_PATH,
-    CannabinoidState,
-    Lot,
-    Stage,
-    allowed_successors,
-    validate_stage_trace,
-)
+from hemptwin.domain import CannabinoidState, Lot, Stage
+from stage_order import MANDATORY_PATH, allowed_successors, validate_stage_trace
 
 
 class TestCannabinoidState:
@@ -18,10 +12,6 @@ class TestCannabinoidState:
             CannabinoidState(-0.01, 0.0)
         with pytest.raises(ValueError):
             CannabinoidState(0.0, -0.01)
-
-    def test_ratio(self):
-        assert CannabinoidState(0.28, 0.01).ratio() == pytest.approx(28.0)
-        assert CannabinoidState(0.28, 0.0).ratio() == float("inf")
 
 
 class TestStageTraceValidator:

@@ -24,6 +24,7 @@ from hemptwin.config import (
     save_config,
 )
 from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
+from stage_order import with_durations
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -52,7 +53,7 @@ def stress_config(topology=Topology.TWO_LAYER):
         run=RunConfig(warmup_lots=5, run_length_lots=200, replications=2,
                       master_seed=4242),
     )
-    return cfg.with_durations(drying=StageDuration(2.0, 4.0))
+    return with_durations(cfg, drying=StageDuration(2.0, 4.0))
 
 
 def _sha(data: bytes) -> str:

@@ -221,6 +221,20 @@ class TestChainStructure:
         blocks = [(b.shard_id, b.height) for bs in chain.shards.values() for b in bs]
         assert sorted(refs) == sorted(blocks)
 
+    def test_root_chain_commits_each_shard_in_height_order(self):
+        # 40 records queued at once on one shard: four validators hand their
+        # headers to two regulators, whose reviews finish out of height order
+        cfg = two_layer_cfg(n_shards=1, n_validators_per_shard=4, n_regulators=2)
+        cal, system = build_system(cfg)
+        for i in range(40):
+            system.submit(make_record(i), None)
+        cal.run()
+        committed = {}
+        for root in system.chain.roots:
+            for sid, height, _ in root.shard_headers:
+                committed.setdefault(sid, []).append(height)
+        assert committed == {0: list(range(40))}
+
     def test_heights_contiguous_per_shard(self):
         system = self.run_traffic()
         for blocks in system.confirmed_chain().shards.values():

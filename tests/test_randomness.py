@@ -85,7 +85,6 @@ def test_batched_permutations_equal_sequential_draws(m, n):
     gen = sequential._generator()
     expected = np.vstack([gen.permutation(n) for _ in range(m)])
     assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
-    assert batched.counter == m
     assert batched.uniform() == sequential.uniform()
 
 

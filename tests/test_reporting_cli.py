@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hemptwin import riskmodel
+from hemptwin import reporting, riskmodel
 from hemptwin.cli import main
 from hemptwin.config import RunConfig, default_config, save_config
 from hemptwin.reporting import (
@@ -154,6 +154,23 @@ def test_cli_rejects_unparsable_config_value(tmp_path, capsys):
     assert "line 1: lots.n" in capsys.readouterr().err
 
 
+def test_cli_rejects_duplicate_config_key(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text("lots.n = 5\nlots.n = 7\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "line 2: duplicate key 'lots.n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_parallel_below_one(tmp_path, cfg_file, capsys, workers):
+    argv = ["simulate", "--config", str(cfg_file), "--parallel", workers,
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --parallel") and err.count("\n") == 1
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 def test_cli_rejects_negative_seed(tmp_path, cfg_file):
     argv = ["simulate", "--config", str(cfg_file), "--seed", "-1", "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -242,3 +259,37 @@ def test_parallel_replications_match_serial():
     serial = run_replications(cfg, replications=2, parallel=1)
     parallel = run_replications(cfg, replications=2, parallel=2)
     assert serial == parallel
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("parallel, reps, first, workers", [
+    (8, 3, 0, [3]),  # capped at the replication count
+    (2, 3, 1, [2]),  # simulate runs replications 1.. after replication 0
+    (2, 2, 1, []),  # one job runs serially
+    (4, 1, 0, []),
+])
+def test_worker_count_never_exceeds_jobs(monkeypatch, parallel, reps, first, workers):
+    monkeypatch.setattr(_RecordingExecutor, "made", [])
+    monkeypatch.setattr(reporting, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(reporting, "_run_one", lambda job: job[1])
+    out = run_replications(tiny_cfg(), replications=reps, parallel=parallel, first=first)
+    assert out == list(range(first, reps))
+    assert _RecordingExecutor.made == workers

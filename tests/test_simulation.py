@@ -3,9 +3,10 @@ import dataclasses
 import pytest
 
 from hemptwin.config import RunConfig, Topology, default_config
-from hemptwin.domain import Lot, Stage, validate_stage_trace
+from hemptwin.domain import Lot, Stage
 from hemptwin.ledger import ParticipantRole, RecordKind
 from hemptwin.simulation import SupplyChainSimulation, run_replication
+from stage_order import validate_stage_trace, with_durations
 
 
 def small_cfg(**overrides):
@@ -103,7 +104,7 @@ def test_stage_traces_follow_partial_order(baseline_stats):
     sim = SupplyChainSimulation(small_cfg(), 0)
     sim.run()
     for lot in sim.measured:
-        assert validate_stage_trace(lot.trace()), lot.trace()
+        assert validate_stage_trace(lot.stage_log), lot.stage_log
 
 
 def test_lots_carry_only_declared_fields():
@@ -194,8 +195,8 @@ def test_dry_drops_emerge_under_dryer_scarcity_and_dynamic_policy_removes_them()
     # stress the stabilization stage: one slow dryer for full seasons
     from hemptwin.config import StageDuration
 
-    scarce = dataclasses.replace(small_cfg(), n_dryers=1).with_durations(
-        drying=StageDuration(2.0, 4.0)
+    scarce = with_durations(
+        dataclasses.replace(small_cfg(), n_dryers=1), drying=StageDuration(2.0, 4.0)
     )
     fixed = run_replication(scarce, 0)
     assert fixed.dry_drop_count > 5
@@ -233,11 +234,11 @@ def test_stage_outcomes_recorded_at_decision_points():
     # scarce field workers and one slow dryer: every drop reason occurs
     from hemptwin.config import StageDuration
 
-    cfg = dataclasses.replace(
+    cfg = with_durations(dataclasses.replace(
         small_cfg(), n_field_workers=5, n_dryers=1,
         run=RunConfig(warmup_lots=0, run_length_lots=200, replications=1,
                       master_seed=4242),
-    ).with_durations(drying=StageDuration(2.0, 4.0))
+    ), drying=StageDuration(2.0, 4.0))
     sim = SupplyChainSimulation(cfg, 0)
     sim.run()
     ending = {
