@@ -27,8 +27,8 @@ print(f"t' sample: n={t_prime.size}, mean={t_prime.mean():.2f} days, "
       f"sd={t_prime.std():.2f}, share above the 15-day deadline: "
       f"{(t_prime > 15).mean():.1%}")
 
-# step 2: decompose both targets (CBD uses permutation sampling, THC walks
-# all 720 orderings of its six inputs)
+# step 2: decompose both targets (CBD uses permutation sampling, THC weighs
+# all 720 orderings of its six inputs in closed form)
 for target, estimator, m in (("cbd", "sampled", 3000), ("thc", "exact", 720)):
     decomp = decompose_final_product(
         cfg, target, estimator=estimator, m_permutations=m,

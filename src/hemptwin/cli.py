@@ -30,18 +30,21 @@ from .shapley import TooFewSamplesError, TooManyInputsError
 from .simulation import run_replication
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> None:
+    """The shared flags; `--reps` and `--parallel` only where a command runs
+    a replication pack."""
     parser.add_argument("--config", type=Path, default=None,
                         help="scenario config file (defaults are built in)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="replication count override")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
     parser.add_argument("--format", default="csv", choices=["csv", "json", "csv,json"],
                         help="report formats")
-    parser.add_argument("--parallel", type=int, default=1,
-                        help="worker processes for replications, at least 1")
+    if replications:
+        parser.add_argument("--reps", type=int, default=None,
+                            help="replication count override")
+        parser.add_argument("--parallel", type=int, default=1,
+                            help="worker processes for replications, at least 1")
 
 
 def _load(args) -> "ScenarioConfig":
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-k", type=int, default=10)
     p.add_argument("--inner-i", type=int, default=100)
     p.add_argument("--macro-reps", type=int, default=10)
-    _add_common(p)
+    _add_common(p, replications=False)
     p.set_defaults(fn=cmd_shapley)
 
     p = sub.add_parser("audit", help="verify the hash links of a chain export")

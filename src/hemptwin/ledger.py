@@ -146,7 +146,7 @@ class ChainState:
     """Everything a chain export contains: confirmed records and blocks."""
 
     topology: Topology
-    n_shards: int
+    n_shards: int  # verification pools: 0 with the ledger disabled
     records: dict = field(default_factory=dict)  # record_id -> DataRecord
     shards: dict = field(default_factory=dict)  # shard_id -> [ShardBlock]
     roots: list = field(default_factory=list)
@@ -552,10 +552,10 @@ class LedgerSystem:
         self.calendar = calendar
         self.cfg = cfg
         self.keep_chain = keep_chain
-        self.chain = ChainState(topology=cfg.topology, n_shards=cfg.n_shards)
         self.latencies: list[tuple[str, str, float, float | None]] = []
         self._miss_stream = stream.child("miss")
         n_pools, servers, self._verify_mean = _ROUTES[cfg.topology](cfg)
+        self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self.shard_pools = [
             ResourcePool(calendar, f"shard-{s}-verify", servers) for s in range(n_pools)
         ]
@@ -700,7 +700,7 @@ class LedgerSystem:
         covered = {
             (sid, h) for root in self.chain.roots for sid, h, _ in root.shard_headers
         }
-        snap = ChainState(topology=self.cfg.topology, n_shards=self.cfg.n_shards)
+        snap = ChainState(topology=self.chain.topology, n_shards=self.chain.n_shards)
         snap.roots = list(self.chain.roots)
         for shard_id, blocks in self.chain.shards.items():
             kept = [b for b in blocks if (shard_id, b.height) in covered]

@@ -2,22 +2,16 @@
 cost estimator.
 
 The contribution of input l is the permutation average of the marginal
-increase in the cost function c(J) = E[Var[Y | Z_-J]] when l joins the set J
-of redrawn inputs.  c is estimated by a two-loop scheme: K outer draws fix
+increase in the cost c(J) = E[Var[Y | Z_-J]] when l joins the set J of
+redrawn inputs.  c is estimated by a two-loop scheme: K outer draws fix
 Z_-J, I inner draws redraw Z_J, and the inner sample variances are averaged
 with 1/(K(I-1)) normalization.  Each macro-replication costs all 2^L subsets
 at once into one array indexed by bit mask (c of the empty set is exactly 0),
-and both the exact (all L! orderings) and the permutation-sampled estimators
-read their increments from it, so the telescoping identity
-sum(s) = c(full) - c(empty) holds exactly.  Both estimators accept at most
-`MAX_INPUTS` inputs.
-
-Both estimators share one array pass over an (orderings x L) matrix: prefix
-bit masks by a cumulative OR, costs by indexing, increments by a row
-difference, and per-input sums by `np.bincount`, which adds in the same order
-as an ordering-by-ordering loop, so the results are bit-identical to it.  The
-sampled estimator draws its m orderings in one batch; the exact one builds
-its L! orderings and their masks once per L.
+so sum(s) = c(full) to rounding.  The exact estimator weighs each gain
+c(J+l) - c(J) by the share |J|!(L-|J|-1)!/L! of orderings that put J before
+l, in one pass over the cost vector; the sampled estimator sweeps m random
+orderings in one array pass, bit-identical to an ordering-by-ordering loop.
+Both accept at most `MAX_INPUTS` inputs.
 
 A model is a deterministic callable `model(outer, inner)` that receives a
 block of one macro-replication's uniform seeds in [0,1): the outer seeds as a
@@ -32,8 +26,6 @@ of a call; at K*I*2^L <= 2^20 that is one call per macro-replication.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,7 +90,7 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
 
     Every subset shares one set of outer seeds (one per input per outer
     sample) and one set of inner seeds, so the costs are coherent across the
-    ordering sweep.  The model gets blocks of outer rows holding at most
+    subsets.  The model gets blocks of outer rows holding at most
     `_BLOCK_FLOATS` outputs (one row, if a row alone holds more); the empty
     subset redraws nothing and costs exactly 0.
     """
@@ -125,32 +117,32 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
     return costs
 
 
-def _orderings(perms) -> tuple:
-    """An (n, L) ordering matrix and its prefix bit masks."""
-    perms = np.asarray(perms, dtype=np.int64)
-    return perms, np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
+def _shapley_from_subsets(costs: np.ndarray, n_inputs: int) -> np.ndarray:
+    """The exact Shapley effects in one pass over an (L, 2^L) input-by-mask
+    matrix: s_l = sum over J of |J|!(L-|J|-1)!/L! * [c(J+l) - c(J)], where
+    the gain is exactly 0 for the J that already hold l.  Masks run along
+    the contiguous axis, which numpy sums pairwise."""
+    inputs = np.arange(n_inputs)[:, None]
+    masks = np.arange(1 << n_inputs)
+    sizes = (masks >> inputs & 1).sum(axis=0)
+    # the full set (size L) has no input left to add, so no weight
+    weights = np.array([math.factorial(k) * math.factorial(n_inputs - k - 1)
+                        for k in range(n_inputs)] + [0]) / math.factorial(n_inputs)
+    gains = costs[masks | 1 << inputs] - costs
+    return (weights[sizes] * gains).sum(axis=1)
 
 
-@functools.cache
-def _exact_orderings(n_inputs: int) -> tuple:
-    """`_orderings` of all n_inputs! orderings in `itertools.permutations`
-    order, built once per input count and read-only, since every caller
-    shares them."""
-    arrays = _orderings(list(itertools.permutations(range(n_inputs))))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _shapley_from_permutations(costs: np.ndarray, perms) -> np.ndarray:
+    """Average the marginal cost increments over the rows of an (n, L)
+    ordering matrix in one array pass.
 
-
-def _shapley_from_permutations(costs: np.ndarray, orderings: tuple) -> np.ndarray:
-    """Average the marginal cost increments over the rows of an `_orderings`
-    pair in one array pass.
-
-    The increments are summed per input in row-major order -- the order a
-    loop over orderings and positions would add them, so the sums are
-    bit-for-bit those of that loop.
+    Prefix bit masks come from a cumulative OR along each row.  The
+    increments are summed per input in row-major order -- the order a loop
+    over orderings and positions would add them, so the sums are bit-for-bit
+    those of that loop.
     """
-    perms, masks = orderings
+    perms = np.asarray(perms, dtype=np.int64)
+    masks = np.bitwise_or.accumulate(np.left_shift(1, perms), axis=1)
     increments = np.diff(costs[masks], axis=1, prepend=0.0)
     s = np.bincount(perms.ravel(), weights=increments.ravel(), minlength=perms.shape[1])
     return s / len(perms)
@@ -165,10 +157,11 @@ def shapley_exact(
     rep_index: int = 0,
     labels: tuple | None = None,
 ) -> ShapleyResult:
-    """Average the marginal cost increments over all L! input orderings."""
+    """Weigh each subset's marginal cost increments as all L! input orderings
+    would, without walking them."""
     costs = _subset_costs(model, n_inputs, k_outer, i_inner,
                           RngStream(seed, ("shapley", rep_index)))
-    s = _shapley_from_permutations(costs, _exact_orderings(n_inputs))
+    s = _shapley_from_subsets(costs, n_inputs)
     return ShapleyResult(
         labels=labels or tuple(f"z{l}" for l in range(n_inputs)),
         s=s,
@@ -193,7 +186,7 @@ def shapley_sampled(
     stream = RngStream(seed, ("shapley", rep_index))
     costs = _subset_costs(model, n_inputs, k_outer, i_inner, stream)
     perms = stream.child("perms").permutations(m_permutations, n_inputs)
-    s = _shapley_from_permutations(costs, _orderings(perms))
+    s = _shapley_from_permutations(costs, perms)
     return ShapleyResult(
         labels=labels or tuple(f"z{l}" for l in range(n_inputs)),
         s=s,

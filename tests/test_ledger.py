@@ -415,3 +415,23 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
     assert len(lines) == 1 + len(chain.records) + len(blocks) + len(chain.roots)
     assert bool(chain.records) == (topology is not Topology.NONE)
     assert bool(chain.roots) == (topology is Topology.TWO_LAYER)
+
+
+@pytest.mark.parametrize("topology, pools", [(Topology.TWO_LAYER, 3),
+                                             (Topology.SINGLE_CHAIN, 1),
+                                             (Topology.NONE, 0)],
+                         ids=lambda v: v.value if isinstance(v, Topology) else None)
+def test_meta_n_shards_is_the_number_of_verification_pools(topology, pools):
+    cfg = dataclasses.replace(
+        default_config(),
+        chain=dataclasses.replace(default_config().chain, topology=topology, n_shards=3),
+        run=RunConfig(warmup_lots=5, run_length_lots=30, replications=1, master_seed=78),
+    )
+    _, sim = run_replication(cfg, 0, keep_chain=True)
+    assert len(sim.ledger.shard_pools) == pools
+    lines = [json.loads(line)
+             for line in export_chain(sim.ledger.confirmed_chain()).splitlines()]
+    assert lines[0] == {"kind": "meta", "n_shards": pools, "topology": topology.value}
+    shard_ids = {o["shard_id"] for o in lines if o["kind"] == "shard_block"}
+    assert all(0 <= sid < pools for sid in shard_ids)
+    assert len(shard_ids) == pools

@@ -254,6 +254,18 @@ def test_cli_shapley_rejects_counts_that_cannot_run(tmp_path, cfg_file, capsys, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", [("--reps", "3"), ("--parallel", "2")],
+                         ids=lambda f: f[0])
+def test_cli_shapley_has_no_replication_flags(tmp_path, cfg_file, capsys, flag):
+    # the decomposition runs no replication pack, so these flags are unknown
+    argv = ["shapley", "--config", str(cfg_file), "--out", str(tmp_path), *flag]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("risk_*"))
+
+
 def test_parallel_replications_match_serial():
     cfg = tiny_cfg()
     serial = run_replications(cfg, replications=2, parallel=1)

@@ -12,9 +12,8 @@ from hemptwin.shapley import (
     ShapleyResult,
     TooFewSamplesError,
     TooManyInputsError,
-    _exact_orderings,
-    _orderings,
     _shapley_from_permutations,
+    _shapley_from_subsets,
     _subset_costs,
     relative_contributions,
     shapley_exact,
@@ -153,25 +152,15 @@ class TestOrderingAccumulator:
         costs = _subset_costs(seed_matrix_model(sum_of_squares), n_inputs, 6, 5,
                               RngStream(5, ("acc",)))
         perms = list(itertools.permutations(range(n_inputs)))
-        assert np.array_equal(_shapley_from_permutations(costs, _orderings(perms)),
+        assert np.array_equal(_shapley_from_permutations(costs, perms),
                               loop_shapley(costs, perms))
 
     def test_sampled_orderings_match_the_loop_bit_for_bit(self):
         costs = _subset_costs(seed_matrix_model(sum_of_squares), 7, 6, 5,
                               RngStream(8, ("acc",)))
         perms = RngStream(8, ("orderings",)).permutations(500, 7)
-        assert np.array_equal(_shapley_from_permutations(costs, _orderings(perms)),
+        assert np.array_equal(_shapley_from_permutations(costs, perms),
                               loop_shapley(costs, perms))
-
-    @pytest.mark.parametrize("n_inputs", [1, 3, 7])
-    def test_exact_orderings_are_built_once_in_permutations_order(self, n_inputs):
-        arrays = _exact_orderings(n_inputs)
-        assert _exact_orderings(n_inputs) is arrays
-        perms = list(itertools.permutations(range(n_inputs)))
-        assert np.array_equal(arrays[0], perms)
-        for cached, fresh in zip(arrays, _orderings(perms)):
-            assert np.array_equal(cached, fresh)
-            assert not cached.flags.writeable
 
     def test_the_model_is_called_once_per_macro_replication(self):
         calls = []
@@ -187,6 +176,40 @@ class TestOrderingAccumulator:
         assert calls == [(3, 3, 4)] * 4
 
 
+def random_costs(n_inputs, seed):
+    """Costs of every subset with c(empty) = 0 and, as for a true cost
+    E[Var[Y | Z_-J]] <= Var[Y], none above c(full) = 1."""
+    costs = np.random.default_rng(seed).random(1 << n_inputs)
+    costs[0], costs[-1] = 0.0, 1.0
+    return costs
+
+
+class TestClosedForm:
+    """The exact estimator weighs the subset costs in closed form; the L!
+    ordering average over the same costs is the reference."""
+
+    @staticmethod
+    def check(s, costs, n_inputs):
+        perms = list(itertools.permutations(range(n_inputs)))
+        ref = _shapley_from_permutations(costs, perms)
+        assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert abs(s.sum() - costs[-1]) <= 1e-15 * costs[-1]
+
+    @pytest.mark.parametrize("n_inputs", range(1, 9))
+    @pytest.mark.parametrize("seed", [3, 11, 19])
+    def test_random_costs_match_the_ordering_average(self, n_inputs, seed):
+        costs = random_costs(n_inputs, seed)
+        self.check(_shapley_from_subsets(costs, n_inputs), costs, n_inputs)
+
+    @pytest.mark.parametrize("n_inputs", range(1, 9))
+    def test_shapley_exact_matches_the_ordering_average(self, n_inputs):
+        model = seed_matrix_model(sum_of_squares)
+        res = shapley_exact(model, n_inputs, 6, 5, seed=13, rep_index=2)
+        costs = _subset_costs(model, n_inputs, 6, 5, RngStream(13, ("shapley", 2)))
+        assert res.total_variance == costs[-1]
+        self.check(res.s, costs, n_inputs)
+
+
 class TestShapleySampled:
     def test_all_permutations_with_shared_cache_equals_exact(self):
         # the sampled estimator walked over every distinct ordering must agree
@@ -194,8 +217,8 @@ class TestShapleySampled:
         stream = RngStream(77, ("equivalence",))
         costs = _subset_costs(additive_with_dummy, 3, 30, 30, stream)
         perms = list(itertools.permutations(range(3)))
-        exact_s = _shapley_from_permutations(costs, _orderings(perms))
-        doubled = _shapley_from_permutations(costs, _orderings(perms + perms))
+        exact_s = _shapley_from_permutations(costs, perms)
+        doubled = _shapley_from_permutations(costs, perms + perms)
         # identical cached costs, so agreement is exact up to float roundoff
         assert_allclose(doubled, exact_s, rtol=1e-12, atol=1e-15)
 
