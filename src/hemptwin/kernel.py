@@ -3,7 +3,9 @@
 Events fire in non-decreasing time order with FIFO tie-breaking by insertion
 sequence.  Pools hand out servers in strict request order, record every
 waiting time, and integrate queue length over time so long-run queue
-statistics (Little's law checks) come for free.
+statistics (Little's law checks) come for free.  A request that finds a free
+server is granted at once and gets no handle; only a request that has to
+queue returns a `PoolRequest`, which can cancel it.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ class EventCalendar:
             self.step()
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolRequest:
+    """A queued request for one server of `pool`."""
+
     pool: "ResourcePool" = field(repr=False)
     entity_id: object = None
     enqueue_time: float = 0.0
@@ -98,9 +102,16 @@ class ResourcePool:
 
     def request(
         self, entity_id: object, on_grant: Callable[[], None]
-    ) -> PoolRequest:
-        """Ask for one server; `on_grant` runs (possibly immediately) when one
-        is assigned.  Returns a handle usable for cancellation."""
+    ) -> PoolRequest | None:
+        """Ask for one server; `on_grant` runs when one is assigned.  A free
+        server is granted at once, before this returns None; a request that
+        queues returns its handle, usable for cancellation.  A server is free
+        only while the queue is empty, so the queue-length area stays put."""
+        if self.busy < self.capacity and not self.queue:
+            self.busy += 1
+            self.waits.append((entity_id, 0.0))
+            on_grant()
+            return None
         self._advance_areas()
         req = PoolRequest(self, entity_id, self.calendar.now, on_grant)
         self.queue.append(req)
@@ -110,11 +121,12 @@ class ResourcePool:
 
     def release(self) -> None:
         """Return one server and hand it to the queue head, FIFO."""
-        self._advance_areas()
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without busy server")
         self.busy -= 1
-        self._drain()
+        if self.queue:
+            self._advance_areas()
+            self._drain()
 
     def resize(self, new_capacity: int) -> None:
         if new_capacity < 0:

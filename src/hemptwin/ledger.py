@@ -553,17 +553,18 @@ class LedgerSystem:
         self.cfg = cfg
         self.keep_chain = keep_chain
         self.latencies: list[tuple[str, str, float, float | None]] = []
-        self._miss_stream = stream.child("miss")
         n_pools, servers, self._verify_mean = _ROUTES[cfg.topology](cfg)
         self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self.shard_pools = [
             ResourcePool(calendar, f"shard-{s}-verify", servers) for s in range(n_pools)
         ]
-        self.shard_streams = [stream.child("shard", s) for s in range(n_pools)]
+        self._miss_stream, root_stream, *self.shard_streams = stream.children(
+            [("miss",), ("root",)] + [("shard", s) for s in range(n_pools)]
+        )
         self.root_pool = self.root_stream = None
         if cfg.topology is Topology.TWO_LAYER:
             self.root_pool = ResourcePool(calendar, "root-confirm", cfg.n_regulators)
-            self.root_stream = stream.child("root")
+            self.root_stream = root_stream
         self._heights = [0] * n_pools
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_height = 0

@@ -7,10 +7,18 @@ rebuilding a stream from the same seed and label replays the identical
 sequence.  This is what makes conditional resampling possible: holding an
 input fixed means rebuilding its stream, redrawing it means using a fresh
 label.
+
+A stream's generator is the PCG64 that ``np.random.SeedSequence((master_seed,
+*label))`` seeds, each string part replaced by a 64-bit hash.  The seed words
+come from a vectorised copy of SeedSequence's hash-mix, so
+``RngStream.children`` seeds many streams (a season's lot streams, say) in one
+numpy pass; ``tests/test_randomness.py`` checks the words against
+``np.random.SeedSequence`` bit for bit over generated labels.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -30,20 +38,140 @@ __all__ = [
 # pathology into a loud error instead of a hang.
 GROWTH_NOISE_MAX_ROUNDS = 1000
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit words and two hash-constant sequences INIT * MULT**k mod 2**32.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# each pool word in turn is hashed into the three others, in index order
+_PAIRS = [(src, [dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+
 
 class InvalidParamsError(ValueError):
     """Growth-noise parameters outside their domain (negative g or t)."""
 
 
-def _encode_label_part(part) -> int:
+def _int_words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits it (0 is one word)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+@functools.cache
+def _string_words(part: str) -> tuple:
+    digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
+    return tuple(_int_words(int.from_bytes(digest, "little")))
+
+
+def _encode_label_part(part):
+    """The 32-bit entropy words of one label part."""
     if isinstance(part, (int, np.integer)):
         if part < 0:
             raise ValueError(f"label ints must be non-negative, got {part}")
-        return int(part)
+        return _int_words(int(part))
     if isinstance(part, str):
-        digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        return _string_words(part)
     raise TypeError(f"label parts must be int or str, got {type(part)!r}")
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR and multiply constants of n successive hashmix calls: call k xors
+    with init * mult**k and multiplies by init * mult**(k+1), mod 2**32."""
+    seq = [init]
+    for _ in range(n):
+        seq.append(seq[-1] * mult & _MASK32)
+    seq = np.array(seq, dtype=np.uint32)
+    seq.flags.writeable = False  # cached and shared
+    return seq[:-1], seq[1:]
+
+
+@functools.cache
+def _mix_consts(tail: int) -> tuple:
+    """hashmix constants of SeedSequence's entropy mix, in its call order:
+    the pool fill (4,), the pairwise pool mix (4 sources, 3 targets each) and
+    the `tail` words past the pool (tail, 4)."""
+    x, m = _hash_consts(INIT_A, MULT_A, _POOL * (_POOL + tail))
+    cuts = [(0, _POOL, (_POOL,)), (_POOL, _POOL * _POOL, (_POOL, _POOL - 1)),
+            (_POOL * _POOL, len(x), (tail, _POOL))]
+    return tuple((x[lo:hi].reshape(shape), m[lo:hi].reshape(shape)) for lo, hi, shape in cuts)
+
+
+_GENERATE = _hash_consts(INIT_B, MULT_B, 2 * _POOL)
+_CYCLE = [0, 1, 2, 3] * 2  # generate_state reads the pool cyclically
+
+
+def _hashmix(values: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    out = (values ^ x) * m
+    return out ^ out >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = MIX_MULT_L * x - MIX_MULT_R * y
+    return out ^ out >> 16
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of an
+    (N, W) uint32 entropy matrix, in one pass over the rows."""
+    n, width = entropy.shape
+    fill, pairs, tail = _mix_consts(max(width - _POOL, 0))
+    pool = np.zeros((n, _POOL), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL]
+    pool = _hashmix(pool, *fill)
+    for (src, dst), x, m in zip(_PAIRS, *pairs):
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], x, m))
+    # each word past the pool is hashed into every pool word in turn
+    hashed = _hashmix(entropy[:, _POOL:, None], *tail)
+    for word in range(hashed.shape[1]):
+        pool = _mix(pool, hashed[:, word])
+    state = _hashmix(pool[:, _CYCLE], *_GENERATE)
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_words(master_seed: int, label: tuple, suffixes) -> np.ndarray:
+    """PCG64 seed words of the streams ``(master_seed, label + suffix)``, one
+    row of 4 uint64 per suffix; rows of equal entropy length mix together."""
+    head = list(_encode_label_part(master_seed))
+    for part in label:
+        head += _encode_label_part(part)
+    rows = []
+    for suffix in suffixes:
+        row = head.copy()
+        for part in suffix:
+            row += _encode_label_part(part)
+        rows.append(row)
+    by_width: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(len(row), []).append(i)
+    out = np.empty((len(rows), 4), dtype=np.uint64)
+    for idx in by_width.values():
+        out[idx] = _state_words(np.array([rows[i] for i in idx], dtype=np.uint32))
+    return out
+
+
+class _SeedWords:
+    """Hands PCG64 the seed words computed for it (PCG64 asks for 4 uint64).
+    It is registered as numpy's ISeedSequence on first use, so that importing
+    this module does not import numpy.random."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generators(master_seed: int, label: tuple, suffixes) -> list:
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # no-op once registered
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _seed_words(master_seed, label, suffixes)]
 
 
 @dataclass
@@ -60,17 +188,21 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            entropy = (self.master_seed,) + tuple(
-                _encode_label_part(p) for p in self.label
-            )
-            self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy))
-            )
+            self._gen, = _generators(self.master_seed, self.label, [()])
         return self._gen
 
+    def children(self, suffixes) -> list["RngStream"]:
+        """Derive one independent stream per label suffix, seeded together in
+        one pass; each equals the stream that ``child(*suffix)`` derives."""
+        suffixes = [tuple(s) for s in suffixes]
+        gens = _generators(self.master_seed, self.label, suffixes)
+        return [RngStream(self.master_seed, self.label + s, gen)
+                for s, gen in zip(suffixes, gens)]
+
     def child(self, *extra) -> "RngStream":
-        """Derive an independent stream with an extended label."""
-        return RngStream(self.master_seed, self.label + tuple(extra))
+        """Derive an independent stream with an extended label; its generator
+        is seeded at the first draw, as a one-row ``children`` call seeds it."""
+        return RngStream(self.master_seed, self.label + extra)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + self._generator().random() * (hi - lo)

@@ -100,12 +100,11 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
             f"{MAX_INPUTS} inputs are supported"
         )
     check_counts(k_outer=k_outer, i_inner=i_inner)
-    outer = np.column_stack(
-        [stream.child("outer", l).random(k_outer) for l in range(n_inputs)]
-    )
+    streams = stream.children([(side, l) for side in ("outer", "inner")
+                               for l in range(n_inputs)])
+    outer = np.column_stack([s.random(k_outer) for s in streams[:n_inputs]])
     inner = np.stack(
-        [stream.child("inner", l).random(k_outer * i_inner).reshape(k_outer, i_inner)
-         for l in range(n_inputs)],
+        [s.random(k_outer * i_inner).reshape(k_outer, i_inner) for s in streams[n_inputs:]],
         axis=-1,
     )
     rows = max(1, _BLOCK_FLOATS // ((1 << n_inputs) * i_inner))

@@ -109,14 +109,18 @@ class SupplyChainSimulation:
                 now + self.cfg.season_interval_days,
                 lambda: self._season_start(season + 1),
             )
-        for i in range(self.cfg.n_lots_per_season):
+        n = self.cfg.n_lots_per_season
+        streams = self.base.children(
+            ("lot", season, i, kind) for i in range(n) for kind in ("life", "tamper")
+        )
+        for i in range(n):
             lot = Lot(
                 id=f"lot-{season}-{i}",
                 season_index=season,
                 index_in_season=i,
                 arrival_time=now,
-                life=self.base.child("lot", season, i, "life"),
-                tamper=self.base.child("lot", season, i, "tamper"),
+                life=streams[2 * i],
+                tamper=streams[2 * i + 1],
                 pending_parallel=2,
             )
             lot.timestamps[Stage.GERMINATION] = (now, None)
@@ -144,7 +148,7 @@ class SupplyChainSimulation:
     def _ready_for_transplant(self, lot: Lot) -> None:
         req = self._step(lot, self.field_pool, Stage.TRANSPLANT, "transplant",
                          self._transplant_done)
-        if not req.granted:
+        if req is not None:  # no field worker free: the seedlings wait, up to a limit
             self.calendar.schedule_in(
                 self.cfg.seedling_wait_limit, lambda: self._seedling_timeout(lot, req)
             )
@@ -424,11 +428,12 @@ class SupplyChainSimulation:
     # ----------------------------------------------------------- accounting
 
     def _step(self, lot: Lot, pool: ResourcePool, stage: Stage | None,
-              duration_key: str, then) -> PoolRequest:
+              duration_key: str, then) -> PoolRequest | None:
         """Queue `lot` for one server of `pool`.  On the grant it enters
         `stage` (None: entered at queue time) and holds the server for a
         `duration_key` draw kept in `lot.pending_duration`; then the server
-        is released and `then(lot)` runs."""
+        is released and `then(lot)` runs.  Returns the request's handle if it
+        had to queue, None if a server was free."""
 
         def start() -> None:
             if stage is not None:

@@ -1,6 +1,6 @@
 import pytest
 
-from hemptwin.kernel import EventCalendar, ResourcePool, TimeInPastError
+from hemptwin.kernel import EventCalendar, PoolRequest, ResourcePool, TimeInPastError
 from hemptwin.randomness import RngStream
 
 
@@ -126,6 +126,7 @@ def test_cancelled_request_is_skipped_and_pool_stays_live():
     granted = []
     pool.request("a", lambda: granted.append("a"))
     req_b = pool.request("b", lambda: granted.append("b"))
+    assert isinstance(req_b, PoolRequest) and not req_b.granted
     req_b.cancel()
     pool.request("c", lambda: granted.append("c"))
     pool.release()  # a done -> c granted, b skipped
@@ -169,3 +170,47 @@ def test_littles_law_on_long_single_pool_run():
     lhs = pool.average_queue_length()
     rhs = effective_rate * pool.average_wait()
     assert lhs == pytest.approx(rhs, rel=0.10)
+
+
+def test_immediate_grant_returns_no_handle():
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=1)
+    granted = []
+    assert pool.request("a", lambda: granted.append("a")) is None
+    assert granted == ["a"]
+    assert pool.waits == [("a", 0.0)]
+    assert pool.busy == 1 and not pool.queue
+
+
+def test_queue_statistics_on_a_mixed_workload():
+    # immediate grants, queued grants, two cancellations, a resize up that
+    # grants from the queue and a resize down below the busy count; the
+    # figures are pinned to those of the kernel that built a handle for every
+    # request and integrated the queue area on every request and release.
+    # Like that kernel, the area leaves out the time that a cancelled request
+    # spent in the queue (cancel() drops the count without advancing the area).
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "mixed", capacity=2)
+    handles = {}
+
+    def arrive(name, service):
+        def on_grant():
+            cal.schedule_in(service, pool.release)
+
+        handles[name] = pool.request(name, on_grant)
+
+    for t, name, service in [(0.0, "a", 3.0), (0.0, "b", 5.0), (0.5, "c", 2.0),
+                             (1.0, "d", 4.0), (1.5, "e", 1.0), (2.0, "f", 2.5),
+                             (2.25, "g", 0.75), (9.0, "h", 1.0), (9.25, "i", 0.5),
+                             (9.5, "j", 2.0), (9.75, "k", 1.25), (13.0, "l", 2.0)]:
+        cal.schedule(t, lambda name=name, service=service: arrive(name, service))
+    cal.schedule(1.75, lambda: handles["d"].cancel())
+    cal.schedule(2.5, lambda: pool.resize(3))
+    cal.schedule(3.5, lambda: pool.resize(1))
+    cal.schedule(9.6, lambda: handles["j"].cancel())
+    cal.run()
+    assert [name for name, h in handles.items() if h is None] == ["a", "b", "h", "l"]
+    assert pool.waits == [("a", 0.0), ("b", 0.0), ("c", 2.0), ("e", 1.5), ("f", 3.0),
+                          ("g", 5.25), ("h", 0.0), ("i", 0.75), ("k", 0.75), ("l", 0.0)]
+    assert pool.average_queue_length() == 0.9166666666666666
+    assert pool.average_wait() == 1.325

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hemptwin.config import RunConfig, default_config
 from hemptwin.randomness import InvalidParamsError, RngStream, sample_growth_noise
+from hemptwin.simulation import SupplyChainSimulation
 
 
 def test_uniform_within_support_and_mean():
@@ -103,3 +107,90 @@ def test_child_streams_differ_from_parent():
 def test_uniform_sample_always_in_support(lo, width, seed):
     value = RngStream(seed, ("prop",)).uniform(lo, lo + width)
     assert lo <= value <= lo + width
+
+
+def _seed_sequence_state(master_seed, label):
+    """PCG64 state that numpy's own SeedSequence gives the label, each string
+    part replaced by the little-endian int of its 8-byte blake2b digest."""
+    entropy = [master_seed] + [
+        int.from_bytes(hashlib.blake2b(p.encode("utf-8"), digest_size=8).digest(), "little")
+        if isinstance(p, str) else p
+        for p in label
+    ]
+    return np.random.PCG64(np.random.SeedSequence(entropy)).state
+
+
+# parts that become one 32-bit word (0 included), two words, three or more
+# words, and strings (usually two words; fewer when the hash's high words are 0)
+_label_part = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=2**32 - 1),
+    st.integers(min_value=2**32, max_value=2**64 - 1),
+    st.integers(min_value=2**64, max_value=2**130),
+    st.text(max_size=6),
+)
+_master_seed = st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                         st.integers(min_value=2**32, max_value=2**96))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=_master_seed,
+    label=st.lists(_label_part, max_size=3).map(tuple),
+    suffixes=st.lists(st.lists(_label_part, max_size=5).map(tuple), min_size=1, max_size=8),
+)
+def test_batch_seeding_equals_seed_sequence(master_seed, label, suffixes):
+    # one call mixes suffixes of different lengths and word layouts, and short
+    # labels (fewer than 4 words) that SeedSequence pads with zeros
+    streams = RngStream(master_seed, label).children(suffixes)
+    assert [s.label for s in streams] == [label + suffix for suffix in suffixes]
+    for stream in streams:
+        expected = _seed_sequence_state(master_seed, stream.label)
+        assert stream._generator().bit_generator.state == expected
+        alone = RngStream(master_seed, stream.label)
+        assert alone._generator().bit_generator.state == expected
+
+
+def _draws(stream):
+    return (
+        stream.uniform(2.0, 5.0),
+        stream.exponential(0.3),
+        stream.standard_normal(),
+        stream.bernoulli(0.4),
+        stream.random(5).tolist(),
+        stream.permutations(3, 4).tolist(),
+        stream.uniform(),
+    )
+
+
+def test_batch_built_streams_draw_as_streams_built_alone():
+    base = RngStream(2**40 + 3, ("rep", 2))
+    suffixes = [("lot", 0, i, kind) for i in range(3) for kind in ("life", "tamper")]
+    suffixes += [("miss",), ("shard", 2**33), ()]
+    for batch, suffix in zip(base.children(suffixes), suffixes):
+        assert _draws(batch) == _draws(RngStream(base.master_seed, base.label + suffix))
+        assert _draws(base.children([suffix])[0]) == _draws(base.child(*suffix))
+
+
+def test_replication_lot_streams_replay_from_their_labels(monkeypatch):
+    seed = 2**40 + 3
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=RunConfig(warmup_lots=50, run_length_lots=100,
+                                                 replications=1, master_seed=seed))
+    built = {}
+    children = RngStream.children
+
+    def recording(self, suffixes):
+        streams = children(self, suffixes)
+        built.update((s.label, s._generator().bit_generator.state) for s in streams)
+        return streams
+
+    monkeypatch.setattr(RngStream, "children", recording)
+    sim = SupplyChainSimulation(cfg, 3)
+    sim.run()
+    assert len(sim.measured) == 100
+    for lot in sim.measured:
+        label = ("rep", 3, "lot", lot.season_index, lot.index_in_season, "life")
+        assert lot.life.label == label and lot.life.master_seed == seed
+        assert built[label] == RngStream(seed, label)._generator().bit_generator.state
+        assert built[label] == _seed_sequence_state(seed, label)
