@@ -6,6 +6,10 @@ waiting time, and integrate queue length over time so long-run queue
 statistics (Little's law checks) come for free.  A request that finds a free
 server is granted at once and gets no handle; only a request that has to
 queue returns a `PoolRequest`, which can cancel it.
+
+Every pooled step of the twin is one seize-hold-release: `ResourcePool.serve`
+seizes a server, holds it for the time its `hold` callback returns at the
+grant, releases it, and only then runs the step's continuation.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class EventCalendar:
             self.step()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PoolRequest:
     """A queued request for one server of `pool`."""
 
@@ -65,13 +69,34 @@ class PoolRequest:
     entity_id: object = None
     enqueue_time: float = 0.0
     on_grant: Callable[[], None] = field(default=None, repr=False)
-    cancelled: bool = False
     granted: bool = False
 
     def cancel(self) -> None:
-        if not self.granted and not self.cancelled:
-            self.cancelled = True
-            self.pool._waiting -= 1
+        """Withdraw the request if it is still queued."""
+        queue = self.pool.queue
+        if self in queue:
+            self.pool._advance_areas()
+            queue.remove(self)
+
+
+@dataclass(slots=True, eq=False)
+class _Service:
+    """One `ResourcePool.serve` step: called at the grant it starts the hold,
+    called again at the end of the hold it releases the server and continues.
+    One object, not two closures with their cells, is what a step keeps alive."""
+
+    pool: "ResourcePool"
+    hold: Callable[[], float]
+    then: Callable[[], None]
+    held: bool = False
+
+    def __call__(self) -> None:
+        if self.held:
+            self.pool.release()
+            self.then()
+        else:
+            self.held = True
+            self.pool.calendar.schedule_in(self.hold(), self)
 
 
 @dataclass
@@ -89,7 +114,6 @@ class ResourcePool:
     busy: int = 0
     queue: deque = field(default_factory=deque)
     waits: list = field(default_factory=list)
-    _waiting: int = 0
     _queue_area: float = 0.0
     _last_t: float = 0.0
 
@@ -97,7 +121,7 @@ class ResourcePool:
         now = self.calendar.now
         dt = now - self._last_t
         if dt > 0:
-            self._queue_area += dt * self._waiting
+            self._queue_area += dt * len(self.queue)
             self._last_t = now
 
     def request(
@@ -115,9 +139,20 @@ class ResourcePool:
         self._advance_areas()
         req = PoolRequest(self, entity_id, self.calendar.now, on_grant)
         self.queue.append(req)
-        self._waiting += 1
         self._drain()
         return req
+
+    def serve(
+        self, entity_id: object, hold: Callable[[], float], then: Callable[[], None]
+    ) -> PoolRequest | None:
+        """Seize one server, hold it, release it, then continue.
+
+        At the grant `hold()` runs and returns the hold time; when that time
+        is up the server is released -- granting it to the queue head, whose
+        `hold()` runs at once -- and then `then()` runs.  Returns like
+        `request`: None for an immediate grant, the queued request's handle
+        otherwise.  A cancelled request never calls `hold` or `then`."""
+        return self.request(entity_id, _Service(self, hold, then))
 
     def release(self) -> None:
         """Return one server and hand it to the queue head, FIFO."""
@@ -138,16 +173,10 @@ class ResourcePool:
     def _drain(self) -> None:
         while self.busy < self.capacity and self.queue:
             req = self.queue.popleft()
-            if req.cancelled:
-                continue
-            self._waiting -= 1
-            self._grant(req)
-
-    def _grant(self, req: PoolRequest) -> None:
-        req.granted = True
-        self.busy += 1
-        self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
-        req.on_grant()
+            req.granted = True
+            self.busy += 1
+            self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
+            req.on_grant()
 
     def average_queue_length(self) -> float:
         self._advance_areas()

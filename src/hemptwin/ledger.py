@@ -535,11 +535,14 @@ class LedgerSystem:
 
     The route is fixed when the ledger is built: the topology decides the
     verification pools, their service mean and whether a root confirmation
-    layer exists, and no later call looks at the topology again.  `submit`
-    calls `on_resolved(accepted)` once the record is usable: immediately with
-    the ledger disabled, at verification for the single chain, at root
-    confirmation for the two-layer chain.  Rejected (falsified) records
-    resolve with accepted=False and never enter a block.
+    layer exists, and no later call looks at the topology again.  Each layer
+    is one `ResourcePool.serve` step: a record holds a verifier of its shard
+    for an exponential service time and, on the two-layer chain, then a root
+    regulator; the pool releases the server before the record moves on.
+    `submit` calls `on_resolved(accepted)` once the record is usable:
+    immediately with the ledger disabled, at verification for the single
+    chain, at root confirmation for the two-layer chain.  Rejected (falsified)
+    records resolve with accepted=False and never enter a block.
     """
 
     def __init__(
@@ -553,18 +556,20 @@ class LedgerSystem:
         self.cfg = cfg
         self.keep_chain = keep_chain
         self.latencies: list[tuple[str, str, float, float | None]] = []
-        n_pools, servers, self._verify_mean = _ROUTES[cfg.topology](cfg)
+        n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
         self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self.shard_pools = [
             ResourcePool(calendar, f"shard-{s}-verify", servers) for s in range(n_pools)
         ]
-        self._miss_stream, root_stream, *self.shard_streams = stream.children(
+        self._miss_stream, root_stream, *shard_streams = stream.children(
             [("miss",), ("root",)] + [("shard", s) for s in range(n_pools)]
         )
-        self.root_pool = self.root_stream = None
+        # each layer's hold: an exponential service time from the layer's stream
+        self._verify_holds = [lambda s=s: s.exponential(verify_mean) for s in shard_streams]
+        self.root_pool = self._confirm_hold = None
         if cfg.topology is Topology.TWO_LAYER:
             self.root_pool = ResourcePool(calendar, "root-confirm", cfg.n_regulators)
-            self.root_stream = root_stream
+            self._confirm_hold = lambda: root_stream.exponential(cfg.confirmation_mean_days)
         self._heights = [0] * n_pools
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_height = 0
@@ -584,23 +589,14 @@ class LedgerSystem:
         if not self.shard_pools:
             # no ledger: face-value acceptance, zero delay, no detection
             ticket.verification_time = 0.0
-            self._record_latency(ticket)
-            if on_resolved is not None:
-                on_resolved(True)
+            self._resolve(ticket, True)
             return ticket
-        shard = assign_shard(record.location_index, len(self.shard_pools))
-        pool = self.shard_pools[shard]
-        pool.request(record.record_id, lambda: self._start_verification(ticket, shard))
+        shard = ticket.shard = assign_shard(record.location_index, len(self.shard_pools))
+        self.shard_pools[shard].serve(record.record_id, self._verify_holds[shard],
+                                      lambda: self._finish_verification(ticket))
         return ticket
 
-    def _start_verification(self, ticket: RecordTicket, shard: int) -> None:
-        service = self.shard_streams[shard].exponential(self._verify_mean)
-        self.calendar.schedule_in(
-            service, lambda: self._finish_verification(ticket, shard)
-        )
-
-    def _finish_verification(self, ticket: RecordTicket, shard: int) -> None:
-        pool = self.shard_pools[shard]
+    def _finish_verification(self, ticket: RecordTicket) -> None:
         now = self.calendar.now
         ticket.verification_time = now - ticket.record.submitted_at
         rejected = ticket.record.tampered and not (
@@ -609,27 +605,20 @@ class LedgerSystem:
         )
         if rejected:
             # on-site validation caught the falsified values; no block
-            self._record_latency(ticket)
-            pool.release()
-            if ticket.on_resolved is not None:
-                ticket.on_resolved(False)
+            self._resolve(ticket, False)
             return
-        self._append_shard_block(ticket, shard, now)
-        pool.release()
+        self._append_shard_block(ticket, now)
         if self.root_pool is None:
-            self._record_latency(ticket)
-            if ticket.on_resolved is not None:
-                ticket.on_resolved(True)
+            self._resolve(ticket, True)
             return
         ticket.verify_end = now
-        self.root_pool.request(
-            ticket.record.record_id, lambda: self._start_confirmation(ticket)
-        )
+        self.root_pool.serve(ticket.record.record_id, self._confirm_hold,
+                             lambda: self._finish_confirmation(ticket))
 
-    def _append_shard_block(self, ticket: RecordTicket, shard: int, now: float) -> None:
+    def _append_shard_block(self, ticket: RecordTicket, now: float) -> None:
+        shard = ticket.shard
         height = self._heights[shard]
         self._heights[shard] = height + 1
-        ticket.shard = shard
         ticket.height = height
         if not self.keep_chain:
             return
@@ -646,14 +635,9 @@ class LedgerSystem:
         self.chain.records[ticket.record.record_id] = ticket.record
         self.chain.shard_blocks(shard).append(block)
 
-    def _start_confirmation(self, ticket: RecordTicket) -> None:
-        service = self.root_stream.exponential(self.cfg.confirmation_mean_days)
-        self.calendar.schedule_in(service, lambda: self._finish_confirmation(ticket))
-
     def _finish_confirmation(self, ticket: RecordTicket) -> None:
         # the regulator's review is done; the header commits in shard height
         # order, so an early finisher parks until its predecessors commit
-        self.root_pool.release()
         shard = ticket.shard
         parked = self._parked[shard]
         parked[ticket.height] = ticket
@@ -676,35 +660,29 @@ class LedgerSystem:
             self._root_height += 1
             self._root_prev = root_header_hash(root)
             self.chain.roots.append(root)
-        self._record_latency(ticket)
-        if ticket.on_resolved is not None:
-            ticket.on_resolved(True)
+        self._resolve(ticket, True)
 
-    def _record_latency(self, ticket: RecordTicket) -> None:
-        self.latencies.append(
-            (
-                ticket.record.lot_id,
-                ticket.record.record_kind.value,
-                ticket.verification_time,
-                ticket.confirmation_time,
-            )
-        )
+    def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
+        """Log the record's latencies and hand the verdict to its submitter."""
+        record = ticket.record
+        self.latencies.append((record.lot_id, record.record_kind.value,
+                               ticket.verification_time, ticket.confirmation_time))
+        if ticket.on_resolved is not None:
+            ticket.on_resolved(accepted)
 
     # -- exported view -----------------------------------------------------
 
     def confirmed_chain(self) -> ChainState:
         """Snapshot restricted to blocks already confirmed (root-covered for
         the two-layer topology); in-flight work is excluded so the snapshot
-        always audits clean."""
+        always audits clean.  The root chain commits each shard's headers in
+        height order, so those are its first `_next_commit[shard]` blocks."""
         if self.root_pool is None:
             return self.chain
-        covered = {
-            (sid, h) for root in self.chain.roots for sid, h, _ in root.shard_headers
-        }
         snap = ChainState(topology=self.chain.topology, n_shards=self.chain.n_shards)
         snap.roots = list(self.chain.roots)
         for shard_id, blocks in self.chain.shards.items():
-            kept = [b for b in blocks if (shard_id, b.height) in covered]
+            kept = blocks[:self._next_commit[shard_id]]
             snap.shards[shard_id] = kept
             for b in kept:
                 for rid in b.record_ids:

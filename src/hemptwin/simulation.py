@@ -299,8 +299,8 @@ class SupplyChainSimulation:
         if lot.inputs.t_prime > self.cfg.harvest_deadline_days:
             lot.false_pass_harvest = True
         lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
-        lot.dryer_request = self.dryer_pool.request(
-            lot.id, lambda: self._drying_start(lot)
+        lot.dryer_request = self.dryer_pool.serve(
+            lot.id, lambda: self._drying_start(lot), lambda: self._drying_done(lot)
         )
 
     def _dry_timeout(self, lot: Lot, token: int) -> None:
@@ -317,21 +317,17 @@ class SupplyChainSimulation:
 
     # ------------------------------------------------------- stabilization
 
-    def _drying_start(self, lot: Lot) -> None:
-        if lot.terminated or not lot.dry_active:
-            self.dryer_pool.release()
-            return
+    def _drying_start(self, lot: Lot) -> float:
+        # the lot is still dry-active: the dry-wait timeout cancels a queued
+        # request, and an immediate grant comes from the accepted harvest record
         lot.dry_active = False
         self._submit(lot, RecordKind.TRANSPORT_DATA, ParticipantRole.TRANSPORTER,
                      {"from": f"grower-{lot.index_in_season}", "to": "dryer",
                       "shipped_at": self.calendar.now})
         lot.enter_stage(Stage.DRYING, self.calendar.now)
-        self.calendar.schedule_in(
-            self._dur(lot, "drying"), lambda: self._drying_done(lot)
-        )
+        return self._dur(lot, "drying")
 
     def _drying_done(self, lot: Lot) -> None:
-        self.dryer_pool.release()
         self._dry_phase -= 1
         # drying removes moisture only; cannabinoid content is unchanged
         self._submit(lot, RecordKind.DRYING_DATA, ParticipantRole.DRYER,
@@ -429,23 +425,19 @@ class SupplyChainSimulation:
 
     def _step(self, lot: Lot, pool: ResourcePool, stage: Stage | None,
               duration_key: str, then) -> PoolRequest | None:
-        """Queue `lot` for one server of `pool`.  On the grant it enters
+        """Serve `lot` at one server of `pool`.  On the grant it enters
         `stage` (None: entered at queue time) and holds the server for a
         `duration_key` draw kept in `lot.pending_duration`; then the server
         is released and `then(lot)` runs.  Returns the request's handle if it
         had to queue, None if a server was free."""
 
-        def start() -> None:
+        def hold() -> float:
             if stage is not None:
                 lot.enter_stage(stage, self.calendar.now)
             lot.pending_duration = self._dur(lot, duration_key)
-            self.calendar.schedule_in(lot.pending_duration, done)
+            return lot.pending_duration
 
-        def done() -> None:
-            pool.release()
-            then(lot)
-
-        return pool.request(lot.id, start)
+        return pool.serve(lot.id, hold, lambda: then(lot))
 
     def _end(self, lot: Lot, reason: DropReason, duration: float) -> None:
         """Record the decision that drops or destroys `lot`, then terminate it."""

@@ -131,7 +131,7 @@ def test_cancelled_request_is_skipped_and_pool_stays_live():
     pool.request("c", lambda: granted.append("c"))
     pool.release()  # a done -> c granted, b skipped
     assert granted == ["a", "c"]
-    # idle pool with stale cancelled entries must grant new work immediately
+    # the cancelled request left the queue, so an idle pool grants at once
     pool.release()
     pool.request("d", lambda: granted.append("d"))
     assert granted == ["a", "c", "d"]
@@ -186,9 +186,11 @@ def test_queue_statistics_on_a_mixed_workload():
     # immediate grants, queued grants, two cancellations, a resize up that
     # grants from the queue and a resize down below the busy count; the
     # figures are pinned to those of the kernel that built a handle for every
-    # request and integrated the queue area on every request and release.
-    # Like that kernel, the area leaves out the time that a cancelled request
-    # spent in the queue (cancel() drops the count without advancing the area).
+    # request and integrated the queue area on every request and release,
+    # except that the area now also holds the time the cancelled requests
+    # spent queued: d from 1 to 1.75 and j from 9.5 to 9.6.  That kernel lost
+    # d's 0.25 after its last area update at 1.5 and j's 0.1 after 9.5, so its
+    # area of 13.75 becomes 14.1 over the 15 days.
     cal = EventCalendar()
     pool = ResourcePool(cal, "mixed", capacity=2)
     handles = {}
@@ -212,5 +214,85 @@ def test_queue_statistics_on_a_mixed_workload():
     assert [name for name, h in handles.items() if h is None] == ["a", "b", "h", "l"]
     assert pool.waits == [("a", 0.0), ("b", 0.0), ("c", 2.0), ("e", 1.5), ("f", 3.0),
                           ("g", 5.25), ("h", 0.0), ("i", 0.75), ("k", 0.75), ("l", 0.0)]
-    assert pool.average_queue_length() == 0.9166666666666666
+    assert pool.average_queue_length() == 0.94
     assert pool.average_wait() == 1.325
+
+
+def test_cancelled_request_keeps_its_queued_time_in_the_queue_area():
+    # one server busy over 0-4; a request queues at 1 and is cancelled at 3,
+    # so one request waited for 2 of the 4 days
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=1)
+    pool.request("busy", lambda: cal.schedule_in(4.0, pool.release))
+    handle = {}
+    cal.schedule(1.0, lambda: handle.setdefault("q", pool.request("q", lambda: None)))
+    cal.schedule(3.0, lambda: handle["q"].cancel())
+    cal.run()
+    assert cal.now == 4.0
+    assert pool.average_queue_length() == 0.5
+
+
+class TestServe:
+    """`serve(entity_id, hold, then)`: seize at the grant, hold for `hold()`
+    days, release, then continue."""
+
+    def test_hold_runs_at_the_grant_and_then_after_the_hold(self):
+        cal = EventCalendar()
+        pool = ResourcePool(cal, "p", capacity=1)
+        log = []
+
+        def hold(name, days):
+            def at_grant():
+                log.append(("hold", name, cal.now))
+                return days
+
+            return at_grant
+
+        assert pool.serve("a", hold("a", 2.0),
+                          lambda: log.append(("then", "a", cal.now))) is None
+        req = pool.serve("b", hold("b", 1.0), lambda: log.append(("then", "b", cal.now)))
+        assert isinstance(req, PoolRequest) and not req.granted
+        assert log == [("hold", "a", 0.0)]  # b's hold waits for its grant
+        cal.run()
+        assert log == [("hold", "a", 0.0), ("hold", "b", 2.0), ("then", "a", 2.0),
+                       ("then", "b", 3.0)]
+        assert dict(pool.waits) == {"a": 0.0, "b": 2.0}
+        assert pool.busy == 0
+
+    def test_grants_stay_fifo(self):
+        cal = EventCalendar()
+        pool = ResourcePool(cal, "p", capacity=2)
+        held, done = [], []
+        for name, days in zip("abcdef", (3.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
+            pool.serve(name, lambda name=name, days=days: held.append(name) or days,
+                       lambda name=name: done.append(name))
+        cal.run()
+        assert held == list("abcdef")
+        assert [name for name, _ in pool.waits] == list("abcdef")
+        assert done == ["b", "c", "a", "d", "e", "f"]
+
+    def test_release_comes_before_then(self):
+        # `then` of the first holder sees the server already handed on: the
+        # queued request is granted and its hold has run
+        cal = EventCalendar()
+        pool = ResourcePool(cal, "p", capacity=1)
+        held, seen = [], []
+        pool.serve("a", lambda: held.append("a") or 1.0,
+                   lambda: seen.append((list(held), pool.busy, len(pool.queue))))
+        req = pool.serve("b", lambda: held.append("b") or 1.0, lambda: None)
+        cal.run()
+        assert seen == [(["a", "b"], 1, 0)]
+        assert req.granted
+
+    def test_cancelled_queued_serve_never_holds_or_continues(self):
+        cal = EventCalendar()
+        pool = ResourcePool(cal, "p", capacity=1)
+        log = []
+        pool.serve("a", lambda: 2.0, lambda: log.append("then a"))
+        req = pool.serve("b", lambda: log.append("hold b") or 1.0,
+                         lambda: log.append("then b"))
+        cal.schedule(1.0, req.cancel)
+        cal.run()
+        assert log == ["then a"]
+        assert not req.granted and pool.busy == 0 and not pool.queue
+        assert [name for name, _ in pool.waits] == ["a"]

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from hemptwin.config import default_config
-from hemptwin.domain import FACTOR_NAMES
+from hemptwin.domain import FACTOR_NAMES, Stage
 from hemptwin.randomness import RngStream, sample_growth_noise
 from hemptwin.riskmodel import (
     CBD_FACTORS,
@@ -16,6 +16,7 @@ from hemptwin.riskmodel import (
     decompose_final_product,
 )
 from hemptwin.shapley import _subset_costs
+from hemptwin.simulation import SupplyChainSimulation
 from seed_matrix import assembled_outputs
 
 
@@ -163,3 +164,25 @@ def test_decomposition_identity_on_synthetic_model(t_prime):
 def test_unknown_target_rejected(t_prime):
     with pytest.raises(ValueError):
         make_model("terpenes", t_prime)
+
+
+def test_output_replays_the_one_pass_lots_of_a_replication():
+    # a finished lot with one purification pass and one t' leg went through
+    # the model's arithmetic: its realized inputs, transformed as the model
+    # transforms its seeds (eps -> g*t_c + eps, t' -> g*t'), give back the
+    # lot's final state.  Lots with a second pass or a retest are left out.
+    cfg = default_config()
+    sim = SupplyChainSimulation(cfg, 0)
+    sim.run()
+    lots = [lot for lot in sim.measured if lot.stage is Stage.FINISHED
+            and lot.plc_passes == 1 and len(lot.t_prime_legs) == 1]
+    assert lots
+    g = cfg.growth_rate
+    x = {name: np.array([getattr(lot.inputs, name) for lot in lots])
+         for name in FACTOR_NAMES}
+    x["eps"] = g * np.array([lot.cultivation_days for lot in lots]) + x["eps"]
+    x["t_prime"] = g * x["t_prime"]
+    for target, final in (("cbd", [lot.state.cbd_pct for lot in lots]),
+                          ("thc", [lot.state.thc_pct for lot in lots])):
+        model = FinalProductModel.from_config(cfg, target, [1.0])
+        np.testing.assert_allclose(model._output(x), final, rtol=1e-12, atol=0.0)
