@@ -17,11 +17,16 @@ import pytest
 
 from hemptwin.cli import main
 from hemptwin.config import (
+    FILE_KEYS,
+    ConfigError,
+    ConfigValidationError,
     RunConfig,
     StageDuration,
     Topology,
+    config_from_text,
     default_config,
     save_config,
+    validate_config,
 )
 from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
 from stage_order import with_durations
@@ -74,9 +79,32 @@ def _floats(values) -> bytes:
     return " ".join(float(v).hex() for v in values).encode("ascii")
 
 
+def config_verdicts() -> bytes:
+    """One line per probe: each numeric file key set alone, on each topology,
+    to -1, 0, 1.5 (2 for an integer key), 2e9, nan and inf, with the verdict
+    of parsing and validating that file."""
+    lines = []
+    for topology in Topology:
+        for key, row in FILE_KEYS.items():
+            parse = row[1]
+            if parse not in (int, float):
+                continue
+            for text in ("-1", "0", "1.5" if parse is float else "2", "2e9", "nan", "inf"):
+                try:
+                    validate_config(config_from_text(
+                        f"chain.topology = {topology.value}\n{key} = {text}\n"))
+                    verdict = "accept"
+                except ConfigError:
+                    verdict = "parse-error"
+                except ConfigValidationError:
+                    verdict = "reject"
+                lines.append(f"{topology.value} {key} = {text}: {verdict}\n")
+    return "".join(lines).encode("ascii")
+
+
 def compute_digests(work: Path) -> dict:
     """Run every golden case under `work`; returns {case: sha256 hex}."""
-    digests = {}
+    digests = {"config-verdicts": _sha(config_verdicts())}
     for topology in Topology:
         for name, make in (("simulate", golden_config), ("stress", stress_config)):
             digests |= _cli_files(work, f"{name}-{topology.value}",
