@@ -22,8 +22,8 @@ from .reporting import (
     build_table,
     run_replications,
     shapley_table,
-    write_lot_dump,
     run_experiment,
+    write_reports,
 )
 from .riskmodel import decompose_final_product
 from .shapley import TooFewSamplesError, TooManyInputsError
@@ -70,20 +70,14 @@ def cmd_simulate(args) -> int:
     chain_text = export_chain(sim.ledger.confirmed_chain())
     del sim
     reps = [stats] + run_replications(cfg, parallel=args.parallel, first=1)
-    table = build_table("simulate", ALL_METRICS, [("baseline", reps)])
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args)
-    if "csv" in formats:
-        (out / "simulate.csv").write_text(table.to_csv(), encoding="utf-8")
-    if "json" in formats:
-        (out / "simulate.json").write_text(table.to_json(), encoding="utf-8")
-    write_lot_dump(out / "simulate_lots.csv", [("baseline", reps)])
-    (out / "chain_export.txt").write_text(chain_text, encoding="utf-8")
+    variant_reps = [("baseline", reps)]
+    table = build_table("simulate", ALL_METRICS, variant_reps)
+    write_reports(args.out, table, variant_reps, _formats(args))
+    (args.out / "chain_export.txt").write_text(chain_text, encoding="utf-8")
     for metric in ALL_METRICS:
         mean, sd = table.cells[(metric, "baseline")]
         print(f"{metric:32s} {mean:10.4f} +- {sd:.4f}")
-    print(f"reports written to {out}")
+    print(f"reports written to {args.out}")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 The external format is a flat, human-readable ``key = value`` file with dotted
 section names (``growth.g = 0.0018``).  Writing a config and parsing it back
-is an identity.
+is an identity.  `FILE_KEYS` is the one schema of that format: each key's
+field path in `ScenarioConfig`, the parser of its value and the domain the
+value must lie in.  Writing, reading and validation all read it.
 """
 
 from __future__ import annotations
@@ -10,13 +12,15 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 __all__ = [
     "Topology",
     "ChainConfig",
     "RunConfig",
     "StageDuration",
+    "StageDurations",
     "ScenarioConfig",
     "ConfigError",
     "ConfigValidationError",
@@ -76,34 +80,24 @@ class RunConfig:
     master_seed: int = 20210
 
 
-# Stage keys that carry a uniform duration range in the config file.
-DURATION_STAGES = (
-    "germination",
-    "soil_prep",
-    "transplant",
-    "cultivation",
-    "preharvest_test",
-    "harvest",
-    "drying",
-    "extraction",
-    "winterization",
-    "plc",
-    "final_coa",
-)
+@dataclass(frozen=True)
+class StageDurations:
+    """Uniform duration range, in days, of each timed stage."""
 
-_DEFAULT_DURATIONS = {
-    "germination": StageDuration(5.0, 10.0),
-    "soil_prep": StageDuration(1.0, 2.0),
-    "transplant": StageDuration(1.0, 2.0),
-    "cultivation": StageDuration(50.0, 60.0),
-    "preharvest_test": StageDuration(2.0, 7.0),
-    "harvest": StageDuration(1.0, 2.0),
-    "drying": StageDuration(1.0, 2.0),
-    "extraction": StageDuration(1.0, 2.0),
-    "winterization": StageDuration(1.0, 3.0),
-    "plc": StageDuration(1.0, 5.0),
-    "final_coa": StageDuration(0.0, 0.0),
-}
+    germination: StageDuration = StageDuration(5.0, 10.0)
+    soil_prep: StageDuration = StageDuration(1.0, 2.0)
+    transplant: StageDuration = StageDuration(1.0, 2.0)
+    cultivation: StageDuration = StageDuration(50.0, 60.0)
+    preharvest_test: StageDuration = StageDuration(2.0, 7.0)
+    harvest: StageDuration = StageDuration(1.0, 2.0)
+    drying: StageDuration = StageDuration(1.0, 2.0)
+    extraction: StageDuration = StageDuration(1.0, 2.0)
+    winterization: StageDuration = StageDuration(1.0, 3.0)
+    plc: StageDuration = StageDuration(1.0, 5.0)
+    final_coa: StageDuration = StageDuration(0.0, 0.0)
+
+
+DURATION_STAGES = tuple(f.name for f in fields(StageDurations))
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,10 @@ class ScenarioConfig:
     plc_thc_hi: float = 0.5
     max_plc_passes: int = 2
     season_interval_days: float = 365.0
-    stage_durations: tuple = tuple(sorted(_DEFAULT_DURATIONS.items()))
+    stage_durations: StageDurations = field(default_factory=StageDurations)
 
     def duration(self, stage: str) -> StageDuration:
-        return dict(self.stage_durations)[stage]
+        return getattr(self.stage_durations, stage)
 
 
 def default_config() -> ScenarioConfig:
@@ -148,98 +142,38 @@ def default_config() -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Return `cfg` if every invariant holds, else raise with all violations."""
+    """Return `cfg` if every invariant holds, else raise with all violations.
+
+    Each key's value must be finite and in the key's domain (`FILE_KEYS`),
+    and each `.lo` at most its `.hi`; then the rules that tie keys together
+    run for the keys still in their domain, so a key reports at most one
+    violation.
+    """
+    values = _flatten(cfg)
     bad: list[tuple[str, str, str]] = []
-
-    def prob(key: str, value: float) -> None:
-        if not (0.0 <= value <= 1.0):
-            bad.append((key, "invalid_probability", f"{value} outside [0, 1]"))
-
-    prob("adversary.p2", cfg.tamper_probability)
-    prob("chain.miss_probability", cfg.chain.miss_probability)
-    if cfg.n_lots_per_season < 1:
-        bad.append(("lots.n", "invalid_range", "need at least one lot per season"))
-    if cfg.cbd_thc_ratio <= 0:
-        bad.append(("growth.r", "invalid_range", "ratio must be positive"))
-    if cfg.thc_final_limit >= cfg.thc_preharvest_limit:
-        bad.append(
-            ("limits.gamma", "invalid_range",
-             "final limit must be below the pre-harvest limit")
-        )
-    for key, count in (
-        ("resources.n_f", cfg.n_field_workers),
-        ("resources.n_l", cfg.n_lab_servers),
-        ("resources.n_p", cfg.n_processors),
-    ):
-        if count < 1:
-            bad.append((key, "zero_resource", "stage requires at least one server"))
-    if cfg.n_dryers < 1 and not cfg.dynamic_dryers:
-        bad.append(
-            ("resources.n_d", "zero_resource",
-             "no dryers and dynamic sizing disabled")
-        )
-    if cfg.n_dryers < 0:
-        bad.append(("resources.n_d", "invalid_range", "negative dryer count"))
-    ch = cfg.chain
-    if ch.topology is Topology.TWO_LAYER:
-        if ch.n_shards < 1:
-            bad.append(("chain.n_shards", "zero_resource", "need at least one shard"))
-        if ch.n_validators_per_shard < 1:
-            bad.append(("chain.n_s", "zero_resource", "need validators per shard"))
-        if ch.n_regulators < 1:
-            bad.append(("chain.n_r", "zero_resource", "need root regulators"))
-    if ch.topology is Topology.SINGLE_CHAIN and ch.n_regulators < 1:
-        bad.append(("chain.n_r", "zero_resource", "need verification servers"))
-    for key, mean in (
-        ("chain.mu_v", ch.verification_mean_days),
-        ("chain.mu_c", ch.confirmation_mean_days),
-        ("chain.mu_s", ch.single_chain_mean_days),
-    ):
-        if mean <= 0:
-            bad.append((key, "invalid_range", "service mean must be positive"))
-    if cfg.run.run_length_lots < 1:
-        bad.append(("run.length", "invalid_range", "need a measured window"))
-    if cfg.run.replications < 1:
-        bad.append(("run.reps", "invalid_range", "need at least one replication"))
-    if cfg.max_plc_passes < 1:
-        bad.append(("policy.max_plc_passes", "invalid_range",
-                    "the final test follows at least one purification pass"))
-    for stage, dur in cfg.stage_durations:
-        if dur.lo > dur.hi:
-            bad.append(
-                (f"durations.{stage}", "invalid_range", f"lo {dur.lo} > hi {dur.hi}")
-            )
-        if dur.lo < 0:
-            bad.append((f"durations.{stage}", "invalid_range", "negative duration"))
-    for key, lo, hi in (
-        ("extraction", cfg.extraction_lo, cfg.extraction_hi),
-        ("winterization", cfg.winterization_lo, cfg.winterization_hi),
-        ("plc_cbd", cfg.plc_cbd_lo, cfg.plc_cbd_hi),
-        ("plc_thc", cfg.plc_thc_lo, cfg.plc_thc_hi),
-    ):
-        if not (0.0 <= lo <= hi <= 1.0):
-            bad.append((f"fractions.{key}", "invalid_range",
-                        f"bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1"))
-    for key, value in (
-        ("growth.g", cfg.growth_rate),
-        ("growth.lambda", cfg.lambda_var),
-        ("limits.gamma_v", cfg.thc_preharvest_limit),
-        ("limits.gamma", cfg.thc_final_limit),
-        ("limits.harvest_deadline", cfg.harvest_deadline_days),
-        ("limits.Lt", cfg.seedling_wait_limit),
-        ("limits.Ld", cfg.dry_wait_limit),
-        ("policy.harvest_delay", cfg.harvest_delay_days),
-        ("lots.season_interval", cfg.season_interval_days),
-        ("run.warmup", cfg.run.warmup_lots),
-        ("run.length", cfg.run.run_length_lots),
-        ("run.reps", cfg.run.replications),
-        ("run.seed", cfg.run.master_seed),
-    ):
-        if value < 0:
-            bad.append((key, "invalid_range", f"{value} is negative"))
-    for key, value in _flatten(cfg).items():
+    for key, (_, _, domain) in FILE_KEYS.items():
+        value = values[key]
         if isinstance(value, float) and not math.isfinite(value):
             bad.append((key, "invalid_range", f"{value} is not finite"))
+        elif domain is not None and value not in domain:
+            bad.append((key, domain.kind, f"{value} outside {domain}"))
+    for key, lo in values.items():
+        if key.endswith(".lo") and lo > (hi := values[key[:-3] + ".hi"]):
+            bad.append((key[:-3], "invalid_range", f"lo {lo} > hi {hi}"))
+
+    reported = {key for key, _, _ in bad}
+
+    def tie(key: str, broken: bool, kind: str, msg: str) -> None:
+        if broken and key not in reported:
+            bad.append((key, kind, msg))
+
+    tie("limits.gamma", cfg.thc_final_limit >= cfg.thc_preharvest_limit,
+        "invalid_range", "final limit must be below the pre-harvest limit")
+    tie("resources.n_d", cfg.n_dryers < 1 and not cfg.dynamic_dryers,
+        "zero_resource", "no dryers and dynamic sizing disabled")
+    for key in _TOPOLOGY_COUNTS.get(cfg.chain.topology, ()):
+        tie(key, values[key] < 1, "zero_resource",
+            f"{cfg.chain.topology.value} needs at least one")
 
     if bad:
         raise ConfigValidationError(bad)
@@ -267,75 +201,98 @@ def _parse_topology(s: str) -> Topology:
                      f"{[t.value for t in Topology]}")
 
 
-# Every file key, mapped to its dotted field path in ScenarioConfig and to the
-# parser for its value.  Writing, reading and validation all read this table;
-# a path step into `stage_durations` names the stage.
-FILE_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "lots.n": ("n_lots_per_season", int),
-    "lots.season_interval": ("season_interval_days", float),
-    "growth.g": ("growth_rate", float),
-    "growth.r": ("cbd_thc_ratio", float),
-    "growth.lambda": ("lambda_var", float),
-    "limits.gamma_v": ("thc_preharvest_limit", float),
-    "limits.gamma": ("thc_final_limit", float),
-    "limits.harvest_deadline": ("harvest_deadline_days", float),
-    "limits.Lt": ("seedling_wait_limit", float),
-    "limits.Ld": ("dry_wait_limit", float),
-    "policy.harvest_delay": ("harvest_delay_days", float),
-    "policy.max_plc_passes": ("max_plc_passes", int),
-    "resources.n_f": ("n_field_workers", int),
-    "resources.n_l": ("n_lab_servers", int),
-    "resources.n_d": ("n_dryers", int),
-    "resources.n_p": ("n_processors", int),
-    "resources.dynamic_dryers": ("dynamic_dryers", _parse_bool),
-    "chain.topology": ("chain.topology", _parse_topology),
-    "chain.n_shards": ("chain.n_shards", int),
-    "chain.n_s": ("chain.n_validators_per_shard", int),
-    "chain.n_r": ("chain.n_regulators", int),
-    "chain.mu_v": ("chain.verification_mean_days", float),
-    "chain.mu_c": ("chain.confirmation_mean_days", float),
-    "chain.mu_s": ("chain.single_chain_mean_days", float),
-    "chain.miss_probability": ("chain.miss_probability", float),
-    "adversary.p2": ("tamper_probability", float),
-    "run.warmup": ("run.warmup_lots", int),
-    "run.length": ("run.run_length_lots", int),
-    "run.reps": ("run.replications", int),
-    "run.seed": ("run.master_seed", int),
-    "fractions.extraction.lo": ("extraction_lo", float),
-    "fractions.extraction.hi": ("extraction_hi", float),
-    "fractions.winterization.lo": ("winterization_lo", float),
-    "fractions.winterization.hi": ("winterization_hi", float),
-    "fractions.plc_cbd.lo": ("plc_cbd_lo", float),
-    "fractions.plc_cbd.hi": ("plc_cbd_hi", float),
-    "fractions.plc_thc.lo": ("plc_thc_lo", float),
-    "fractions.plc_thc.hi": ("plc_thc_hi", float),
+@dataclass(frozen=True)
+class _Domain:
+    """The values a key may take, from `low` (excluded when `open_low`) to
+    `high`; a value outside is a violation of `kind`."""
+
+    low: float
+    high: float = math.inf
+    kind: str = "invalid_range"
+    open_low: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = value > self.low if self.open_low else value >= self.low
+        return above and value <= self.high
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}"
+                f"{']' if self.high < math.inf else ')'}")
+
+
+_NONNEG = _Domain(0.0)
+_POSITIVE = _Domain(0.0, open_low=True)
+_COUNT = _Domain(1)
+_SERVERS = _Domain(1, kind="zero_resource")
+_PROB = _Domain(0.0, 1.0, kind="invalid_probability")
+_FRACTION = _Domain(0.0, 1.0)
+
+# Every file key, mapped to its dotted field path in ScenarioConfig, the
+# parser for its value and the domain of that value.  Writing, reading and
+# validation all read this table.  The domain is None for the booleans, the
+# topology and the chain counts, which `_TOPOLOGY_COUNTS` checks instead.
+FILE_KEYS: dict[str, tuple[str, Callable[[str], object], _Domain | None]] = {
+    "lots.n": ("n_lots_per_season", int, _COUNT),
+    "lots.season_interval": ("season_interval_days", float, _NONNEG),
+    "growth.g": ("growth_rate", float, _NONNEG),
+    "growth.r": ("cbd_thc_ratio", float, _POSITIVE),
+    "growth.lambda": ("lambda_var", float, _NONNEG),
+    "limits.gamma_v": ("thc_preharvest_limit", float, _NONNEG),
+    "limits.gamma": ("thc_final_limit", float, _NONNEG),
+    "limits.harvest_deadline": ("harvest_deadline_days", float, _NONNEG),
+    "limits.Lt": ("seedling_wait_limit", float, _NONNEG),
+    "limits.Ld": ("dry_wait_limit", float, _NONNEG),
+    "policy.harvest_delay": ("harvest_delay_days", float, _NONNEG),
+    "policy.max_plc_passes": ("max_plc_passes", int, _COUNT),
+    "resources.n_f": ("n_field_workers", int, _SERVERS),
+    "resources.n_l": ("n_lab_servers", int, _SERVERS),
+    "resources.n_d": ("n_dryers", int, _NONNEG),
+    "resources.n_p": ("n_processors", int, _SERVERS),
+    "resources.dynamic_dryers": ("dynamic_dryers", _parse_bool, None),
+    "chain.topology": ("chain.topology", _parse_topology, None),
+    "chain.n_shards": ("chain.n_shards", int, None),
+    "chain.n_s": ("chain.n_validators_per_shard", int, None),
+    "chain.n_r": ("chain.n_regulators", int, None),
+    "chain.mu_v": ("chain.verification_mean_days", float, _POSITIVE),
+    "chain.mu_c": ("chain.confirmation_mean_days", float, _POSITIVE),
+    "chain.mu_s": ("chain.single_chain_mean_days", float, _POSITIVE),
+    "chain.miss_probability": ("chain.miss_probability", float, _PROB),
+    "adversary.p2": ("tamper_probability", float, _PROB),
+    "run.warmup": ("run.warmup_lots", int, _NONNEG),
+    "run.length": ("run.run_length_lots", int, _COUNT),
+    "run.reps": ("run.replications", int, _COUNT),
+    "run.seed": ("run.master_seed", int, _NONNEG),
+    "fractions.extraction.lo": ("extraction_lo", float, _FRACTION),
+    "fractions.extraction.hi": ("extraction_hi", float, _FRACTION),
+    "fractions.winterization.lo": ("winterization_lo", float, _FRACTION),
+    "fractions.winterization.hi": ("winterization_hi", float, _FRACTION),
+    "fractions.plc_cbd.lo": ("plc_cbd_lo", float, _FRACTION),
+    "fractions.plc_cbd.hi": ("plc_cbd_hi", float, _FRACTION),
+    "fractions.plc_thc.lo": ("plc_thc_lo", float, _FRACTION),
+    "fractions.plc_thc.hi": ("plc_thc_hi", float, _FRACTION),
     **{
-        f"durations.{stage}.{end}": (f"stage_durations.{stage}.{end}", float)
+        f"durations.{stage}.{end}": (f"stage_durations.{stage}.{end}", float, _NONNEG)
         for stage in DURATION_STAGES
         for end in ("lo", "hi")
     },
 }
 
-
-def _get(obj, path: str):
-    for name in path.split("."):
-        obj = dict(obj)[name] if isinstance(obj, tuple) else getattr(obj, name)
-    return obj
+# The chain counts each topology serves with: each must be at least one.
+_TOPOLOGY_COUNTS = {
+    Topology.TWO_LAYER: ("chain.n_shards", "chain.n_s", "chain.n_r"),
+    Topology.SINGLE_CHAIN: ("chain.n_r",),
+}
 
 
 def _set(obj, names: list[str], value):
     head, *rest = names
-    if isinstance(obj, tuple):
-        merged = dict(obj)
-        merged[head] = _set(merged[head], rest, value)
-        return tuple(sorted(merged.items()))
     if rest:
         value = _set(getattr(obj, head), rest, value)
     return replace(obj, **{head: value})
 
 
 def _flatten(cfg: ScenarioConfig) -> dict[str, object]:
-    return {key: _get(cfg, path) for key, (path, _) in FILE_KEYS.items()}
+    return {key: attrgetter(path)(cfg) for key, (path, _, _) in FILE_KEYS.items()}
 
 
 def config_to_text(cfg: ScenarioConfig) -> str:
@@ -367,7 +324,7 @@ def config_from_text(text: str) -> ScenarioConfig:
             # a later value would silently override the earlier one
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        path, parse = FILE_KEYS[key]
+        path, parse, _ = FILE_KEYS[key]
         try:
             value = parse(val)
         except ValueError as exc:

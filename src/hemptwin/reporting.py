@@ -34,6 +34,7 @@ __all__ = [
     "resource_variants",
     "shapley_table",
     "write_lot_dump",
+    "write_reports",
     "SD_FOOTNOTE",
 ]
 
@@ -215,6 +216,22 @@ def write_lot_dump(path: Path, variant_reps: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_reports(out_dir: Path, table: ComparisonTable, variant_reps: list,
+                  formats: tuple) -> dict:
+    """Write `table` in each of `formats` ("csv", "json") and the per-lot
+    dump of `variant_reps` to `out_dir`, each file named after the table's
+    title; returns the paths by format, the dump under "lots"."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for fmt, render in (("csv", table.to_csv), ("json", table.to_json)):
+        if fmt in formats:
+            paths[fmt] = out_dir / f"{table.title}.{fmt}"
+            paths[fmt].write_text(render(), encoding="utf-8")
+    paths["lots"] = out_dir / f"{table.title}_lots.csv"
+    write_lot_dump(paths["lots"], variant_reps)
+    return paths
+
+
 def run_experiment(
     spec: ExperimentSpec,
     replications: int | None = None,
@@ -230,20 +247,7 @@ def run_experiment(
         for label, cfg in spec.variants
     ]
     table = build_table(spec.name, metrics, variant_reps)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    if "csv" in spec.formats:
-        p = spec.out_dir / f"{spec.name}.csv"
-        p.write_text(table.to_csv(), encoding="utf-8")
-        paths["csv"] = p
-    if "json" in spec.formats:
-        p = spec.out_dir / f"{spec.name}.json"
-        p.write_text(table.to_json(), encoding="utf-8")
-        paths["json"] = p
-    dump = spec.out_dir / f"{spec.name}_lots.csv"
-    write_lot_dump(dump, variant_reps)
-    paths["lots"] = dump
-    return table, paths
+    return table, write_reports(spec.out_dir, table, variant_reps, spec.formats)
 
 
 # ---------------------------------------------------------------------------

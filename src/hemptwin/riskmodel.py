@@ -9,7 +9,9 @@ simulation, growth noises mapped through exact truncated-normal inverse CDFs,
 and the multiplicative extraction/winterization/purification pipeline with
 the data-driven purification pass count.  Given the seeds the output is
 fully deterministic, so redrawing a subset of inputs while holding the rest
-fixed is exact.
+fixed is exact.  `FinalProductModel(cfg, target, t_prime_sample)` reads the
+growth, limit, fraction and cultivation parameters from the scenario `cfg`
+itself.
 
 For the decomposition (`FinalProductModel.subset_outputs`), each input's
 outer and inner seeds are transformed once per block of outer rows and set on
@@ -74,20 +76,12 @@ def _truncated_normal_from_seed(u, sigma, lower):
 
 @dataclass
 class FinalProductModel:
-    """Deterministic map from uniform input seeds to final CBD or THC."""
+    """Deterministic map from uniform input seeds to final CBD or THC under
+    the scenario `cfg`."""
 
+    cfg: ScenarioConfig
     target: str  # "cbd" or "thc"
-    growth_rate: float
-    cbd_thc_ratio: float
-    lambda_var: float
-    thc_final_limit: float
-    max_plc_passes: int
-    cultivation_days: float
     t_prime_sample: np.ndarray
-    extraction_bounds: tuple
-    winterization_bounds: tuple
-    plc_cbd_bounds: tuple
-    plc_thc_bounds: tuple
     factor_names: tuple = field(init=False)
 
     def __post_init__(self) -> None:
@@ -95,26 +89,6 @@ class FinalProductModel:
         self.t_prime_sample = np.sort(np.asarray(self.t_prime_sample, dtype=float))
         if self.t_prime_sample.size == 0:
             raise ValueError("empty t' sample")
-
-    @classmethod
-    def from_config(
-        cls, cfg: ScenarioConfig, target: str, t_prime_sample
-    ) -> "FinalProductModel":
-        dur = cfg.duration("cultivation")
-        return cls(
-            target=target,
-            growth_rate=cfg.growth_rate,
-            cbd_thc_ratio=cfg.cbd_thc_ratio,
-            lambda_var=cfg.lambda_var,
-            thc_final_limit=cfg.thc_final_limit,
-            max_plc_passes=cfg.max_plc_passes,
-            cultivation_days=0.5 * (dur.lo + dur.hi),
-            t_prime_sample=t_prime_sample,
-            extraction_bounds=(cfg.extraction_lo, cfg.extraction_hi),
-            winterization_bounds=(cfg.winterization_lo, cfg.winterization_hi),
-            plc_cbd_bounds=(cfg.plc_cbd_lo, cfg.plc_cbd_hi),
-            plc_thc_bounds=(cfg.plc_thc_lo, cfg.plc_thc_hi),
-        )
 
     @property
     def n_inputs(self) -> int:
@@ -161,24 +135,26 @@ class FinalProductModel:
 
     def _eps_prime(self, t_seeds: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Growth noise after sampling, given the t' seeds."""
-        g = self.growth_rate
+        g = self.cfg.growth_rate
         t_p = self._t_prime(t_seeds)
-        sigma_p = self.lambda_var * np.sqrt(g * t_p)
+        sigma_p = self.cfg.lambda_var * np.sqrt(g * t_p)
         return _truncated_normal_from_seed(seeds, sigma_p, -g * t_p)
 
     def _transforms(self, cols: dict) -> dict:
         """Each input's transform of one block, except eps': eps becomes
         g*t_c + eps and t_prime becomes g*t'."""
-        g = self.growth_rate
-        t_c = self.cultivation_days
-        sigma_c = self.lambda_var * math.sqrt(g * t_c)
+        cfg = self.cfg
+        g = cfg.growth_rate
+        cultivation = cfg.stage_durations.cultivation
+        t_c = 0.5 * (cultivation.lo + cultivation.hi)  # the mean cultivation time
+        sigma_c = cfg.lambda_var * math.sqrt(g * t_c)
         eps = _truncated_normal_from_seed(cols["eps"], sigma_c, -g * t_c)
         x = {"eps": g * t_c + eps, "t_prime": g * self._t_prime(cols["t_prime"])}
         uniform = {
-            "q_extract": self.extraction_bounds,
-            "w_winter": self.winterization_bounds,
-            "q_v": self.plc_thc_bounds,
-            "q_u": self.plc_cbd_bounds,  # not an input of the THC model
+            "q_extract": (cfg.extraction_lo, cfg.extraction_hi),
+            "w_winter": (cfg.winterization_lo, cfg.winterization_hi),
+            "q_v": (cfg.plc_thc_lo, cfg.plc_thc_hi),
+            "q_u": (cfg.plc_cbd_lo, cfg.plc_cbd_hi),  # not an input of the THC model
         }
         for name, (lo, hi) in uniform.items():
             if name in cols:
@@ -188,11 +164,12 @@ class FinalProductModel:
     def _output(self, x: dict) -> np.ndarray:
         """Final CBD or THC from the transformed inputs: eps is g*t_c + eps,
         t_prime is g*t'."""
-        r = self.cbd_thc_ratio
+        cfg = self.cfg
+        r = cfg.cbd_thc_ratio
         total = x["eps"] + x["t_prime"] + x["eps_prime"]
         q, w, q_v = x["q_extract"], x["w_winter"], x["q_v"]
         thc_1 = total / (r + 1.0) * q * w * q_v
-        second = (thc_1 >= self.thc_final_limit) & (self.max_plc_passes >= 2)
+        second = (thc_1 >= cfg.thc_final_limit) & (cfg.max_plc_passes >= 2)
         if self.target == "thc":
             return np.where(second, thc_1 * q_v, thc_1)
         cbd_1 = total * r / (r + 1.0) * q * w * x["q_u"]
@@ -235,9 +212,6 @@ class RiskDecomposition:
             np.mean([abs(float(np.sum(r.rc)) - 1.0) for r in self.results])
         )
 
-    def ranking(self) -> list:
-        order = np.argsort(-self.rc_mean)
-        return [(self.labels[i], float(self.rc_mean[i])) for i in order]
 
 
 def decompose_final_product(
@@ -263,7 +237,7 @@ def decompose_final_product(
     check_counts(**counts)
     if t_prime_sample is None:
         t_prime_sample = collect_t_prime_samples(cfg)
-    model = FinalProductModel.from_config(cfg, target, t_prime_sample)
+    model = FinalProductModel(cfg, target, t_prime_sample)
     seed = cfg.run.master_seed if seed is None else seed
     results: list[ShapleyResult] = []
     for j in range(macro_replications):

@@ -204,7 +204,8 @@ class SupplyChainSimulation:
                 lot.id, Stage.PREHARVEST_TEST, lot.pending_duration, lot.state,
                 "proceed",
             ))
-            on_resolved = lambda ok, lot=lot: self._preharvest_resolved(lot, ok)
+            on_resolved = lambda ok, lot=lot, tampered=result.tampered: (
+                self._preharvest_resolved(lot, ok, tampered))
         self._submit(
             lot, RecordKind.PREHARVEST_RESULT, ParticipantRole.LAB,
             {"cbd": lot.state.cbd_pct, "thc": result.reported_thc,
@@ -214,7 +215,7 @@ class SupplyChainSimulation:
             on_resolved=on_resolved,
         )
 
-    def _preharvest_resolved(self, lot: Lot, accepted: bool) -> None:
+    def _preharvest_resolved(self, lot: Lot, accepted: bool, tampered: bool) -> None:
         if lot.terminated:
             return
         if not accepted:
@@ -222,7 +223,7 @@ class SupplyChainSimulation:
             # re-trigger the destruction the falsifier tried to dodge
             self._end(lot, DropReason.PREHARVEST_FAIL, lot.pending_duration)
             return
-        if lot.state.thc_pct > self.cfg.thc_preharvest_limit:
+        if tampered:
             lot.false_pass_preharvest = True
         delay = self.cfg.harvest_delay_days
         if delay > 0:
@@ -277,14 +278,15 @@ class SupplyChainSimulation:
             {"harvest_window_days": reported_window, "completed_at": now},
             true_values={"harvest_window_days": t_prime},
             tampered=tampered,
-            on_resolved=lambda ok, lot=lot: self._harvest_record_resolved(lot, ok),
+            on_resolved=lambda ok, lot=lot, tampered=tampered: (
+                self._harvest_record_resolved(lot, ok, tampered)),
         )
         self.calendar.schedule(
             now + cfg.dry_wait_limit,
             lambda token=lot.dry_episode: self._dry_timeout(lot, token),
         )
 
-    def _harvest_record_resolved(self, lot: Lot, accepted: bool) -> None:
+    def _harvest_record_resolved(self, lot: Lot, accepted: bool, tampered: bool) -> None:
         if lot.terminated or not lot.dry_active:
             return
         if not accepted:
@@ -296,7 +298,7 @@ class SupplyChainSimulation:
             ))
             self._enter_test_queue(lot)
             return
-        if lot.inputs.t_prime > self.cfg.harvest_deadline_days:
+        if tampered:
             lot.false_pass_harvest = True
         lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
         lot.dryer_request = self.dryer_pool.serve(
@@ -408,16 +410,17 @@ class SupplyChainSimulation:
             {"cbd": lot.state.cbd_pct, "thc": result.reported_thc},
             true_values={"thc": result.true_thc},
             tampered=result.tampered,
-            on_resolved=lambda ok, lot=lot: self._coa_resolved(lot, ok),
+            on_resolved=lambda ok, lot=lot, tampered=result.tampered: (
+                self._coa_resolved(lot, ok, tampered)),
         )
 
-    def _coa_resolved(self, lot: Lot, accepted: bool) -> None:
+    def _coa_resolved(self, lot: Lot, accepted: bool, tampered: bool) -> None:
         if lot.terminated:
             return
         if not accepted:
             self._end(lot, DropReason.FINAL_COA_FAIL, self.cfg.duration("final_coa").hi)
             return
-        if lot.state.thc_pct >= self.cfg.thc_final_limit:
+        if tampered:
             lot.fake_qualified = True
         self._terminate(lot, Stage.FINISHED, None)
 

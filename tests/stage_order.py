@@ -87,6 +87,4 @@ def validate_stage_trace(trace: list[Stage]) -> bool:
 
 def with_durations(cfg: ScenarioConfig, **overrides: StageDuration) -> ScenarioConfig:
     """`cfg` with the duration ranges of the named stages replaced."""
-    merged = dict(cfg.stage_durations)
-    merged.update(overrides)
-    return replace(cfg, stage_durations=tuple(sorted(merged.items())))
+    return replace(cfg, stage_durations=replace(cfg.stage_durations, **overrides))

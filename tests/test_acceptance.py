@@ -227,7 +227,7 @@ def test_criterion_07_risk_ranking_and_brackets(risk_results):
     assert max(thc_rc, key=thc_rc.get) == "eps"
     assert 0.55 <= cbd_rc["eps"] <= 0.85, cbd_rc
     assert 0.45 <= thc_rc["eps"] <= 0.75, thc_rc
-    ranked = [label for label, _ in thc.ranking()]
+    ranked = sorted(thc_rc, key=thc_rc.get, reverse=True)
     assert set(ranked[1:3]) == {"q_v", "eps_prime"}, ranked
     print(f"CRITERION 7 PASS: eps leads with CBD {100*cbd_rc['eps']:.1f}% / "
           f"THC {100*thc_rc['eps']:.1f}%; THC runners-up {ranked[1:3]}")

@@ -12,7 +12,6 @@ from hemptwin.config import (
     ConfigError,
     ConfigValidationError,
     RunConfig,
-    ScenarioConfig,
     StageDuration,
     Topology,
     config_from_text,
@@ -170,29 +169,29 @@ def test_unknown_topology_rejected():
 def _with(cfg, path, value):
     """`cfg` with the field at dotted `path` set to `value`."""
     head, _, rest = path.partition(".")
-    if head == "stage_durations":
-        stage, end = rest.split(".")
-        bounds = dataclasses.replace(cfg.duration(stage), **{end: value})
-        return with_durations(cfg, **{stage: bounds})
     if rest:
         value = _with(getattr(cfg, head), rest, value)
     return dataclasses.replace(cfg, **{head: value})
 
 
-def test_every_field_has_a_file_key():
-    paths = {path for path, _ in FILE_KEYS.values()}
-    expected = set()
-    for f in dataclasses.fields(ScenarioConfig):
-        if f.name in ("chain", "run"):
-            sub = ChainConfig if f.name == "chain" else RunConfig
-            expected |= {f"{f.name}.{g.name}" for g in dataclasses.fields(sub)}
-        elif f.name == "stage_durations":
-            expected |= {f"stage_durations.{stage}.{end}"
-                         for stage in DURATION_STAGES for end in ("lo", "hi")}
+def _leaf_paths(obj, prefix=""):
+    """Dotted path of every field under dataclass `obj` that is not itself a
+    dataclass."""
+    paths = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            paths += _leaf_paths(value, f"{prefix}{f.name}.")
         else:
-            expected.add(f.name)
-    assert expected - paths == set()
-    assert len(paths) == len(FILE_KEYS)
+            paths.append(prefix + f.name)
+    return paths
+
+
+def test_every_field_has_a_file_key():
+    paths = [path for path, _, _ in FILE_KEYS.values()]
+    assert sorted(paths) == sorted(_leaf_paths(default_config()))
+    assert [key.split(".")[1] for key in FILE_KEYS if key.startswith("durations.")] \
+        == [stage for stage in DURATION_STAGES for _ in ("lo", "hi")]
 
 
 def test_round_trip_keeps_fields_the_old_format_dropped():
@@ -209,12 +208,16 @@ def test_unparsable_value_names_line_and_key(line):
         config_from_text("growth.g = 0.002\n" + line + "\n")
 
 
-def _violation_keys(cfg):
+def _violations(cfg):
     try:
         validate_config(cfg)
     except ConfigValidationError as err:
-        return {key for key, _, _ in err.violations}
-    return set()
+        return err.violations
+    return []
+
+
+def _violation_keys(cfg):
+    return {key for key, _, _ in _violations(cfg)}
 
 
 def test_validation_reports_only_file_keys():
@@ -223,7 +226,7 @@ def test_validation_reports_only_file_keys():
         for bad in ({int: -1, float: -1.0}, {int: 0, float: math.nan}):
             cfg = dataclasses.replace(
                 default_config(), chain=ChainConfig(topology=topology))
-            for path, parse in FILE_KEYS.values():
+            for path, parse, _ in FILE_KEYS.values():
                 if parse in bad:
                     cfg = _with(cfg, path, bad[parse])
             reported |= _violation_keys(cfg)
@@ -245,9 +248,63 @@ def _strategy(key, parse):
 
 @settings(max_examples=60, deadline=None)
 @given(st.fixed_dictionaries(
-    {key: _strategy(key, parse) for key, (_, parse) in FILE_KEYS.items()}))
+    {key: _strategy(key, parse) for key, (_, parse, _) in FILE_KEYS.items()}))
 def test_round_trip_property(values):
     cfg = default_config()
     for key, value in values.items():
         cfg = _with(cfg, FILE_KEYS[key][0], value)
     assert config_from_text(config_to_text(cfg)) == cfg
+
+
+NUMERIC_KEYS = [key for key, (_, parse, _) in FILE_KEYS.items() if parse in (int, float)]
+CHAIN_COUNTS = ("chain.n_shards", "chain.n_s", "chain.n_r")
+
+
+def _named(cfg, key):
+    """The (key, kind) violations of `cfg` that name exactly `key`."""
+    return [(k, kind) for k, kind, _ in _violations(cfg) if k == key]
+
+
+def _ends(domain, parse):
+    """(inside, outside) value pairs at each end of `domain`."""
+    def step(value, direction):
+        return value + direction if parse is int else math.nextafter(value, direction * math.inf)
+
+    if domain.open_low:
+        ends = [(step(domain.low, 1), domain.low)]
+    else:
+        ends = [(domain.low, step(domain.low, -1))]
+    if domain.high < math.inf:
+        ends.append((domain.high, step(domain.high, 1)))
+    return [(parse(inside), parse(outside)) for inside, outside in ends]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_numeric_key_boundary_accepted_and_just_outside_rejected(key):
+    path, parse, domain = FILE_KEYS[key]
+    # dynamic dryer sizing lets resources.n_d sit at its boundary, zero
+    base = dataclasses.replace(default_config(), dynamic_dryers=True)
+    if domain is None:
+        # the chain counts are checked per topology: the two-layer chain
+        # needs at least one of each
+        assert key in CHAIN_COUNTS
+        assert _named(_with(base, path, 1), key) == []
+        assert _named(_with(base, path, 0), key) == [(key, "zero_resource")]
+        return
+    for inside, outside in _ends(domain, parse):
+        assert _named(_with(base, path, inside), key) == [], inside
+        assert _named(_with(base, path, outside), key) == [(key, domain.kind)], outside
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_each_key_reports_at_most_one_violation(topology):
+    base = dataclasses.replace(default_config(), chain=ChainConfig(topology=topology))
+    for key in NUMERIC_KEYS:
+        path, parse, _ = FILE_KEYS[key]
+        values = (-1, 0, 2) if parse is int else (-1.0, 0.0, 1.5, 2e9, math.nan,
+                                                  math.inf, -math.inf)
+        for value in values:
+            assert len(_named(_with(base, path, value), key)) <= 1, (key, value)
+    for key in ("run.reps", "run.length"):
+        cfg = _with(base, FILE_KEYS[key][0], -1)
+        assert _named(cfg, key) == [(key, "invalid_range")]

@@ -26,7 +26,7 @@ def t_prime():
 
 
 def make_model(target, t_prime):
-    return FinalProductModel.from_config(default_config(), target, t_prime)
+    return FinalProductModel(default_config(), target, t_prime)
 
 
 def test_factor_lists():
@@ -114,7 +114,7 @@ def test_high_growth_draws_get_second_purification_pass(t_prime):
     y_cold = model(cold)[0]
     assert y_hot > y_cold
     # the cold path passes in one purification round
-    assert y_cold < model.thc_final_limit
+    assert y_cold < model.cfg.thc_final_limit
 
 
 def test_t_prime_resampled_within_observed_range(t_prime):
@@ -184,5 +184,5 @@ def test_output_replays_the_one_pass_lots_of_a_replication():
     x["t_prime"] = g * x["t_prime"]
     for target, final in (("cbd", [lot.state.cbd_pct for lot in lots]),
                           ("thc", [lot.state.thc_pct for lot in lots])):
-        model = FinalProductModel.from_config(cfg, target, [1.0])
+        model = FinalProductModel(cfg, target, [1.0])
         np.testing.assert_allclose(model._output(x), final, rtol=1e-12, atol=0.0)

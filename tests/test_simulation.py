@@ -76,6 +76,55 @@ def test_disabled_ledger_lets_false_passes_through():
     assert stats.verification_mean == 0.0
 
 
+class _ThresholdFlags(SupplyChainSimulation):
+    """Records, per lot, the flags that comparing the gate thresholds at
+    each accepted gate record would set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.by_threshold = {}
+
+    def _flag(self, lot, name, beyond):
+        if beyond:
+            self.by_threshold.setdefault(lot.id, set()).add(name)
+
+    def _preharvest_resolved(self, lot, accepted, tampered):
+        if accepted and not lot.terminated:
+            self._flag(lot, "false_pass_preharvest",
+                       lot.state.thc_pct > self.cfg.thc_preharvest_limit)
+        super()._preharvest_resolved(lot, accepted, tampered)
+
+    def _harvest_record_resolved(self, lot, accepted, tampered):
+        if accepted and not lot.terminated and lot.dry_active:
+            self._flag(lot, "false_pass_harvest",
+                       lot.t_prime_legs[-1] > self.cfg.harvest_deadline_days)
+        super()._harvest_record_resolved(lot, accepted, tampered)
+
+    def _coa_resolved(self, lot, accepted, tampered):
+        if accepted and not lot.terminated:
+            self._flag(lot, "fake_qualified",
+                       lot.state.thc_pct >= self.cfg.thc_final_limit)
+        super()._coa_resolved(lot, accepted, tampered)
+
+
+def test_false_pass_flags_equal_the_gate_threshold_comparison():
+    # a flag is set when the ledger accepts a falsified gate record; that is
+    # the only way past a gate with a value beyond its threshold.  Scarce
+    # field workers and lab servers make late harvests, so every flag occurs.
+    cfg = with_topology(small_cfg(n_field_workers=5, n_lab_servers=3), Topology.TWO_LAYER)
+    cfg = dataclasses.replace(
+        cfg, chain=dataclasses.replace(cfg.chain, miss_probability=0.5),
+        run=dataclasses.replace(cfg.run, run_length_lots=400))
+    sim = _ThresholdFlags(cfg, 0)
+    sim.run()
+    flags = ("false_pass_preharvest", "false_pass_harvest", "fake_qualified")
+    for name in flags:
+        assert any(getattr(lot, name) for lot in sim.measured), name
+    for lot in sim.measured:
+        set_flags = {name for name in flags if getattr(lot, name)}
+        assert set_flags == sim.by_threshold.get(lot.id, set()), lot.id
+
+
 def test_gate_soundness_with_no_tampering():
     # with tampering off, no lot over the pre-harvest limit may reach drying
     # and no lot at/over the final limit may finish
