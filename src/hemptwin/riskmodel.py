@@ -213,7 +213,6 @@ class RiskDecomposition:
         )
 
 
-
 def decompose_final_product(
     cfg: ScenarioConfig,
     target: str,

@@ -190,8 +190,8 @@ def _leaf_paths(obj, prefix=""):
 def test_every_field_has_a_file_key():
     paths = [path for path, _, _ in FILE_KEYS.values()]
     assert sorted(paths) == sorted(_leaf_paths(default_config()))
-    assert [key.split(".")[1] for key in FILE_KEYS if key.startswith("durations.")] \
-        == [stage for stage in DURATION_STAGES for _ in ("lo", "hi")]
+    durations = [key.split(".")[1] for key in FILE_KEYS if key.startswith("durations.")]
+    assert durations == [stage for stage in DURATION_STAGES for _ in ("lo", "hi")]
 
 
 def test_round_trip_keeps_fields_the_old_format_dropped():
@@ -268,7 +268,9 @@ def _named(cfg, key):
 def _ends(domain, parse):
     """(inside, outside) value pairs at each end of `domain`."""
     def step(value, direction):
-        return value + direction if parse is int else math.nextafter(value, direction * math.inf)
+        if parse is int:
+            return value + direction
+        return math.nextafter(value, direction * math.inf)
 
     if domain.open_low:
         ends = [(step(domain.low, 1), domain.low)]
