@@ -29,10 +29,10 @@ sim = SupplyChainSimulation(cfg, replication_index=0)
 stats = sim.run()
 
 print(f"measured lots: {stats.lots_observed}")
-outcomes = collections.Counter(
+endings = collections.Counter(
     (out.outcome, out.drop_reason or "-") for out in stats.lot_outputs
 )
-for (outcome, reason), count in outcomes.most_common():
+for (outcome, reason), count in endings.most_common():
     print(f"  {outcome:12s} {reason:24s} {count:4d}")
 
 print(f"\nmean ledger verification time: {stats.verification_mean:.3f} days")

@@ -28,7 +28,6 @@ from .domain import (
     RandomInputs,
     ReplicationStats,
     Stage,
-    StageOutcome,
 )
 from .kernel import EventCalendar, ResourcePool, TimeInPastError
 from .ledger import (

@@ -17,7 +17,6 @@ __all__ = [
     "RandomInputs",
     "Lot",
     "LotOutput",
-    "StageOutcome",
     "ReplicationStats",
 ]
 
@@ -96,7 +95,6 @@ class Lot:
     cannabinoid_history: list = field(default_factory=list)
     timestamps: dict = field(default_factory=dict)
     stage_log: list = field(default_factory=list)
-    outcomes: list = field(default_factory=list)
     drop_reason: DropReason | None = None
     inputs: RandomInputs = field(default_factory=RandomInputs)
 
@@ -118,7 +116,6 @@ class Lot:
     tamper: RngStream | None = None  # falsification draws
     pending_parallel: int = 0  # germination / soil preparation still running
     cultivation_days: float = 0.0
-    pending_duration: float = 0.0  # duration of the pooled step in progress
     harvest_end: float = 0.0
     dry_episode: int = 0  # harvests completed; stale dry-wait timeouts compare it
     dry_active: bool = False  # wet biomass waiting for or entering a dryer
@@ -142,35 +139,6 @@ class Lot:
     def record_state(self, stage: Stage, state: CannabinoidState) -> None:
         self.state = state
         self.cannabinoid_history.append((stage, state))
-
-
-@dataclass(frozen=True)
-class StageOutcome:
-    """Decision record for one gate or wait-limit event.
-
-    `decision` is one of "proceed", "destroy", "drop", "retest"; destruction
-    happens only at the two test gates and drops only at the transplant and
-    drying waits.
-    """
-
-    lot_id: str
-    stage: Stage
-    duration: float
-    state_after: CannabinoidState
-    decision: str
-
-    _DESTROY_STAGES = frozenset({Stage.PREHARVEST_TEST, Stage.FINAL_COA})
-    _DROP_STAGES = frozenset({Stage.TRANSPLANT, Stage.DRY_WAIT})
-
-    def __post_init__(self) -> None:
-        if self.decision not in ("proceed", "destroy", "drop", "retest"):
-            raise ValueError(f"unknown decision {self.decision!r}")
-        if self.decision == "destroy" and self.stage not in self._DESTROY_STAGES:
-            raise ValueError(f"destroy is not legal at {self.stage}")
-        if self.decision == "drop" and self.stage not in self._DROP_STAGES:
-            raise ValueError(f"drop is not legal at {self.stage}")
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
 
 
 @dataclass

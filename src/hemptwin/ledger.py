@@ -583,18 +583,17 @@ class LedgerSystem:
 
     def submit(
         self, record: DataRecord, on_resolved: Callable[[bool], None] | None = None
-    ) -> RecordTicket:
+    ) -> None:
         record.validate()
         ticket = RecordTicket(record, on_resolved)
         if not self.shard_pools:
             # no ledger: face-value acceptance, zero delay, no detection
             ticket.verification_time = 0.0
             self._resolve(ticket, True)
-            return ticket
+            return
         shard = ticket.shard = assign_shard(record.location_index, len(self.shard_pools))
         self.shard_pools[shard].serve(record.record_id, self._verify_holds[shard],
                                       lambda: self._finish_verification(ticket))
-        return ticket
 
     def _finish_verification(self, ticket: RecordTicket) -> None:
         now = self.calendar.now

@@ -25,14 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig, validate_config
-from .domain import (
-    DropReason,
-    Lot,
-    LotOutput,
-    ReplicationStats,
-    Stage,
-    StageOutcome,
-)
+from .domain import DropReason, Lot, LotOutput, ReplicationStats, Stage
 from .kernel import EventCalendar, PoolRequest, ResourcePool
 from .ledger import DataRecord, LedgerSystem, ParticipantRole, RecordKind
 from .randomness import RngStream, sample_growth_noise
@@ -41,17 +34,14 @@ from . import stages
 __all__ = ["SupplyChainSimulation", "run_replication"]
 
 
-# How each drop reason ends a lot: the stage its decision outcome is recorded
-# at, the terminal stage, the decision word, and the ReplicationStats counter.
+# How each drop reason (None: finished) ends a lot: the terminal stage and the
+# ReplicationStats counter.
 _ENDINGS = {
-    DropReason.SEEDLING_WAIT_EXCEEDED:
-        (Stage.TRANSPLANT, Stage.DROPPED, "drop", "seedling_drop_count"),
-    DropReason.DRY_WAIT_EXCEEDED:
-        (Stage.DRY_WAIT, Stage.DROPPED, "drop", "dry_drop_count"),
-    DropReason.PREHARVEST_FAIL:
-        (Stage.PREHARVEST_TEST, Stage.DESTROYED, "destroy", "destroyed_preharvest_count"),
-    DropReason.FINAL_COA_FAIL:
-        (Stage.FINAL_COA, Stage.DESTROYED, "destroy", "destroyed_final_count"),
+    None: (Stage.FINISHED, "finished_count"),
+    DropReason.SEEDLING_WAIT_EXCEEDED: (Stage.DROPPED, "seedling_drop_count"),
+    DropReason.DRY_WAIT_EXCEEDED: (Stage.DROPPED, "dry_drop_count"),
+    DropReason.PREHARVEST_FAIL: (Stage.DESTROYED, "destroyed_preharvest_count"),
+    DropReason.FINAL_COA_FAIL: (Stage.DESTROYED, "destroyed_final_count"),
 }
 
 
@@ -81,7 +71,7 @@ class SupplyChainSimulation:
 
         target = cfg.run.warmup_lots + cfg.run.run_length_lots
         self._target = target
-        self._max_seasons = -(-target // max(cfg.n_lots_per_season, 1)) + 2
+        self._max_seasons = -(-target // cfg.n_lots_per_season) + 2
         self._terminations = 0
         self.done = False
         self.measured: list[Lot] = []
@@ -157,7 +147,7 @@ class SupplyChainSimulation:
         if req.granted or lot.terminated:
             return
         req.cancel()
-        self._end(lot, DropReason.SEEDLING_WAIT_EXCEEDED, self.cfg.seedling_wait_limit)
+        self._end(lot, DropReason.SEEDLING_WAIT_EXCEEDED)
 
     # ----------------------------------------------------- field operations
 
@@ -197,13 +187,9 @@ class SupplyChainSimulation:
         tampered = would_fail and lot.tamper.bernoulli(cfg.tamper_probability)
         result = stages.preharvest_gate(lot.state, cfg.thc_preharvest_limit, tampered)
         if result.decision is stages.GateDecision.DESTROY:
-            self._end(lot, DropReason.PREHARVEST_FAIL, lot.pending_duration)
+            self._end(lot, DropReason.PREHARVEST_FAIL)
             on_resolved = None
         else:
-            lot.outcomes.append(StageOutcome(
-                lot.id, Stage.PREHARVEST_TEST, lot.pending_duration, lot.state,
-                "proceed",
-            ))
             on_resolved = lambda ok, lot=lot, tampered=result.tampered: (
                 self._preharvest_resolved(lot, ok, tampered))
         self._submit(
@@ -221,7 +207,7 @@ class SupplyChainSimulation:
         if not accepted:
             # on-site validation exposed the falsified result; the true values
             # re-trigger the destruction the falsifier tried to dodge
-            self._end(lot, DropReason.PREHARVEST_FAIL, lot.pending_duration)
+            self._end(lot, DropReason.PREHARVEST_FAIL)
             return
         if tampered:
             lot.false_pass_preharvest = True
@@ -256,10 +242,6 @@ class SupplyChainSimulation:
         decision, reported_window, tampered = stages.harvest_deadline_gate(
             t_prime, cfg.harvest_deadline_days, tampered
         )
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.HARVEST, lot.pending_duration, state,
-            "retest" if decision is stages.GateDecision.RETEST else "proceed",
-        ))
         if decision is stages.GateDecision.RETEST:
             self._enter_test_queue(lot)
             return
@@ -293,9 +275,6 @@ class SupplyChainSimulation:
             # regulator uncovered the falsified completion date: back to testing
             lot.dry_active = False
             self._dry_phase -= 1
-            lot.outcomes.append(StageOutcome(
-                lot.id, Stage.HARVEST, lot.pending_duration, lot.state, "retest"
-            ))
             self._enter_test_queue(lot)
             return
         if tampered:
@@ -315,7 +294,7 @@ class SupplyChainSimulation:
         if lot.stage is not Stage.DRY_WAIT:
             # record still pending resolution; the biomass spoiled regardless
             lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
-        self._end(lot, DropReason.DRY_WAIT_EXCEEDED, self.cfg.dry_wait_limit)
+        self._end(lot, DropReason.DRY_WAIT_EXCEEDED)
 
     # ------------------------------------------------------- stabilization
 
@@ -393,16 +372,10 @@ class SupplyChainSimulation:
             lot.state, cfg.thc_final_limit, lot.plc_passes, cfg.max_plc_passes,
             tampered,
         )
-        coa_hi = cfg.duration("final_coa").hi
         if result.decision is stages.GateDecision.REJECT:
-            self._end(lot, DropReason.FINAL_COA_FAIL, coa_hi)
+            self._end(lot, DropReason.FINAL_COA_FAIL)
             return
-        repeat = result.decision is stages.GateDecision.REPEAT_PLC
-        lot.outcomes.append(StageOutcome(
-            lot.id, Stage.FINAL_COA, coa_hi, lot.state,
-            "retest" if repeat else "proceed",
-        ))
-        if repeat:
+        if result.decision is stages.GateDecision.REPEAT_PLC:
             self._step(lot, self.processor_pool, Stage.PLC, "plc", self._plc_done)
             return
         self._submit(
@@ -418,11 +391,11 @@ class SupplyChainSimulation:
         if lot.terminated:
             return
         if not accepted:
-            self._end(lot, DropReason.FINAL_COA_FAIL, self.cfg.duration("final_coa").hi)
+            self._end(lot, DropReason.FINAL_COA_FAIL)
             return
         if tampered:
             lot.fake_qualified = True
-        self._terminate(lot, Stage.FINISHED, None)
+        self._end(lot, None)
 
     # ----------------------------------------------------------- accounting
 
@@ -430,28 +403,21 @@ class SupplyChainSimulation:
               duration_key: str, then) -> PoolRequest | None:
         """Serve `lot` at one server of `pool`.  On the grant it enters
         `stage` (None: entered at queue time) and holds the server for a
-        `duration_key` draw kept in `lot.pending_duration`; then the server
-        is released and `then(lot)` runs.  Returns the request's handle if it
-        had to queue, None if a server was free."""
+        `duration_key` draw; then the server is released and `then(lot)`
+        runs.  Returns the request's handle if it had to queue, None if a
+        server was free."""
 
         def hold() -> float:
             if stage is not None:
                 lot.enter_stage(stage, self.calendar.now)
-            lot.pending_duration = self._dur(lot, duration_key)
-            return lot.pending_duration
+            return self._dur(lot, duration_key)
 
         return pool.serve(lot.id, hold, lambda: then(lot))
 
-    def _end(self, lot: Lot, reason: DropReason, duration: float) -> None:
-        """Record the decision that drops or destroys `lot`, then terminate it."""
-        outcome_stage, terminal, decision, _ = _ENDINGS[reason]
-        lot.outcomes.append(
-            StageOutcome(lot.id, outcome_stage, duration, lot.state, decision)
-        )
-        self._terminate(lot, terminal, reason)
-
-    def _terminate(self, lot: Lot, stage: Stage, reason: DropReason | None) -> None:
-        lot.enter_stage(stage, self.calendar.now)
+    def _end(self, lot: Lot, reason: DropReason | None) -> None:
+        """Terminate `lot`: finished when `reason` is None, else dropped or
+        destroyed for `reason`."""
+        lot.enter_stage(_ENDINGS[reason][0], self.calendar.now)
         lot.drop_reason = reason
         lot.terminated = True
         lot.termination_time = self.calendar.now
@@ -480,7 +446,7 @@ class SupplyChainSimulation:
         true_values: dict | None = None,
         tampered: bool = False,
         on_resolved=None,
-    ) -> DataRecord:
+    ) -> None:
         self._record_seq += 1
         record = DataRecord(
             record_id=f"r{self._record_seq:06d}",
@@ -494,7 +460,6 @@ class SupplyChainSimulation:
             tampered=tampered,
         )
         self.ledger.submit(record, on_resolved)
-        return record
 
     def _collect_stats(self) -> ReplicationStats:
         stats = ReplicationStats(replication_index=self.rep)
@@ -502,11 +467,8 @@ class SupplyChainSimulation:
         stats.lots_observed = len(self.measured)
         for lot in self.measured:
             finished = lot.stage is Stage.FINISHED
-            if finished:
-                stats.finished_count += 1
-            else:
-                *_, counter = _ENDINGS[lot.drop_reason]
-                setattr(stats, counter, getattr(stats, counter) + 1)
+            _, counter = _ENDINGS[lot.drop_reason]
+            setattr(stats, counter, getattr(stats, counter) + 1)
             stats.false_pass_preharvest += lot.false_pass_preharvest
             stats.false_pass_harvest += lot.false_pass_harvest
             stats.fake_qualified += lot.fake_qualified

@@ -133,56 +133,56 @@ class TestSubmission:
 class TestVerification:
     def test_honest_record_verified_and_blocked(self):
         cal, system = build_system(two_layer_cfg(n_shards=1))
-        outcomes = []
-        system.submit(make_record(0), outcomes.append)
+        verdicts = []
+        system.submit(make_record(0), verdicts.append)
         cal.run()
-        assert outcomes == [True]
+        assert verdicts == [True]
         assert len(system.chain.shards[0]) == 1
         assert system.chain.shards[0][0].height == 0
 
     def test_tampered_record_rejected_and_not_blocked(self):
         cal, system = build_system(two_layer_cfg(n_shards=1))
-        outcomes = []
+        verdicts = []
         system.submit(
             make_record(0, RecordKind.PREHARVEST_RESULT, tampered=True),
-            outcomes.append,
+            verdicts.append,
         )
         cal.run()
-        assert outcomes == [False]
+        assert verdicts == [False]
         assert len(system.chain.shards.get(0, [])) == 0
 
     def test_detection_rate_is_total(self):
         cal, system = build_system(two_layer_cfg(), keep_chain=False)
-        outcomes = []
+        verdicts = []
         for i in range(1000):
             cal.schedule(
                 float(i),
                 lambda i=i: system.submit(
                     make_record(i, RecordKind.HARVEST_DATA, location=i % 2,
                                 tampered=True, submitted_at=cal.now),
-                    outcomes.append,
+                    verdicts.append,
                 ),
             )
         cal.run()
-        assert outcomes == [False] * 1000
+        assert verdicts == [False] * 1000
 
     def test_miss_probability_knob_lets_some_tampering_through(self):
         cal, system = build_system(
             two_layer_cfg(miss_probability=0.25), keep_chain=False
         )
-        outcomes = []
+        verdicts = []
         for i in range(2000):
             cal.schedule(
                 float(i),
                 lambda i=i: system.submit(
                     make_record(i, RecordKind.HARVEST_DATA, location=i % 2,
                                 tampered=True, submitted_at=cal.now),
-                    outcomes.append,
+                    verdicts.append,
                 ),
             )
         cal.run()
-        missed = sum(outcomes)
-        assert 0.20 < missed / len(outcomes) < 0.30
+        missed = sum(verdicts)
+        assert 0.20 < missed / len(verdicts) < 0.30
 
 
 class TestChainStructure:

@@ -3,9 +3,9 @@ import dataclasses
 import pytest
 
 from hemptwin.config import RunConfig, Topology, default_config
-from hemptwin.domain import Lot, Stage
+from hemptwin.domain import DropReason, Lot, ReplicationStats, Stage
 from hemptwin.ledger import ParticipantRole, RecordKind
-from hemptwin.simulation import SupplyChainSimulation, run_replication
+from hemptwin.simulation import _ENDINGS, SupplyChainSimulation, run_replication
 from stage_order import validate_stage_trace, with_durations
 
 
@@ -290,26 +290,37 @@ def test_stage_outcomes_recorded_at_decision_points():
     ), drying=StageDuration(2.0, 4.0))
     sim = SupplyChainSimulation(cfg, 0)
     sim.run()
+    # reason -> (terminal stage, stages the lot can end from)
     ending = {
-        None: (Stage.FINISHED, Stage.FINAL_COA, "proceed"),
-        "seedling_wait_exceeded": (Stage.DROPPED, Stage.TRANSPLANT, "drop"),
-        "dry_wait_exceeded": (Stage.DROPPED, Stage.DRY_WAIT, "drop"),
-        "preharvest_fail": (Stage.DESTROYED, Stage.PREHARVEST_TEST, "destroy"),
-        "final_coa_fail": (Stage.DESTROYED, Stage.FINAL_COA, "destroy"),
+        None: (Stage.FINISHED, {Stage.FINAL_COA}),
+        "seedling_wait_exceeded":
+            (Stage.DROPPED, {Stage.GERMINATION, Stage.SOIL_PREP}),
+        "dry_wait_exceeded": (Stage.DROPPED, {Stage.DRY_WAIT}),
+        "preharvest_fail": (Stage.DESTROYED, {Stage.PREHARVEST_TEST}),
+        "final_coa_fail": (Stage.DESTROYED, {Stage.FINAL_COA}),
     }
-    seen_decisions = set()
     seen_reasons = set()
+    seen_steps = set()
     for lot in sim.measured:
-        for outcome in lot.outcomes:
-            assert outcome.lot_id == lot.id
-            seen_decisions.add((outcome.stage, outcome.decision))
         reason = lot.drop_reason.value if lot.drop_reason else None
         seen_reasons.add(reason)
-        last = lot.outcomes[-1]
-        assert (lot.stage, last.stage, last.decision) == ending[reason], lot.id
+        terminal, ended_from = ending[reason]
+        assert lot.stage is terminal and lot.stage_log[-1] is terminal, lot.id
+        assert lot.stage_log[-2] in ended_from, lot.id
+        seen_steps.update(zip(lot.stage_log, lot.stage_log[1:]))
     assert seen_reasons == set(ending)
-    assert (Stage.PREHARVEST_TEST, "destroy") in seen_decisions
-    assert (Stage.PREHARVEST_TEST, "proceed") in seen_decisions
+    assert (Stage.PREHARVEST_TEST, Stage.HARVEST) in seen_steps
+
+
+def test_every_ending_has_one_row():
+    # a DropReason without a row would first fail at a lot's termination
+    assert set(_ENDINGS) == set(DropReason) | {None}
+    counters = {f.name for f in dataclasses.fields(ReplicationStats)
+                if f.type in (int, "int")}
+    for terminal, counter in _ENDINGS.values():
+        assert terminal in (Stage.FINISHED, Stage.DROPPED, Stage.DESTROYED)
+        assert counter in counters
+    assert len({counter for _, counter in _ENDINGS.values()}) == len(_ENDINGS)
 
 
 def test_stage_durations_within_configured_bounds():
