@@ -22,6 +22,8 @@ Timing couplings that drive the headline comparisons:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from .config import ScenarioConfig, validate_config
@@ -82,7 +84,18 @@ class SupplyChainSimulation:
 
     def run(self) -> ReplicationStats:
         self.calendar.schedule(0.0, lambda: self._season_start(0))
-        self.calendar.run(stop=lambda: self.done)
+        # The cyclic collector is paused while the calendar runs.  Lots,
+        # events and records are freed by reference counting; a replication
+        # makes almost no reference cycles, so a collection during it would
+        # scan objects still in use and free next to nothing.  The few
+        # cycles it leaves are collected after it.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.calendar.run(stop=lambda: self.done)
+        finally:
+            if collecting:
+                gc.enable()
         if not self.done:
             raise RuntimeError(
                 f"replication ended after {self._terminations} terminations, "

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -321,6 +322,27 @@ def test_every_ending_has_one_row():
         assert terminal in (Stage.FINISHED, Stage.DROPPED, Stage.DESTROYED)
         assert counter in counters
     assert len({counter for _, counter in _ENDINGS.values()}) == len(_ENDINGS)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    sim = SupplyChainSimulation(small_cfg(), 0)
+    seen = []
+
+    def failing_run(stop):
+        seen.append(gc.isenabled())
+        raise ValueError("calendar failed")
+
+    monkeypatch.setattr(sim.calendar, "run", failing_run)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(ValueError):
+            sim.run()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_stage_durations_within_configured_bounds():
