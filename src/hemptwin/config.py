@@ -15,6 +15,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
+from .domain import IdentityEnum
+
 __all__ = [
     "Topology",
     "ChainConfig",
@@ -32,10 +34,11 @@ __all__ = [
     "save_config",
     "DURATION_STAGES",
     "FILE_KEYS",
+    "MAX_COUNT",
 ]
 
 
-class Topology(enum.Enum):
+class Topology(IdentityEnum):
     TWO_LAYER = "TwoLayer"
     SINGLE_CHAIN = "SingleChain"
     NONE = "None"
@@ -220,17 +223,25 @@ class _Domain:
                 f"{']' if self.high < math.inf else ')'}")
 
 
+# Every count is at most MAX_COUNT, 100 times the largest that the tests and
+# demos use.  Lots, replications, shards and servers are held in memory,
+# and each lot keeps two seeded streams of about 1 kB, so an unbounded count
+# would pass validation and then exhaust memory before the run got far.
+MAX_COUNT = 100_000
+
 _NONNEG = _Domain(0.0)
 _POSITIVE = _Domain(0.0, open_low=True)
-_COUNT = _Domain(1)
-_SERVERS = _Domain(1, kind="zero_resource")
+_SIZE = _Domain(0, MAX_COUNT)
+_COUNT = _Domain(1, MAX_COUNT)
+_SERVERS = _Domain(1, MAX_COUNT, kind="zero_resource")
 _PROB = _Domain(0.0, 1.0, kind="invalid_probability")
 _FRACTION = _Domain(0.0, 1.0)
 
 # Every file key, mapped to its dotted field path in ScenarioConfig, the
 # parser for its value and the domain of that value.  Writing, reading and
-# validation all read this table.  The domain is None for the booleans, the
-# topology and the chain counts, which `_TOPOLOGY_COUNTS` checks instead.
+# validation all read this table.  The domain is None for the booleans and
+# the topology.  A chain count may be 0 on a topology that does not use it;
+# `_TOPOLOGY_COUNTS` asks for at least one where it does.
 FILE_KEYS: dict[str, tuple[str, Callable[[str], object], _Domain | None]] = {
     "lots.n": ("n_lots_per_season", int, _COUNT),
     "lots.season_interval": ("season_interval_days", float, _NONNEG),
@@ -246,19 +257,19 @@ FILE_KEYS: dict[str, tuple[str, Callable[[str], object], _Domain | None]] = {
     "policy.max_plc_passes": ("max_plc_passes", int, _COUNT),
     "resources.n_f": ("n_field_workers", int, _SERVERS),
     "resources.n_l": ("n_lab_servers", int, _SERVERS),
-    "resources.n_d": ("n_dryers", int, _NONNEG),
+    "resources.n_d": ("n_dryers", int, _SIZE),
     "resources.n_p": ("n_processors", int, _SERVERS),
     "resources.dynamic_dryers": ("dynamic_dryers", _parse_bool, None),
     "chain.topology": ("chain.topology", _parse_topology, None),
-    "chain.n_shards": ("chain.n_shards", int, None),
-    "chain.n_s": ("chain.n_validators_per_shard", int, None),
-    "chain.n_r": ("chain.n_regulators", int, None),
+    "chain.n_shards": ("chain.n_shards", int, _SIZE),
+    "chain.n_s": ("chain.n_validators_per_shard", int, _SIZE),
+    "chain.n_r": ("chain.n_regulators", int, _SIZE),
     "chain.mu_v": ("chain.verification_mean_days", float, _POSITIVE),
     "chain.mu_c": ("chain.confirmation_mean_days", float, _POSITIVE),
     "chain.mu_s": ("chain.single_chain_mean_days", float, _POSITIVE),
     "chain.miss_probability": ("chain.miss_probability", float, _PROB),
     "adversary.p2": ("tamper_probability", float, _PROB),
-    "run.warmup": ("run.warmup_lots", int, _NONNEG),
+    "run.warmup": ("run.warmup_lots", int, _SIZE),
     "run.length": ("run.run_length_lots", int, _COUNT),
     "run.reps": ("run.replications", int, _COUNT),
     "run.seed": ("run.master_seed", int, _NONNEG),

@@ -11,6 +11,7 @@ if TYPE_CHECKING:
     from .randomness import RngStream
 
 __all__ = [
+    "IdentityEnum",
     "Stage",
     "DropReason",
     "CannabinoidState",
@@ -21,7 +22,18 @@ __all__ = [
 ]
 
 
-class Stage(enum.Enum):
+class IdentityEnum(enum.Enum):
+    """Base of the package's enums: members hash by identity.
+
+    `enum.Enum.__hash__` hashes the member's name in Python code, and a
+    replication looks members up in dicts tens of thousands of times.  A
+    member equals only itself, so identity hashing finds the same entries and
+    leaves every dict's order as it was."""
+
+    __hash__ = object.__hash__
+
+
+class Stage(IdentityEnum):
     GERMINATION = "germination"
     SOIL_PREP = "soil_prep"
     TRANSPLANT = "transplant"
@@ -40,7 +52,7 @@ class Stage(enum.Enum):
     DESTROYED = "destroyed"
 
 
-class DropReason(enum.Enum):
+class DropReason(IdentityEnum):
     SEEDLING_WAIT_EXCEEDED = "seedling_wait_exceeded"
     DRY_WAIT_EXCEEDED = "dry_wait_exceeded"
     PREHARVEST_FAIL = "preharvest_fail"

@@ -24,6 +24,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .config import ChainConfig, Topology
+from .domain import IdentityEnum
 from .kernel import EventCalendar, ResourcePool
 from .randomness import RngStream
 
@@ -61,7 +62,7 @@ class ChainParseError(ValueError):
     """Unreadable chain export."""
 
 
-class ParticipantRole(enum.Enum):
+class ParticipantRole(IdentityEnum):
     BREEDER = "breeder"
     GROWER = "grower"
     DRYER = "dryer"
@@ -70,7 +71,7 @@ class ParticipantRole(enum.Enum):
     LAB = "lab"
 
 
-class RecordKind(enum.Enum):
+class RecordKind(IdentityEnum):
     SEED_SOURCE = "seed_source"
     FIELD_INFO = "field_info"
     CULTIVATION_DATA = "cultivation_data"
@@ -555,7 +556,7 @@ class LedgerSystem:
         self.calendar = calendar
         self.cfg = cfg
         self.keep_chain = keep_chain
-        self.latencies: list[tuple[str, str, float, float | None]] = []
+        self.latencies: list[tuple[str, RecordKind, float, float | None]] = []
         n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
         self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self.shard_pools = [
@@ -664,7 +665,7 @@ class LedgerSystem:
     def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
         """Log the record's latencies and hand the verdict to its submitter."""
         record = ticket.record
-        self.latencies.append((record.lot_id, record.record_kind.value,
+        self.latencies.append((record.lot_id, record.record_kind,
                                ticket.verification_time, ticket.confirmation_time))
         if ticket.on_resolved is not None:
             ticket.on_resolved(accepted)

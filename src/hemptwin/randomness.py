@@ -141,11 +141,19 @@ def _seed_words(master_seed: int, label: tuple, suffixes) -> np.ndarray:
     head = list(_encode_label_part(master_seed))
     for part in label:
         head += _encode_label_part(part)
+    # a season's suffixes repeat their parts ("lot", the season, "life"...),
+    # so each distinct part is encoded once; keyed by type too, so that a
+    # float equal to an int part is still refused
+    encoded = {}
     rows = []
     for suffix in suffixes:
         row = head.copy()
         for part in suffix:
-            row += _encode_label_part(part)
+            key = (type(part), part)
+            words = encoded.get(key)
+            if words is None:
+                words = encoded[key] = _encode_label_part(part)
+            row += words
         rows.append(row)
     by_width: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
@@ -204,17 +212,20 @@ class RngStream:
         is seeded at the first draw, as a one-row ``children`` call seeds it."""
         return RngStream(self.master_seed, self.label + extra)
 
+    # The scalar draws run thousands of times a replication: they read the
+    # generator directly and take the seeding path only before the first draw.
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + self._generator().random() * (hi - lo)
+        return lo + (self._gen or self._generator()).random() * (hi - lo)
 
     def exponential(self, mean: float) -> float:
-        return -mean * math.log1p(-self._generator().random())
+        return -mean * math.log1p(-(self._gen or self._generator()).random())
 
     def standard_normal(self) -> float:
-        return float(self._generator().standard_normal())
+        return float((self._gen or self._generator()).standard_normal())
 
     def bernoulli(self, p: float) -> bool:
-        return self._generator().random() < p
+        return (self._gen or self._generator()).random() < p
 
     def random(self, size: int) -> np.ndarray:
         """Vector of iid U(0,1)."""

@@ -26,7 +26,7 @@ import gc
 
 import numpy as np
 
-from .config import ScenarioConfig, validate_config
+from .config import DURATION_STAGES, ScenarioConfig, validate_config
 from .domain import DropReason, Lot, LotOutput, ReplicationStats, Stage
 from .kernel import EventCalendar, PoolRequest, ResourcePool
 from .ledger import DataRecord, LedgerSystem, ParticipantRole, RecordKind
@@ -60,6 +60,10 @@ class SupplyChainSimulation:
         validate_config(cfg)
         self.cfg = cfg
         self.rep = replication_index
+        # (lo, hi) of each timed stage, read once: a replication draws
+        # thousands of durations
+        self._durations = {stage: (cfg.duration(stage).lo, cfg.duration(stage).hi)
+                           for stage in DURATION_STAGES}
         self.calendar = EventCalendar()
         self.base = RngStream(cfg.run.master_seed, ("rep", replication_index))
         self.ledger = LedgerSystem(
@@ -442,8 +446,8 @@ class SupplyChainSimulation:
             self.done = True
 
     def _dur(self, lot: Lot, stage_key: str) -> float:
-        d = self.cfg.duration(stage_key)
-        return lot.life.uniform(d.lo, d.hi)
+        lo, hi = self._durations[stage_key]
+        return lot.life.uniform(lo, hi)
 
     def _close_stage(self, lot: Lot, stage: Stage) -> None:
         # buffer waits between process steps stay unattributed to either stage

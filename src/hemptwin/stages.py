@@ -9,10 +9,9 @@ ratio (it removes THC faster than CBD).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .domain import CannabinoidState
+from .domain import CannabinoidState, IdentityEnum
 
 __all__ = [
     "GateDecision",
@@ -34,7 +33,7 @@ class NegativeCannabinoidError(ValueError):
     violated upstream."""
 
 
-class GateDecision(enum.Enum):
+class GateDecision(IdentityEnum):
     PROCEED = "proceed"
     DESTROY = "destroy"
     RETEST = "retest"

@@ -286,13 +286,12 @@ def test_numeric_key_boundary_accepted_and_just_outside_rejected(key):
     path, parse, domain = FILE_KEYS[key]
     # dynamic dryer sizing lets resources.n_d sit at its boundary, zero
     base = dataclasses.replace(default_config(), dynamic_dryers=True)
-    if domain is None:
-        # the chain counts are checked per topology: the two-layer chain
-        # needs at least one of each
-        assert key in CHAIN_COUNTS
+    if key in CHAIN_COUNTS:
+        # the two-layer chain needs at least one of each; with no ledger only
+        # the domain applies
         assert _named(_with(base, path, 1), key) == []
         assert _named(_with(base, path, 0), key) == [(key, "zero_resource")]
-        return
+        base = _with(base, "chain.topology", Topology.NONE)
     for inside, outside in _ends(domain, parse):
         assert _named(_with(base, path, inside), key) == [], inside
         assert _named(_with(base, path, outside), key) == [(key, domain.kind)], outside
@@ -303,10 +302,16 @@ def test_each_key_reports_at_most_one_violation(topology):
     base = dataclasses.replace(default_config(), chain=ChainConfig(topology=topology))
     for key in NUMERIC_KEYS:
         path, parse, _ = FILE_KEYS[key]
-        values = (-1, 0, 2) if parse is int else (-1.0, 0.0, 1.5, 2e9, math.nan,
-                                                  math.inf, -math.inf)
+        values = (-1, 0, 2, 10**12) if parse is int else (-1.0, 0.0, 1.5, 2e9, math.nan,
+                                                         math.inf, -math.inf)
         for value in values:
             assert len(_named(_with(base, path, value), key)) <= 1, (key, value)
     for key in ("run.reps", "run.length"):
         cfg = _with(base, FILE_KEYS[key][0], -1)
         assert _named(cfg, key) == [(key, "invalid_range")]
+
+
+@pytest.mark.parametrize("key", [k for k, (_, parse, _) in FILE_KEYS.items() if parse is int])
+def test_a_trillion_is_a_seed_but_no_count(key):
+    cfg = config_from_text(f"{key} = {10**12}\n")
+    assert [k for k, _, _ in _violations(cfg)] == ([] if key == "run.seed" else [key])

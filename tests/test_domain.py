@@ -1,7 +1,12 @@
+import enum
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hemptwin
 from hemptwin.domain import CannabinoidState, Lot, Stage
 from stage_order import MANDATORY_PATH, allowed_successors, validate_stage_trace
 
@@ -110,3 +115,21 @@ class TestLot:
             (Stage.CULTIVATION, s1), (Stage.EXTRACTION, s2)
         ]
         assert lot.state == s2
+
+
+def test_every_enum_of_the_package_hashes_by_identity():
+    # enum.Enum.__hash__ runs in Python; a new enum that falls back to it
+    # slows every dict lookup keyed by its members
+    found = {}
+    for info in pkgutil.iter_modules(hemptwin.__path__):
+        module = importlib.import_module(f"hemptwin.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, enum.Enum)
+                    and obj.__module__ == module.__name__):
+                found[obj.__name__] = obj
+    assert {"Stage", "DropReason", "RecordKind", "ParticipantRole", "Topology",
+            "GateDecision"} <= found.keys()
+    for name, cls in found.items():
+        assert cls.__hash__ is object.__hash__, name
+        for member in cls:
+            assert hash(member) == object.__hash__(member), member

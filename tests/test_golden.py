@@ -81,15 +81,16 @@ def _floats(values) -> bytes:
 
 def config_verdicts() -> bytes:
     """One line per probe: each numeric file key set alone, on each topology,
-    to -1, 0, 1.5 (2 for an integer key), 2e9, nan and inf, with the verdict
-    of parsing and validating that file."""
+    to -1, 0, 1.5 (2 for an integer key), 2e9, 10^12, nan and inf, with the
+    verdict of parsing and validating that file."""
     lines = []
     for topology in Topology:
         for key, row in FILE_KEYS.items():
             parse = row[1]
             if parse not in (int, float):
                 continue
-            for text in ("-1", "0", "1.5" if parse is float else "2", "2e9", "nan", "inf"):
+            for text in ("-1", "0", "1.5" if parse is float else "2", "2e9",
+                         str(10**12), "nan", "inf"):
                 try:
                     validate_config(config_from_text(
                         f"chain.topology = {topology.value}\n{key} = {text}\n"))

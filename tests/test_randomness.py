@@ -109,15 +109,20 @@ def test_uniform_sample_always_in_support(lo, width, seed):
     assert lo <= value <= lo + width
 
 
-def _seed_sequence_state(master_seed, label):
-    """PCG64 state that numpy's own SeedSequence gives the label, each string
-    part replaced by the little-endian int of its 8-byte blake2b digest."""
+def _seed_sequence_pcg(master_seed, label):
+    """The PCG64 that numpy's own SeedSequence seeds from the label, each
+    string part replaced by the little-endian int of its 8-byte blake2b
+    digest."""
     entropy = [master_seed] + [
         int.from_bytes(hashlib.blake2b(p.encode("utf-8"), digest_size=8).digest(), "little")
-        if isinstance(p, str) else p
+        if isinstance(p, str) else int(p)
         for p in label
     ]
-    return np.random.PCG64(np.random.SeedSequence(entropy)).state
+    return np.random.PCG64(np.random.SeedSequence(entropy))
+
+
+def _seed_sequence_state(master_seed, label):
+    return _seed_sequence_pcg(master_seed, label).state
 
 
 # parts that become one 32-bit word (0 included), two words, three or more
@@ -149,6 +154,79 @@ def test_batch_seeding_equals_seed_sequence(master_seed, label, suffixes):
         assert stream._generator().bit_generator.state == expected
         alone = RngStream(master_seed, stream.label)
         assert alone._generator().bit_generator.state == expected
+
+
+# repeated parts, 0, ints of more than one word, np.int64 beside int and 1
+# beside "1": the cases in which encoding each distinct part once per
+# `children` call could hand one part another's words
+_repeated_part = st.sampled_from(
+    [0, 1, "1", np.int64(1), 7, np.int64(7), 2**32, np.int64(2**33), 2**40 + 5,
+     2**64 + 1, "lot", "life"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=_master_seed,
+    label=st.lists(_repeated_part, max_size=2).map(tuple),
+    suffixes=st.lists(st.lists(_repeated_part, max_size=5).map(tuple), min_size=1,
+                      max_size=12),
+)
+def test_batch_seeding_encodes_repeated_parts_as_labels_built_alone(
+        master_seed, label, suffixes):
+    base = RngStream(master_seed, label)
+    for stream, suffix in zip(base.children(suffixes), suffixes):
+        state = stream._generator().bit_generator.state
+        assert state == base.child(*suffix)._generator().bit_generator.state
+        assert state == _seed_sequence_state(master_seed, label + suffix)
+
+
+def test_a_float_part_is_refused_after_an_equal_int_part():
+    with pytest.raises(TypeError):
+        RngStream(1, ("rep",)).children([(1,), (1.0,)])
+
+
+_draw_op = st.one_of(
+    st.tuples(st.just("uniform"), st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
+    st.tuples(st.just("exponential"), st.floats(0, 1e9)),
+    st.tuples(st.just("bernoulli"), st.floats(0, 1)),
+    st.tuples(st.just("standard_normal")),
+)
+
+
+def _stream_draw(stream, op):
+    name, *args = op
+    return getattr(stream, name)(*args)
+
+
+def _oracle_draw(gen, op):
+    name, *args = op
+    if name == "uniform":
+        lo, hi = args
+        return lo + gen.random() * (hi - lo)
+    if name == "exponential":
+        return -args[0] * math.log1p(-gen.random())
+    if name == "bernoulli":
+        return gen.random() < args[0]
+    return float(gen.standard_normal())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    master_seed=_master_seed,
+    label=st.lists(_label_part, max_size=3).map(tuple),
+    suffix=st.lists(_label_part, min_size=1, max_size=3).map(tuple),
+    ops=st.lists(_draw_op, max_size=30),
+)
+def test_scalar_draws_equal_a_seed_sequence_generator(master_seed, label, suffix, ops):
+    base = RngStream(master_seed, label)
+    lazy = base.child(*suffix)
+    assert lazy._gen is None  # a derived stream is seeded at its first draw
+    batch = base.children([("other",), suffix])[1]
+    oracle = np.random.Generator(_seed_sequence_pcg(master_seed, label + suffix))
+    for op in ops:
+        expected = _oracle_draw(oracle, op)
+        assert _stream_draw(lazy, op) == expected, op
+        assert _stream_draw(batch, op) == expected, op
 
 
 def _draws(stream):

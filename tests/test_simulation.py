@@ -266,7 +266,7 @@ def test_gate_records_block_stage_progression():
     sim.run()
     harvest_latency = {}
     for lot_id, kind, verif, conf in sim.ledger.latencies:
-        if kind == "harvest_data" and verif is not None and conf is not None:
+        if kind is RecordKind.HARVEST_DATA and verif is not None and conf is not None:
             harvest_latency[lot_id] = verif + conf
     checked = 0
     for lot in sim.measured:
