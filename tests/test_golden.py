@@ -18,6 +18,7 @@ import pytest
 from hemptwin.cli import main
 from hemptwin.config import (
     FILE_KEYS,
+    ChainConfig,
     ConfigError,
     ConfigValidationError,
     RunConfig,
@@ -28,6 +29,18 @@ from hemptwin.config import (
     save_config,
     validate_config,
 )
+from hemptwin.kernel import EventCalendar
+from hemptwin.ledger import (
+    ChainParseError,
+    DataRecord,
+    LedgerSystem,
+    ParticipantRole,
+    RecordKind,
+    audit_chain,
+    export_chain,
+    parse_chain,
+)
+from hemptwin.randomness import RngStream
 from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
 from stage_order import with_durations
 
@@ -103,9 +116,77 @@ def config_verdicts() -> bytes:
     return "".join(lines).encode("ascii")
 
 
+def small_export() -> list:
+    """The lines of a TwoLayer export of six records, one per kind, on two
+    shards; the payloads hold non-ASCII text, quotes and a nested list."""
+    calendar = EventCalendar()
+    ledger = LedgerSystem(calendar, ChainConfig(n_shards=2),
+                          RngStream(20210, ("audit-verdicts",)), keep_chain=True)
+    for i, kind in enumerate(list(RecordKind)[:6]):
+        record = DataRecord(
+            record_id=f"r{i}", lot_id=f"lot-{i % 2}",
+            participant_role=list(ParticipantRole)[i], record_kind=kind,
+            location_index=i, submitted_at=0.25 * i, true_values={"thc": 0.003},
+            payload={"value": 0.1 * i, "note": f"Hanf \"{i}\" \u00e9t\u00e9",
+                     "tags": ["a", i]},
+        )
+        calendar.schedule(record.submitted_at, lambda r=record: ledger.submit(r))
+    calendar.run()
+    return export_chain(ledger.confirmed_chain()).splitlines()
+
+
+# every field of every line is set in turn to each of these
+_PROBE_VALUES = (None, True, False, 0, 1, -1, 2.5, -0.0, 1e16, float("nan"),
+                 float("inf"), float("-inf"), 10**20, "", "x", "TwoLayer", "record",
+                 "\u00e9\"\n", [], [0, 1, "x"], {}, {"\u00e9": [1.5]})
+
+
+def audit_verdicts() -> bytes:
+    """One line per damaged copy of `small_export`, with the audit verdict of
+    that copy or the class of the error that parsing it raised.  The damage:
+    each field of each line dropped or set to each of `_PROBE_VALUES`; each
+    payload key dropped or set to each value, and a new payload key set to
+    each value; each line deleted; each pair of adjacent lines swapped."""
+    lines = small_export()
+    copies = []
+
+    def damaged(i, label, obj):
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        copies.append((f"line {i + 1} {label}", lines[:i] + [text] + lines[i + 1:]))
+
+    for i, line in enumerate(lines):
+        obj = json.loads(line)
+        for key in sorted(obj):
+            damaged(i, f"drop {key}", {k: v for k, v in obj.items() if k != key})
+            for value in _PROBE_VALUES:
+                damaged(i, f"{key} = {json.dumps(value)}", obj | {key: value})
+        if obj["kind"] == "record":
+            payload = obj["payload"]
+            for key in sorted(payload):
+                damaged(i, f"drop payload.{key}",
+                        obj | {"payload": {k: v for k, v in payload.items() if k != key}})
+            for key in sorted(payload) + ["added"]:
+                for value in _PROBE_VALUES:
+                    damaged(i, f"payload.{key} = {json.dumps(value)}",
+                            obj | {"payload": payload | {key: value}})
+        copies.append((f"delete line {i + 1}", lines[:i] + lines[i + 1:]))
+        if i + 1 < len(lines):
+            swapped = lines[:i] + [lines[i + 1], line] + lines[i + 2:]
+            copies.append((f"swap lines {i + 1} and {i + 2}", swapped))
+    verdicts = []
+    for label, copy in copies:
+        try:
+            verdict = audit_chain(parse_chain("\n".join(copy))).describe()
+        except ChainParseError as exc:
+            verdict = type(exc).__name__
+        verdicts.append(f"{label}: {verdict}\n")
+    return "".join(verdicts).encode("utf-8")
+
+
 def compute_digests(work: Path) -> dict:
     """Run every golden case under `work`; returns {case: sha256 hex}."""
-    digests = {"config-verdicts": _sha(config_verdicts())}
+    digests = {"config-verdicts": _sha(config_verdicts()),
+               "audit-verdicts": _sha(audit_verdicts())}
     for topology in Topology:
         for name, make in (("simulate", golden_config), ("stress", stress_config)):
             digests |= _cli_files(work, f"{name}-{topology.value}",
