@@ -20,7 +20,8 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
+from operator import attrgetter, call, itemgetter
 from typing import Callable, NamedTuple
 
 from .config import ChainConfig, Topology
@@ -201,16 +202,69 @@ _LINE_FIELDS = {
 _HASH_RENAMES = {"record": {"record_kind": "kind"}, "shard_block": {"records": None}}
 
 
+# Canonical JSON: sorted keys, no whitespace, non-ASCII escaped.  One C
+# encoder, built once, serves every call; it skips the cycle check, as no chain
+# object holds a cycle.
+if c_make_encoder is not None:
+    # markers, default, encoder, indent, key and item separators, sort_keys,
+    # skipkeys, allow_nan
+    _encode = c_make_encoder(None, json.JSONEncoder().default, _escape, None,
+                             ":", ",", True, False, True)
+
+    def _canonical(value) -> str:
+        return "".join(_encode(value, 0))
+else:  # the pure-Python json writes the same text
+    _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _writer(typ) -> Callable:
+    """value -> its canonical JSON, for a field of JSON type `typ`: a string
+    is escaped and a finite number written as its repr; anything else, a
+    value not of the field's type included, goes through the encoder."""
+    if typ is str:
+        return lambda value: _escape(value) if type(value) is str else _canonical(value)
+    if typ is int or typ is float:
+        return lambda value: (repr(value) if type(value) is typ and value - value == 0
+                              else _canonical(value))
+    return _canonical
+
+
+class _Template(NamedTuple):
+    """The canonical JSON of one object kind: a %-template over its sorted
+    keys, the getter of their values in that order, and their writers."""
+
+    text: str
+    get: Callable
+    writers: tuple
+
+    def write(self, obj) -> str:
+        # not tuple(map(...)): that allocates a 10-slot tuple and shrinks it,
+        # the shrunk tuple is freed to another size's free list, and the
+        # collector counts one more live object per call, so collects sooner
+        return self.text % (*map(call, self.writers, self.get(obj)),)
+
+
+def _template(items: list, tag: str | None = None) -> _Template:
+    """Compile (key, attribute path, writer) items, and a constant `kind`
+    tag when given, into one template."""
+    slots = {key: "%s" for key, _, _ in items}
+    if tag is not None:
+        slots["kind"] = _escape(tag)
+    text = ",".join(f"{_escape(key)}:{slots[key]}" for key in sorted(slots))
+    items = sorted(items, key=itemgetter(0))
+    return _Template("{" + text + "}", attrgetter(*(path for _, path, _ in items)),
+                     tuple(write for _, _, write in items))
+
+
 class _Line(NamedTuple):
     """One line kind of `_LINE_FIELDS`, compiled for export, hash and parse."""
 
     cls: type
     keys: tuple  # export keys
     types: tuple  # their JSON types
-    get: Callable  # object -> export values in `keys` order
     readers: tuple  # (index into keys, reader) for values converted on parse
-    hash_keys: tuple
-    hash_get: Callable
+    export: _Template  # the export line, `kind` tag included
+    hashed: _Template  # the hash preimage
 
 
 def _reader(typ) -> Callable | None:
@@ -241,14 +295,14 @@ def _reader(typ) -> Callable | None:
 
 def _compile(kind: str) -> _Line:
     cls, line_fields = _LINE_FIELDS[kind]
-    keys, types, attrs, paths, readers = [], [], [], [], []
+    keys, types, attrs, items, readers = [], [], [], [], []
     for i, (key, spec) in enumerate(line_fields.items()):
         typ, attr = spec if type(spec) is tuple else (spec, key)
         is_enum = isinstance(typ, enum.EnumMeta)
         keys.append(key)
         types.append(str if is_enum else typing.get_origin(typ) or typ)
         attrs.append(attr)
-        paths.append(attr + ".value" if is_enum else attr)
+        items.append((key, attr + "._value_" if is_enum else attr, _writer(types[-1])))
         read = _reader(typ)
         if read is not None:
             readers.append((i, read))
@@ -256,29 +310,21 @@ def _compile(kind: str) -> _Line:
     if attrs != [f.name for f in fields(cls)][:len(attrs)]:
         raise TypeError(f"{kind} keys must follow the fields of {cls.__name__}")
     renames = _HASH_RENAMES.get(kind, {})
-    hashed = [(renames.get(key, key), path) for key, path in zip(keys, paths)
+    hashed = [(renames.get(key, key), path, write) for key, path, write in items
               if renames.get(key, key) is not None]
-    return _Line(cls, tuple(keys), tuple(types), attrgetter(*paths),
-                 tuple(readers), tuple(key for key, _ in hashed),
-                 attrgetter(*(path for _, path in hashed)))
+    return _Line(cls, tuple(keys), tuple(types), tuple(readers),
+                 _template(items, kind), _template(hashed))
 
 
 _LINES = {kind: _compile(kind) for kind in _LINE_FIELDS}
-# canonical JSON: sorted keys, no whitespace; one encoder for every call
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _export_line(obj, kind: str) -> str:
-    line = _LINES[kind]
-    values = dict(zip(line.keys, line.get(obj)))
-    values["kind"] = kind
-    return _canonical(values)
+    return _LINES[kind].export.write(obj)
 
 
 def _digest(obj, kind: str) -> str:
-    line = _LINES[kind]
-    values = dict(zip(line.hash_keys, line.hash_get(obj)))
-    return hashlib.sha256(_canonical(values).encode("ascii")).hexdigest()
+    return hashlib.sha256(_LINES[kind].hashed.write(obj).encode("ascii")).hexdigest()
 
 
 def record_hash(rec: DataRecord) -> str:
@@ -456,6 +502,11 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
     # runs when it fails
     if tuple(map(type, values)) != line.types:
         _check_fields(obj, line)
+    # the type check found every declared key, so a key beyond them and
+    # `kind` is undeclared
+    if len(obj) != len(values) + 1:
+        extra = next(key for key in obj if key != "kind" and key not in line.keys)
+        raise ValueError(f"undeclared field {extra!r}")
     try:
         for i, read in line.readers:
             values[i] = read(values[i])
@@ -481,8 +532,9 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
 def parse_chain(text: str) -> ChainState:
     """Rebuild a chain from `export_chain` text.  A line that is not a JSON
     object, a second meta line, a second record line with the same id, or a
-    line missing a field of its kind or holding one of the wrong type or an
-    unknown enum value raises ChainParseError naming the line."""
+    line missing a field of its kind, holding one of the wrong type or an
+    unknown enum value, or holding a key its kind does not declare raises
+    ChainParseError naming the line."""
     chain: ChainState | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

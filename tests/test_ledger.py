@@ -1,7 +1,9 @@
 import dataclasses
+import enum
 import functools
 import hashlib
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from hemptwin.ledger import (
     MalformedRecordError,
     ParticipantRole,
     RecordKind,
+    _LINE_FIELDS,
+    _digest,
+    _export_line,
     assign_shard,
     audit_chain,
     export_chain,
@@ -316,6 +321,20 @@ class TestAudit:
                            match=f"line {i + 2}: duplicate record '{forged['record_id']}'"):
             parse_chain("\n".join(lines))
 
+    @pytest.mark.parametrize("kind", sorted(_LINE_FIELDS))
+    @pytest.mark.parametrize("key, value", [("tampered", True),
+                                            ("true_values", {"thc": 0.0035}),
+                                            ("\u00e9", None)])
+    def test_undeclared_key_raises_parse_error(self, kind, key, value):
+        # the parser used to drop it, so a line carrying, say, the off-chain
+        # tamper flag audited Ok
+        lines = list(small_export_lines())
+        i = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line)
+        lines[i] = json.dumps(json.loads(lines[i]) | {key: value})
+        with pytest.raises(ChainParseError,
+                           match=f"line {i + 1}: undeclared field {key!r}$"):
+            parse_chain("\n".join(lines))
+
     def test_duplicate_root_reference_detected(self):
         system = TestChainStructure().run_traffic(n=6)
         chain = system.confirmed_chain()
@@ -394,6 +413,55 @@ def line_hash(obj: dict) -> str:
         del body["records"]
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# strings with escapes: quotes, backslashes, control, non-ASCII and lone
+# surrogate characters
+texts = st.text(st.characters(exclude_categories=()), max_size=8) | st.text(
+    '"\\\x00\x1f\x7f \u00e9\u20ac\u2028\ud800\U0001f33f', max_size=8)
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def field_values(typ):
+    """Values for a field of declared type `typ`: values of that type, the
+    edge cases of its writer, and (but for an enum) any JSON value."""
+    if isinstance(typ, enum.EnumMeta):
+        return st.sampled_from(list(typ))
+    if typ is str:
+        values = texts
+    elif typ is int:
+        values = st.integers() | st.booleans()
+    elif typ is float:
+        values = st.floats() | st.integers() | st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), -0.0, 1e16])
+    elif typ is dict:
+        values = st.dictionaries(texts, json_payloads, max_size=4)
+    else:
+        (item,) = typing.get_args(typ)
+        shape = typing.get_args(item)
+        values = st.lists(st.tuples(*map(field_values, shape)) if shape else texts, max_size=3)
+    return values | json_payloads
+
+
+@pytest.mark.parametrize("kind", list(_LINE_FIELDS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_line_templates_write_the_canonical_json_of_the_line_dict(kind, data):
+    # the export line as a dict: each field's attribute value (an enum's
+    # member value) under its key, and the `kind` tag
+    line = {"kind": kind}
+    attrs = {}
+    for key, spec in _LINE_FIELDS[kind][1].items():
+        typ, attr = spec if type(spec) is tuple else (spec, key)
+        attrs[attr] = data.draw(field_values(typ), label=attr)
+        line[key] = attrs[attr].value if isinstance(typ, enum.EnumMeta) else attrs[attr]
+    obj = _LINE_FIELDS[kind][0](**attrs)
+    assert _export_line(obj, kind) == json.dumps(line, sort_keys=True, separators=(",", ":"))
+    assert _digest(obj, kind) == line_hash(line)
 
 
 @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
