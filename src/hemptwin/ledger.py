@@ -21,8 +21,15 @@ import json
 import typing
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
-from operator import attrgetter, call, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
+
+try:
+    from operator import call
+except ImportError:  # Python < 3.11
+
+    def call(obj, /, *args, **kwargs):
+        return obj(*args, **kwargs)
 
 from .config import ChainConfig, Topology
 from .domain import IdentityEnum

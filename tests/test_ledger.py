@@ -3,7 +3,11 @@ import enum
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +466,31 @@ def test_line_templates_write_the_canonical_json_of_the_line_dict(kind, data):
     obj = _LINE_FIELDS[kind][0](**attrs)
     assert _export_line(obj, kind) == json.dumps(line, sort_keys=True, separators=(",", ":"))
     assert _digest(obj, kind) == line_hash(line)
+
+
+# Python 3.10 has no operator.call; the ledger then defines its own.
+WITHOUT_OPERATOR_CALL = """
+import operator, sys
+del operator.call
+from hemptwin import ledger
+assert ledger.call is not getattr(operator, "call", None)
+chain = ledger.parse_chain(sys.stdin.read())
+print(ledger.audit_chain(chain).describe())
+sys.stdout.write(ledger.export_chain(chain))
+"""
+
+
+def test_export_and_audit_without_operator_call():
+    text = "\n".join(small_export_lines()) + "\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    done = subprocess.run([sys.executable, "-c", WITHOUT_OPERATOR_CALL], input=text,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    verdict, exported = done.stdout.split("\n", 1)
+    assert verdict == audit_chain(parse_chain(text)).describe()
+    assert exported == export_chain(parse_chain(text)) == text
 
 
 @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
