@@ -7,9 +7,12 @@ statistics (Little's law checks) come for free.  A request that finds a free
 server is granted at once and gets no handle; only a request that has to
 queue returns a `PoolRequest`, which can cancel it.
 
-Every pooled step of the twin is one seize-hold-release: `ResourcePool.serve`
-seizes a server, holds it for the time its `hold` callback returns at the
-grant, releases it, and only then runs the step's continuation.
+Every pooled lot step of the twin is one seize-hold-release:
+`ResourcePool.serve` seizes a server, holds it for the time its `hold`
+callback returns at the grant, releases it, and only then runs the step's
+continuation.  The ledger's authority queues are not pools: nothing cancels or
+resizes them, so `hemptwin.ledger` works out each record's finish time in
+closed form when the record arrives.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ block.  The single-chain baseline runs one verification pool and no
 confirmation layer; with the ledger disabled records are accepted at face
 value with zero delay and falsification is never caught.
 
+Nothing cancels or resizes an authority pool, so a record's review end is
+known when it arrives: each pool computes it in closed form, and the calendar
+gets one event per record and layer.
+
 Chains are hash-linked: each block carries the header hash of its
 predecessor and a merkle root over its records, so any post-hoc mutation is
 detectable by `audit_chain`.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 import json
 import typing
 from dataclasses import dataclass, field, fields
@@ -33,7 +38,7 @@ except ImportError:  # Python < 3.11
 
 from .config import ChainConfig, Topology
 from .domain import IdentityEnum
-from .kernel import EventCalendar, ResourcePool
+from .kernel import EventCalendar
 from .randomness import RngStream
 
 __all__ = [
@@ -101,7 +106,7 @@ GATE_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DataRecord:
     """One submitted data record.  `payload` is the as-reported (on-chain)
     view; `true_values` holds the ground truth for gate-relevant numbers and
@@ -171,8 +176,9 @@ class ChainState:
 # class it describes and, for every export key in the order of the class's
 # fields, the value's type, paired with the attribute it comes from when that
 # is not named like the key.  An enum is written as its member's value, a
-# float field also accepts a JSON integer, and a list type names its items (a
-# tuple item is a fixed array).
+# float field also accepts a JSON integer and keeps it an integer, so that it
+# is written and hashed back as it was read, and a list type names its items
+# (a tuple item is a fixed array).
 _LINE_FIELDS = {
     "meta": (ChainState, {"topology": Topology, "n_shards": int}),
     "record": (DataRecord, {
@@ -278,8 +284,6 @@ def _reader(typ) -> Callable | None:
     """Conversion of a type-checked JSON value into the attribute value of a
     field of type `typ` (KeyError for an unknown enum value); None where the
     value is kept as it is."""
-    if typ is float:
-        return float
     if isinstance(typ, enum.EnumMeta):
         return {member.value: member for member in typ}.__getitem__
     if typing.get_origin(typ) is list:
@@ -482,12 +486,18 @@ _decode = json.JSONDecoder().raw_decode
 
 def _check_fields(obj: dict, line: _Line) -> None:
     """Raise ValueError naming the first field of `line` that `obj` lacks or
-    holds with the wrong JSON type (an integer passes as a number)."""
+    holds with the wrong JSON type (an integer passes as a number, if a float
+    can hold it; it stays an integer)."""
     for key, typ in zip(line.keys, line.types):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
         got = type(obj[key])
-        if got is not typ and not (typ is float and got is int):
+        if typ is float and got is int:
+            try:
+                float(obj[key])
+            except OverflowError as exc:
+                raise ValueError(f"field {key!r}: {exc}") from None
+        elif got is not typ:
             raise ValueError(f"field {key!r} must be {typ.__name__}, got {got.__name__}")
 
 
@@ -519,7 +529,7 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
             values[i] = read(values[i])
     except KeyError as exc:
         raise ValueError(f"field {line.keys[i]!r}: unknown value {exc}") from None
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"field {line.keys[i]!r}: {exc}") from None
     item = line.cls(*values)
     if kind == "meta":
@@ -539,9 +549,11 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
 def parse_chain(text: str) -> ChainState:
     """Rebuild a chain from `export_chain` text.  A line that is not a JSON
     object, a second meta line, a second record line with the same id, or a
-    line missing a field of its kind, holding one of the wrong type or an
-    unknown enum value, or holding a key its kind does not declare raises
-    ChainParseError naming the line."""
+    line missing a field of its kind, holding one of the wrong type, an
+    unknown enum value or an integer no float can hold, or holding a key its
+    kind does not declare raises ChainParseError naming the line.  A float
+    field's integer stays an integer, so it exports and hashes as it was
+    read."""
     chain: ChainState | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -564,7 +576,7 @@ def parse_chain(text: str) -> ChainState:
 # simulated verification network
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordTicket:
     """In-flight tracking for one submitted record."""
 
@@ -590,19 +602,53 @@ _ROUTES = {
 }
 
 
+class _ReviewQueue:
+    """A FIFO pool of `servers` authorities whose reviews take exponential
+    draws of mean `mean` from `stream`.  `admit(now)` returns the review end
+    of a record arriving at `now`: it starts at `now` if a server is idle,
+    else when the first busy one frees (the Kiefer-Wolfowitz recursion).
+    That is the end `kernel.ResourcePool.serve` reaches, float for float, as
+    long as the k-th arrival takes the stream's k-th draw and no review is
+    cancelled or resized.  The heap never outgrows the records in review at
+    the busiest moment so far."""
+
+    __slots__ = ("servers", "mean", "stream", "_free")
+
+    def __init__(self, servers: int, stream: RngStream, mean: float) -> None:
+        self.servers = servers
+        self.mean = mean
+        self.stream = stream
+        self._free: list[float] = []  # heap: when each server used so far frees
+
+    def admit(self, now: float) -> float:
+        free = self._free
+        hold = self.stream.exponential(self.mean)
+        if free and (free[0] <= now or len(free) == self.servers):
+            # reuse the server that frees first; it starts at once if idle
+            start = free[0]
+            end = (start if start > now else now) + hold
+            heapq.heapreplace(free, end)
+        else:
+            end = now + hold
+            heapq.heappush(free, end)
+        return end
+
+
 class LedgerSystem:
     """Verification and confirmation queues wired into an event calendar.
 
     The route is fixed when the ledger is built: the topology decides the
     verification pools, their service mean and whether a root confirmation
     layer exists, and no later call looks at the topology again.  Each layer
-    is one `ResourcePool.serve` step: a record holds a verifier of its shard
-    for an exponential service time and, on the two-layer chain, then a root
-    regulator; the pool releases the server before the record moves on.
-    `submit` calls `on_resolved(accepted)` once the record is usable:
-    immediately with the ledger disabled, at verification for the single
-    chain, at root confirmation for the two-layer chain.  Rejected (falsified)
-    records resolve with accepted=False and never enter a block.
+    is a `_ReviewQueue` per pool: a record gets its verification end from its
+    shard's queue at submission and, on the two-layer chain, its review end
+    from the root queue once verified; the root chain commits each shard's
+    headers in height order, so a header commits at the later of its review
+    end and its predecessor's commit.  `submit` calls `on_resolved(accepted)`
+    once the record is usable: immediately with the ledger disabled, at
+    verification for the single chain, at root confirmation for the two-layer
+    chain.  Rejected (falsified) records resolve with accepted=False and never
+    enter a block.  The queues keep no waits or queue lengths.
     """
 
     def __init__(
@@ -618,26 +664,22 @@ class LedgerSystem:
         self.latencies: list[tuple[str, RecordKind, float, float | None]] = []
         n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
         self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
-        self.shard_pools = [
-            ResourcePool(calendar, f"shard-{s}-verify", servers) for s in range(n_pools)
-        ]
         self._miss_stream, root_stream, *shard_streams = stream.children(
             [("miss",), ("root",)] + [("shard", s) for s in range(n_pools)]
         )
-        # each layer's hold: an exponential service time from the layer's stream
-        self._verify_holds = [lambda s=s: s.exponential(verify_mean) for s in shard_streams]
-        self.root_pool = self._confirm_hold = None
+        self.shard_pools = [_ReviewQueue(servers, s, verify_mean) for s in shard_streams]
+        self.root_pool = None
         if cfg.topology is Topology.TWO_LAYER:
-            self.root_pool = ResourcePool(calendar, "root-confirm", cfg.n_regulators)
-            self._confirm_hold = lambda: root_stream.exponential(cfg.confirmation_mean_days)
+            self.root_pool = _ReviewQueue(cfg.n_regulators, root_stream,
+                                          cfg.confirmation_mean_days)
         self._heights = [0] * n_pools
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_height = 0
         self._root_prev = GENESIS_HASH
-        # root-chain-first consensus commits each shard's headers in height
-        # order; reviews that finish early park here, by height, until their turn
-        self._next_commit = [0] * n_pools
-        self._parked: list[dict[int, RecordTicket]] = [{} for _ in range(n_pools)]
+        # per shard: the headers committed to the root chain so far, and the
+        # time of the last commit scheduled, which a later header waits for
+        self._committed = [0] * n_pools
+        self._commit_at = [0.0] * n_pools
 
     # -- submission --------------------------------------------------------
 
@@ -652,8 +694,9 @@ class LedgerSystem:
             self._resolve(ticket, True)
             return
         shard = ticket.shard = assign_shard(record.location_index, len(self.shard_pools))
-        self.shard_pools[shard].serve(record.record_id, self._verify_holds[shard],
-                                      lambda: self._finish_verification(ticket))
+        calendar = self.calendar
+        calendar.schedule(self.shard_pools[shard].admit(calendar.now),
+                          lambda: self._finish_verification(ticket))
 
     def _finish_verification(self, ticket: RecordTicket) -> None:
         now = self.calendar.now
@@ -671,8 +714,14 @@ class LedgerSystem:
             self._resolve(ticket, True)
             return
         ticket.verify_end = now
-        self.root_pool.serve(ticket.record.record_id, self._confirm_hold,
-                             lambda: self._finish_confirmation(ticket))
+        # the header commits in shard height order: not before its review
+        # ends, nor before the shard's previous header commits
+        shard = ticket.shard
+        at = self.root_pool.admit(now)
+        if at < self._commit_at[shard]:
+            at = self._commit_at[shard]
+        self._commit_at[shard] = at
+        self.calendar.schedule(at, lambda: self._commit_root(ticket))
 
     def _append_shard_block(self, ticket: RecordTicket, now: float) -> None:
         shard = ticket.shard
@@ -694,20 +743,10 @@ class LedgerSystem:
         self.chain.records[ticket.record.record_id] = ticket.record
         self.chain.shard_blocks(shard).append(block)
 
-    def _finish_confirmation(self, ticket: RecordTicket) -> None:
-        # the regulator's review is done; the header commits in shard height
-        # order, so an early finisher parks until its predecessors commit
-        shard = ticket.shard
-        parked = self._parked[shard]
-        parked[ticket.height] = ticket
-        while self._next_commit[shard] in parked:
-            ready = parked.pop(self._next_commit[shard])
-            self._next_commit[shard] += 1
-            self._commit_root(ready)
-
     def _commit_root(self, ticket: RecordTicket) -> None:
         now = self.calendar.now
         ticket.confirmation_time = now - ticket.verify_end
+        self._committed[ticket.shard] += 1
         if ticket.header_hash is not None:
             root = RootBlock(
                 height=self._root_height,
@@ -735,13 +774,13 @@ class LedgerSystem:
         """Snapshot restricted to blocks already confirmed (root-covered for
         the two-layer topology); in-flight work is excluded so the snapshot
         always audits clean.  The root chain commits each shard's headers in
-        height order, so those are its first `_next_commit[shard]` blocks."""
+        height order, so those are its first `_committed[shard]` blocks."""
         if self.root_pool is None:
             return self.chain
         snap = ChainState(topology=self.chain.topology, n_shards=self.chain.n_shards)
         snap.roots = list(self.chain.roots)
         for shard_id, blocks in self.chain.shards.items():
-            kept = blocks[:self._next_commit[shard_id]]
+            kept = blocks[:self._committed[shard_id]]
             snap.shards[shard_id] = kept
             for b in kept:
                 for rid in b.record_ids:

@@ -2,6 +2,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemptwin.config import ChainConfig, RunConfig, Topology, default_config
-from hemptwin.kernel import EventCalendar
+from hemptwin.config import MAX_COUNT, ChainConfig, RunConfig, Topology, default_config
+from hemptwin.kernel import EventCalendar, ResourcePool
 from hemptwin.ledger import (
     ChainParseError,
     DataRecord,
@@ -24,6 +25,7 @@ from hemptwin.ledger import (
     ParticipantRole,
     RecordKind,
     _LINE_FIELDS,
+    _ReviewQueue,
     _digest,
     _export_line,
     assign_shard,
@@ -252,6 +254,18 @@ class TestChainStructure:
     def test_export_parse_round_trip_and_determinism(self):
         system = self.run_traffic()
         text = export_chain(system.confirmed_chain())
+        reparsed = parse_chain(text)
+        assert export_chain(reparsed) == text
+        assert audit_chain(reparsed).ok
+
+    def test_integer_time_survives_export_and_parse(self):
+        # a float field holding an integer is written as one; parsing used to
+        # read it back as a float, whose hash differs
+        cal, system = build_system(two_layer_cfg())
+        cal.schedule(3, lambda: system.submit(make_record(0, submitted_at=cal.now)))
+        cal.run()
+        text = export_chain(system.confirmed_chain())
+        assert '"submitted_at":3}' in text
         reparsed = parse_chain(text)
         assert export_chain(reparsed) == text
         assert audit_chain(reparsed).ok
@@ -532,3 +546,75 @@ def test_meta_n_shards_is_the_number_of_verification_pools(topology, pools):
     shard_ids = {o["shard_id"] for o in lines if o["kind"] == "shard_block"}
     assert all(0 <= sid < pools for sid in shard_ids)
     assert len(shard_ids) == pools
+
+
+# ---------------------------------------------------------------------------
+# authority review queues
+
+
+class ListStream:
+    """Stands in for an RngStream: `exponential` hands out `holds` in turn."""
+
+    def __init__(self, holds):
+        self.holds = list(holds)
+        self.taken = 0
+
+    def exponential(self, mean):
+        self.taken += 1
+        return self.holds[self.taken - 1]
+
+
+# a coarse grid makes arrivals meet free times exactly and arrive together
+grid_times = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(servers=st.integers(1, 4), gaps=st.lists(grid_times, min_size=1, max_size=30),
+       data=st.data())
+def test_review_queue_ends_reviews_where_the_kernel_pool_does(servers, gaps, data):
+    holds = data.draw(st.lists(grid_times, min_size=len(gaps), max_size=len(gaps)))
+    arrivals = list(itertools.accumulate(gaps))
+    # the oracle: one seize-hold-release per arrival through the kernel pool
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "oracle", servers)
+    stream = ListStream(holds)
+    drawn_by, ends = [], [None] * len(arrivals)
+
+    def arrive(i):
+        def hold():
+            drawn_by.append(i)
+            return stream.exponential(1.0)
+
+        pool.serve(i, hold, lambda: ends.__setitem__(i, cal.now))
+
+    for i, at in enumerate(arrivals):
+        cal.schedule(at, lambda i=i: arrive(i))
+    cal.run()
+    queue = _ReviewQueue(servers, ListStream(holds), 1.0)
+    admitted = []
+    for at in arrivals:
+        admitted.append(queue.admit(at))
+        # one draw per arrival, taken as it arrives
+        assert queue.stream.taken == len(admitted)
+    # the kernel hands the k-th draw to the k-th arrival too
+    assert drawn_by == list(range(len(arrivals)))
+    assert [end.hex() for end in admitted] == [end.hex() for end in ends]
+
+
+def test_review_queues_hold_no_more_than_the_records_in_flight():
+    cfg = two_layer_cfg(n_shards=2, n_validators_per_shard=MAX_COUNT,
+                        n_regulators=MAX_COUNT)
+    cal, system = build_system(cfg, keep_chain=False)
+    submitted = []
+    for i in range(300):
+        cal.schedule(i * 0.02, lambda i=i: (
+            submitted.append(i),
+            system.submit(make_record(i, location=i % 2, submitted_at=cal.now)),
+        ))
+    queues = system.shard_pools + [system.root_pool]
+    peak = 0  # the most records submitted and not yet resolved at once
+    while cal.step():
+        peak = max(peak, len(submitted) - len(system.latencies))
+        assert max(len(queue._free) for queue in queues) <= peak
+    assert len(system.latencies) == 300
+    assert 1 < peak < 300
