@@ -25,7 +25,6 @@ from .reporting import (
     run_experiment,
     write_reports,
 )
-from .riskmodel import decompose_final_product
 from .shapley import TooFewSamplesError, TooManyInputsError
 from .simulation import run_replication
 
@@ -106,6 +105,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_shapley(args) -> int:
+    # the one command that needs SciPy, so the others start without it
+    from .riskmodel import decompose_final_product
+
     cfg = _load(args)
     decomp = decompose_final_product(
         cfg,

@@ -322,7 +322,9 @@ def _format_value(v: object) -> str:
 def config_from_text(text: str) -> ScenarioConfig:
     cfg = default_config()
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" only: `str.splitlines` would also break a comment at
+    # U+2028, U+0085, \x0c and the other Unicode line boundaries
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -553,9 +553,11 @@ def parse_chain(text: str) -> ChainState:
     unknown enum value or an integer no float can hold, or holding a key its
     kind does not declare raises ChainParseError naming the line.  A float
     field's integer stays an integer, so it exports and hashes as it was
-    read."""
+    read.  Lines end only at a line feed: JSON allows U+2028, U+2029 and
+    U+0085 raw inside a string, and `str.splitlines` would break the line
+    there."""
     chain: ChainState | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

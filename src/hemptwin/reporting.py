@@ -14,13 +14,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ScenarioConfig, Topology, validate_config
 from .domain import LotOutput, ReplicationStats
-from .riskmodel import RiskDecomposition
 from .simulation import run_replication
+
+if TYPE_CHECKING:
+    from .riskmodel import RiskDecomposition
 
 __all__ = [
     "ExperimentSpec",

@@ -24,6 +24,12 @@ Both cannabinoid targets share the input list eps, t_prime, eps_prime,
 q_extract, w_winter, q_u, q_v; the THC model drops q_u, which cannot touch
 THC.  The same per-lot removal fractions apply to a repeated purification
 pass.
+
+This is the package's only SciPy importer (`ndtr`/`ndtri` for the inverse
+CDFs): `reporting` names `RiskDecomposition` only as a type and `cli` imports
+this module inside `shapley`, so `simulate`, `compare` and `audit` start
+without the cost of loading SciPy, which also pulls in `numpy.testing` and
+`numpy.f2py`.
 """
 
 from __future__ import annotations

@@ -146,6 +146,19 @@ def test_comments_and_blank_lines_ignored():
     assert config_from_text(text) == default_config()
 
 
+# Unicode line boundaries that are not "\n"; text pasted from a PDF can carry them
+NON_NEWLINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"]
+
+
+@pytest.mark.parametrize("brk", NON_NEWLINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_comment_holding_a_unicode_line_boundary_is_one_comment(brk):
+    assert config_from_text(f"# pasted{brk}text\n") == default_config()
+    # line numbers count "\n" lines: the second lots.n is on line 2
+    text = f"lots.n = 50  # pasted{brk}text\nlots.n = 50\n"
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'lots.n'$"):
+        config_from_text(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         config_from_text("growth.gg = 1\n")

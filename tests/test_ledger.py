@@ -507,6 +507,30 @@ def test_export_and_audit_without_operator_call():
     assert exported == export_chain(parse_chain(text)) == text
 
 
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"], ids=lambda c: f"U+{ord(c):04X}")
+def test_payload_string_holding_a_raw_unicode_line_boundary_parses(brk):
+    # the export escapes these characters; JSON allows them raw in a string
+    cal, system = build_system(two_layer_cfg())
+    for i in range(6):
+        record = make_record(i, location=i % 5)
+        record.payload["note"] = f"pasted{brk}text"
+        cal.schedule(i * 0.6, lambda r=record: system.submit(
+            dataclasses.replace(r, submitted_at=cal.now), None))
+    cal.run()
+    escaped = export_chain(system.confirmed_chain())
+    forged = escaped.replace("text", "texT", 1)
+    for text in (escaped, forged):
+        raw = text.replace(json.dumps(brk)[1:-1], brk)
+        assert raw != text
+        assert export_chain(parse_chain(raw)) == text
+        assert audit_chain(parse_chain(raw)).describe() == audit_chain(parse_chain(text)).describe()
+        # line numbers count "\n" lines
+        n = text.count("\n") + 1
+        with pytest.raises(ChainParseError, match=f"^line {n}: "):
+            parse_chain(raw + "not json\n")
+    assert audit_chain(parse_chain(escaped)).ok and not audit_chain(parse_chain(forged)).ok
+
+
 @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
 def test_every_hash_is_the_hash_of_its_export_line(topology):
     cfg = dataclasses.replace(

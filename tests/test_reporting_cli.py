@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,33 @@ def test_cli_shapley_smoke(tmp_path, cfg_file):
     assert len(rows) == 1 + 6 + 1
     payload = json.loads((out / "risk_thc.json").read_text())
     assert len(payload["inputs"]) == 6
+
+
+# Only `shapley` needs SciPy: the other commands run without importing it.
+STARTUP_WITHOUT_SCIPY = """
+import sys
+from hemptwin.cli import main
+cfg, out = sys.argv[1:]
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["simulate", "--config", cfg, "--reps", "1", "--out", out + "/sim"]) == 0
+assert main(["compare", "--scenario", "security", "--config", cfg, "--reps", "2",
+             "--out", out + "/cmp"]) == 0
+assert main(["audit", "--chain", out + "/sim/chain_export.txt"]) == 0
+assert not scipy_modules(), scipy_modules()[:3]
+assert main(["shapley", "--config", cfg, "--estimator", "exact", "--outer-k", "4",
+             "--inner-i", "10", "--macro-reps", "2", "--out", out + "/risk"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_shapley_imports_scipy(tmp_path, cfg_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_SCIPY, str(cfg_file),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_cli_shapley_cbd_has_seven_inputs(tmp_path, cfg_file):
