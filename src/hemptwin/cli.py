@@ -10,6 +10,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     ConfigValidationError,
+    ScenarioConfig,
     default_config,
     load_config,
     validate_config,
@@ -46,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser, replications: bool = True) -> N
                             help="worker processes for replications, at least 1")
 
 
-def _load(args) -> "ScenarioConfig":
+def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else default_config()
     run = cfg.run
     if args.seed is not None:

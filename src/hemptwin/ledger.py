@@ -14,7 +14,10 @@ gets one event per record and layer.
 
 Chains are hash-linked: each block carries the header hash of its
 predecessor and a merkle root over its records, so any post-hoc mutation is
-detectable by `audit_chain`.
+detectable by `audit_chain`.  Every hash is the SHA-256 of the object's
+export line, so a verifier can check one from the export alone.  The
+ledger's chain holds only confirmed work: a record and its block join it
+when the record is confirmed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 try:
     from operator import call
@@ -38,8 +41,10 @@ except ImportError:  # Python < 3.11
 
 from .config import ChainConfig, Topology
 from .domain import IdentityEnum
-from .kernel import EventCalendar
-from .randomness import RngStream
+
+if TYPE_CHECKING:
+    from .kernel import EventCalendar
+    from .randomness import RngStream
 
 __all__ = [
     "ParticipantRole",
@@ -209,10 +214,6 @@ _LINE_FIELDS = {
         "nonce": int,
     }),
 }
-# A hash is the SHA-256 of the canonical JSON of the object's export line
-# without its `kind` tag, with these keys renamed, or left out where renamed
-# to None.
-_HASH_RENAMES = {"record": {"record_kind": "kind"}, "shard_block": {"records": None}}
 
 
 # Canonical JSON: sorted keys, no whitespace, non-ASCII escaped.  One C
@@ -257,12 +258,10 @@ class _Template(NamedTuple):
         return self.text % (*map(call, self.writers, self.get(obj)),)
 
 
-def _template(items: list, tag: str | None = None) -> _Template:
-    """Compile (key, attribute path, writer) items, and a constant `kind`
-    tag when given, into one template."""
-    slots = {key: "%s" for key, _, _ in items}
-    if tag is not None:
-        slots["kind"] = _escape(tag)
+def _template(items: list, tag: str) -> _Template:
+    """Compile (key, attribute path, writer) items and a constant `kind` tag
+    into one template."""
+    slots = {key: "%s" for key, _, _ in items} | {"kind": _escape(tag)}
     text = ",".join(f"{_escape(key)}:{slots[key]}" for key in sorted(slots))
     items = sorted(items, key=itemgetter(0))
     return _Template("{" + text + "}", attrgetter(*(path for _, path, _ in items)),
@@ -270,14 +269,14 @@ def _template(items: list, tag: str | None = None) -> _Template:
 
 
 class _Line(NamedTuple):
-    """One line kind of `_LINE_FIELDS`, compiled for export, hash and parse."""
+    """One line kind of `_LINE_FIELDS`, compiled for export (and so hash)
+    and parse."""
 
     cls: type
     keys: tuple  # export keys
     types: tuple  # their JSON types
     readers: tuple  # (index into keys, reader) for values converted on parse
     export: _Template  # the export line, `kind` tag included
-    hashed: _Template  # the hash preimage
 
 
 def _reader(typ) -> Callable | None:
@@ -320,11 +319,7 @@ def _compile(kind: str) -> _Line:
     # parsing constructs the object from the line's values by position
     if attrs != [f.name for f in fields(cls)][:len(attrs)]:
         raise TypeError(f"{kind} keys must follow the fields of {cls.__name__}")
-    renames = _HASH_RENAMES.get(kind, {})
-    hashed = [(renames.get(key, key), path, write) for key, path, write in items
-              if renames.get(key, key) is not None]
-    return _Line(cls, tuple(keys), tuple(types), tuple(readers),
-                 _template(items, kind), _template(hashed))
+    return _Line(cls, tuple(keys), tuple(types), tuple(readers), _template(items, kind))
 
 
 _LINES = {kind: _compile(kind) for kind in _LINE_FIELDS}
@@ -335,7 +330,8 @@ def _export_line(obj, kind: str) -> str:
 
 
 def _digest(obj, kind: str) -> str:
-    return hashlib.sha256(_LINES[kind].hashed.write(obj).encode("ascii")).hexdigest()
+    """The SHA-256 of the object's export line, exactly as exported."""
+    return hashlib.sha256(_LINES[kind].export.write(obj).encode("ascii")).hexdigest()
 
 
 def record_hash(rec: DataRecord) -> str:
@@ -587,9 +583,10 @@ class RecordTicket:
     verification_time: float | None = None
     confirmation_time: float | None = None
     shard: int | None = None
-    height: int | None = None
     verify_end: float | None = None
-    header_hash: str | None = None  # its shard block's, when the chain is kept
+    # its shard block and that block's header hash, when the chain is kept
+    block: ShardBlock | None = None
+    header_hash: str | None = None
 
 
 # Per topology: the number of verification pools, the servers per pool and
@@ -649,8 +646,11 @@ class LedgerSystem:
     end and its predecessor's commit.  `submit` calls `on_resolved(accepted)`
     once the record is usable: immediately with the ledger disabled, at
     verification for the single chain, at root confirmation for the two-layer
-    chain.  Rejected (falsified) records resolve with accepted=False and never
-    enter a block.  The queues keep no waits or queue lengths.
+    chain.  With `keep_chain`, a verified record's block is sealed and hashed
+    at verification, and the record and its block join `chain` as it
+    resolves accepted.  Rejected (falsified) records resolve with
+    accepted=False and never enter a block.  The queues keep no waits or
+    queue lengths.
     """
 
     def __init__(
@@ -678,9 +678,8 @@ class LedgerSystem:
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_height = 0
         self._root_prev = GENESIS_HASH
-        # per shard: the headers committed to the root chain so far, and the
-        # time of the last commit scheduled, which a later header waits for
-        self._committed = [0] * n_pools
+        # per shard: the time of the last commit scheduled, which a later
+        # header waits for
         self._commit_at = [0.0] * n_pools
 
     # -- submission --------------------------------------------------------
@@ -711,7 +710,8 @@ class LedgerSystem:
             # on-site validation caught the falsified values; no block
             self._resolve(ticket, False)
             return
-        self._append_shard_block(ticket, now)
+        if self.keep_chain:
+            self._seal_shard_block(ticket, now)
         if self.root_pool is None:
             self._resolve(ticket, True)
             return
@@ -725,14 +725,13 @@ class LedgerSystem:
         self._commit_at[shard] = at
         self.calendar.schedule(at, lambda: self._commit_root(ticket))
 
-    def _append_shard_block(self, ticket: RecordTicket, now: float) -> None:
+    def _seal_shard_block(self, ticket: RecordTicket, now: float) -> None:
+        """Seal and hash the verified record's block now, as the shard's next
+        block links to it; it joins the chain when the record is confirmed."""
         shard = ticket.shard
         height = self._heights[shard]
         self._heights[shard] = height + 1
-        ticket.height = height
-        if not self.keep_chain:
-            return
-        block = ShardBlock(
+        ticket.block = ShardBlock(
             shard_id=shard,
             height=height,
             prev_hash=self._prev_hash[shard],
@@ -741,19 +740,16 @@ class LedgerSystem:
             created_at=now,
             record_ids=[ticket.record.record_id],
         )
-        ticket.header_hash = self._prev_hash[shard] = shard_header_hash(block)
-        self.chain.records[ticket.record.record_id] = ticket.record
-        self.chain.shard_blocks(shard).append(block)
+        ticket.header_hash = self._prev_hash[shard] = shard_header_hash(ticket.block)
 
     def _commit_root(self, ticket: RecordTicket) -> None:
         now = self.calendar.now
         ticket.confirmation_time = now - ticket.verify_end
-        self._committed[ticket.shard] += 1
-        if ticket.header_hash is not None:
+        if ticket.block is not None:
             root = RootBlock(
                 height=self._root_height,
                 prev_hash=self._root_prev,
-                shard_headers=[(ticket.shard, ticket.height, ticket.header_hash)],
+                shard_headers=[(ticket.shard, ticket.block.height, ticket.header_hash)],
                 regulator_id="regulator-root",
                 created_at=now,
             )
@@ -763,28 +759,22 @@ class LedgerSystem:
         self._resolve(ticket, True)
 
     def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
-        """Log the record's latencies and hand the verdict to its submitter."""
+        """Log the record's latencies, put a confirmed record and its block on
+        the chain, and hand the verdict to its submitter."""
         record = ticket.record
         self.latencies.append((record.lot_id, record.record_kind,
                                ticket.verification_time, ticket.confirmation_time))
+        if ticket.block is not None:
+            self.chain.records[record.record_id] = record
+            self.chain.shard_blocks(ticket.shard).append(ticket.block)
         if ticket.on_resolved is not None:
             ticket.on_resolved(accepted)
 
     # -- exported view -----------------------------------------------------
 
     def confirmed_chain(self) -> ChainState:
-        """Snapshot restricted to blocks already confirmed (root-covered for
-        the two-layer topology); in-flight work is excluded so the snapshot
-        always audits clean.  The root chain commits each shard's headers in
-        height order, so those are its first `_committed[shard]` blocks."""
-        if self.root_pool is None:
-            return self.chain
-        snap = ChainState(topology=self.chain.topology, n_shards=self.chain.n_shards)
-        snap.roots = list(self.chain.roots)
-        for shard_id, blocks in self.chain.shards.items():
-            kept = blocks[:self._committed[shard_id]]
-            snap.shards[shard_id] = kept
-            for b in kept:
-                for rid in b.record_ids:
-                    snap.records[rid] = self.chain.records[rid]
-        return snap
+        """The ledger's own chain, for every topology: a record and its block
+        join it only when confirmed (root-covered on the two-layer chain), and
+        the root chain commits each shard's headers in height order, so it
+        holds no in-flight work and always audits clean."""
+        return self.chain

@@ -246,6 +246,30 @@ class TestChainStructure:
                 committed.setdefault(sid, []).append(height)
         assert committed == {0: list(range(40))}
 
+    def test_chain_mid_run_holds_exactly_the_confirmed_records(self):
+        # stepped, not run to the end: a slow root layer leaves verified
+        # records waiting for their commit, and those stay off the chain
+        cfg = two_layer_cfg(n_shards=2, n_validators_per_shard=2, n_regulators=1,
+                            confirmation_mean_days=0.3)
+        cal, system = build_system(cfg)
+        confirmed = []
+        for i in range(40):
+            record = make_record(i, location=i % 2, tampered=i % 7 == 3)
+            cal.schedule(i * 0.05, lambda r=record: system.submit(
+                dataclasses.replace(r, submitted_at=cal.now),
+                lambda ok, rid=r.record_id: ok and confirmed.append(rid)))
+        in_flight = 0  # steps that left a sealed block waiting for its commit
+        while cal.step():
+            chain = system.confirmed_chain()
+            assert audit_chain(chain).ok
+            assert sorted(chain.records) == sorted(confirmed)
+            for blocks in chain.shards.values():
+                assert [b.height for b in blocks] == list(range(len(blocks)))
+            in_flight += sum(system._heights) > len(confirmed)
+        assert in_flight > 0
+        # the tampered records are rejected; every other one is confirmed
+        assert len(confirmed) == 40 - len(range(3, 40, 7))
+
     def test_heights_contiguous_per_shard(self):
         system = self.run_traffic()
         for blocks in system.confirmed_chain().shards.values():
@@ -420,17 +444,14 @@ def test_any_text_parses_or_raises_parse_error(text):
     parses_or_raises_parse_error(text)
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def line_hash(obj: dict) -> str:
     """The hash rule stated for the chain export: SHA-256 of the canonical
-    JSON of the line without `kind`; a record's kind goes under `kind`, and a
-    shard header leaves out `records`."""
-    body = {key: value for key, value in obj.items() if key != "kind"}
-    if obj["kind"] == "record":
-        body["kind"] = body.pop("record_kind")
-    elif obj["kind"] == "shard_block":
-        del body["records"]
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    JSON of the line, `kind` tag included."""
+    return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 # strings with escapes: quotes, backslashes, control, non-ASCII and lone
@@ -540,8 +561,11 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
     )
     _, sim = run_replication(cfg, 0, keep_chain=True)
     chain = sim.ledger.confirmed_chain()
-    lines = [json.loads(line) for line in export_chain(chain).splitlines()]
-    by_kind = {kind: [line_hash(o) for o in lines if o["kind"] == kind]
+    lines = export_chain(chain).splitlines()
+    objs = [json.loads(line) for line in lines]
+    # the hash of each exported line's text, as a verifier without the twin
+    # computes it
+    by_kind = {kind: [sha256(line) for line, o in zip(lines, objs) if o["kind"] == kind]
                for kind in ("record", "shard_block", "root_block")}
     blocks = [block for sid in sorted(chain.shards) for block in chain.shards[sid]]
     assert by_kind["record"] == [record_hash(chain.records[rid]) for rid in sorted(chain.records)]
@@ -550,6 +574,20 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
     assert len(lines) == 1 + len(chain.records) + len(blocks) + len(chain.roots)
     assert bool(chain.records) == (topology is not Topology.NONE)
     assert bool(chain.roots) == (topology is Topology.TWO_LAYER)
+    # each root header is the hash of the exported line of the shard block it
+    # names, and a one-record block's merkle root the hash of its record's line
+    line_of = {}
+    for line, obj in zip(lines, objs):
+        if obj["kind"] == "record":
+            line_of[obj["record_id"]] = line
+        elif obj["kind"] == "shard_block":
+            line_of[obj["shard_id"], obj["height"]] = line
+    for root in chain.roots:
+        for sid, height, header in root.shard_headers:
+            assert header == sha256(line_of[sid, height])
+    for block in blocks:
+        (rid,) = block.record_ids
+        assert block.merkle_root == sha256(line_of[rid])
 
 
 @pytest.mark.parametrize("topology, pools", [(Topology.TWO_LAYER, 3),

@@ -1,13 +1,15 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
-from hemptwin import reporting, riskmodel
+from hemptwin import cli, reporting, riskmodel
 from hemptwin.cli import main
 from hemptwin.config import RunConfig, default_config, save_config
 from hemptwin.reporting import (
@@ -143,6 +145,13 @@ def test_cli_audit_undecodable_bytes_are_a_parse_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe\x00garbage\n")
     assert main(["audit", "--chain", str(bad)]) == 2
+
+
+def test_cli_annotations_name_imported_types():
+    # an annotation naming a type that cli does not import raises NameError
+    for fn in vars(cli).values():
+        if inspect.isfunction(fn) and fn.__module__ == cli.__name__:
+            typing.get_type_hints(fn)
 
 
 def test_cli_rejects_invalid_config(tmp_path):
