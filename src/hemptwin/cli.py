@@ -19,11 +19,9 @@ from .ledger import ChainParseError, audit_chain, export_chain, parse_chain
 from .reporting import (
     ALL_METRICS,
     SCENARIOS,
-    ExperimentSpec,
     build_table,
     run_replications,
     shapley_table,
-    run_experiment,
     write_reports,
 )
 from .shapley import TooFewSamplesError, TooManyInputsError
@@ -84,14 +82,10 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     builder, metrics = SCENARIOS[args.scenario]
-    spec = ExperimentSpec(
-        name=args.scenario,
-        variants=builder(cfg),
-        out_dir=args.out,
-        formats=_formats(args),
-        metrics=metrics,
-    )
-    table, paths = run_experiment(spec, parallel=args.parallel)
+    variant_reps = [(label, run_replications(variant, parallel=args.parallel))
+                    for label, variant in builder(cfg)]
+    table = build_table(args.scenario, metrics, variant_reps)
+    paths = write_reports(args.out, table, variant_reps, _formats(args))
     labels = table.variants
     print(f"{'metric':32s} " + " ".join(f"{label:>24s}" for label in labels))
     for metric in table.metrics:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ class RandomInputs:
     q_v: float = 0.0
 
 
-FACTOR_NAMES = ("eps", "t_prime", "eps_prime", "q_extract", "w_winter", "q_u", "q_v")
+FACTOR_NAMES = tuple(f.name for f in fields(RandomInputs))
 
 
 @dataclass
@@ -187,7 +187,6 @@ class ReplicationStats:
     verification_mean: float = 0.0
     verification_sd: float = 0.0
     confirmation_mean: float = 0.0
-    confirmation_sd: float = 0.0
     lot_outputs: list = field(default_factory=list)
     t_prime_samples: list = field(default_factory=list)
 

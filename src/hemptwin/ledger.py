@@ -49,7 +49,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ParticipantRole",
     "RecordKind",
-    "GATE_KINDS",
     "DataRecord",
     "ShardBlock",
     "RootBlock",
@@ -105,17 +104,10 @@ class RecordKind(IdentityEnum):
     TRANSPORT_DATA = "transport_data"
 
 
-# Kinds whose confirmation blocks the lot's progression to the next stage.
-GATE_KINDS = frozenset(
-    {RecordKind.PREHARVEST_RESULT, RecordKind.HARVEST_DATA, RecordKind.FINAL_COA}
-)
-
-
 @dataclass(slots=True)
 class DataRecord:
     """One submitted data record.  `payload` is the as-reported (on-chain)
-    view; `true_values` holds the ground truth for gate-relevant numbers and
-    stays off-chain, as does the `tampered` flag."""
+    view; the `tampered` flag stays off-chain."""
 
     record_id: str
     lot_id: str
@@ -124,16 +116,11 @@ class DataRecord:
     location_index: int
     payload: dict
     submitted_at: float
-    true_values: dict = field(default_factory=dict)
     tampered: bool = False
 
     def validate(self) -> None:
         if not self.record_id or not self.lot_id:
             raise MalformedRecordError("record_id and lot_id are required")
-        if self.record_kind in GATE_KINDS and not self.true_values:
-            raise MalformedRecordError(
-                f"{self.record_kind.value} must carry true values"
-            )
         if self.location_index < 0:
             raise MalformedRecordError("location_index must be non-negative")
 

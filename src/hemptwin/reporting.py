@@ -26,12 +26,10 @@ if TYPE_CHECKING:
     from .riskmodel import RiskDecomposition
 
 __all__ = [
-    "ExperimentSpec",
     "ComparisonTable",
     "run_replications",
     "aggregate_metrics",
     "build_table",
-    "run_experiment",
     "security_variants",
     "scalability_variants",
     "resource_variants",
@@ -42,24 +40,6 @@ __all__ = [
 ]
 
 SD_FOOTNOTE = "plus-minus values are across-replication sample standard deviations"
-
-
-@dataclass
-class ExperimentSpec:
-    """A named comparison: variant labels paired with full configurations."""
-
-    name: str
-    variants: list  # [(label, ScenarioConfig), ...]
-    out_dir: Path
-    formats: tuple = ("csv",)
-    metrics: tuple = ()
-
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.variants]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate variant labels: {labels}")
-        if not self.variants:
-            raise ValueError("need at least one variant")
 
 
 def _run_one(args) -> ReplicationStats:
@@ -135,7 +115,6 @@ class ComparisonTable:
     variants: list  # labels in column order
     cells: dict  # (metric, variant) -> (mean, sd)
     replications: int
-    footnote: str = SD_FOOTNOTE
 
     def to_csv(self) -> str:
         header = ["metric"]
@@ -148,14 +127,14 @@ class ComparisonTable:
                 mean, sd = self.cells[(metric, label)]
                 row += [repr(mean), repr(sd)]
             lines.append(",".join(row))
-        lines.append(f"# replications={self.replications}; {self.footnote}")
+        lines.append(f"# replications={self.replications}; {SD_FOOTNOTE}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
             "title": self.title,
             "replications": self.replications,
-            "footnote": self.footnote,
+            "footnote": SD_FOOTNOTE,
             "variants": list(self.variants),
             "metrics": {
                 metric: {
@@ -169,9 +148,6 @@ class ComparisonTable:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def mean(self, metric: str, variant: str) -> float:
-        return self.cells[(metric, variant)][0]
 
 
 def build_table(
@@ -233,24 +209,6 @@ def write_reports(out_dir: Path, table: ComparisonTable, variant_reps: list,
     paths["lots"] = out_dir / f"{table.title}_lots.csv"
     write_lot_dump(paths["lots"], variant_reps)
     return paths
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    replications: int | None = None,
-    parallel: int = 1,
-) -> tuple[ComparisonTable, dict]:
-    """Run every variant, write one comparison table plus the per-lot dump;
-    returns the table and the output paths."""
-    for _, cfg in spec.variants:
-        validate_config(cfg)
-    metrics = spec.metrics or ALL_METRICS
-    variant_reps = [
-        (label, run_replications(cfg, replications, parallel))
-        for label, cfg in spec.variants
-    ]
-    table = build_table(spec.name, metrics, variant_reps)
-    return table, write_reports(spec.out_dir, table, variant_reps, spec.formats)
 
 
 # ---------------------------------------------------------------------------

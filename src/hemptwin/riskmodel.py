@@ -228,7 +228,6 @@ def decompose_final_product(
     i_inner: int = 100,
     macro_replications: int = 10,
     t_prime_sample=None,
-    seed: int | None = None,
 ) -> RiskDecomposition:
     """Full risk-decomposition pipeline for one cannabinoid target.  The
     target, the estimator and the sample counts are checked before the t'
@@ -243,7 +242,7 @@ def decompose_final_product(
     if t_prime_sample is None:
         t_prime_sample = collect_t_prime_samples(cfg)
     model = FinalProductModel(cfg, target, t_prime_sample)
-    seed = cfg.run.master_seed if seed is None else seed
+    seed = cfg.run.master_seed
     results: list[ShapleyResult] = []
     for j in range(macro_replications):
         if estimator == "exact":

@@ -213,7 +213,6 @@ class SupplyChainSimulation:
             lot, RecordKind.PREHARVEST_RESULT, ParticipantRole.LAB,
             {"cbd": lot.state.cbd_pct, "thc": result.reported_thc,
              "sampled_at": lot.sample_time},
-            true_values={"cbd": lot.state.cbd_pct, "thc": result.true_thc},
             tampered=result.tampered,
             on_resolved=on_resolved,
         )
@@ -275,7 +274,6 @@ class SupplyChainSimulation:
         self._submit(
             lot, RecordKind.HARVEST_DATA, ParticipantRole.GROWER,
             {"harvest_window_days": reported_window, "completed_at": now},
-            true_values={"harvest_window_days": t_prime},
             tampered=tampered,
             on_resolved=lambda ok, lot=lot, tampered=tampered: (
                 self._harvest_record_resolved(lot, ok, tampered)),
@@ -398,7 +396,6 @@ class SupplyChainSimulation:
         self._submit(
             lot, RecordKind.FINAL_COA, ParticipantRole.PROCESSOR,
             {"cbd": lot.state.cbd_pct, "thc": result.reported_thc},
-            true_values={"thc": result.true_thc},
             tampered=result.tampered,
             on_resolved=lambda ok, lot=lot, tampered=result.tampered: (
                 self._coa_resolved(lot, ok, tampered)),
@@ -460,7 +457,6 @@ class SupplyChainSimulation:
         kind: RecordKind,
         role: ParticipantRole,
         payload: dict,
-        true_values: dict | None = None,
         tampered: bool = False,
         on_resolved=None,
     ) -> None:
@@ -473,7 +469,6 @@ class SupplyChainSimulation:
             location_index=lot.index_in_season,
             payload=payload,
             submitted_at=self.calendar.now,
-            true_values=true_values or {},
             tampered=tampered,
         )
         self.ledger.submit(record, on_resolved)
@@ -520,7 +515,6 @@ class SupplyChainSimulation:
             stats.verification_sd = _sd(verifications)
         if confirmations:
             stats.confirmation_mean = float(np.mean(confirmations))
-            stats.confirmation_sd = _sd(confirmations)
         return stats
 
 

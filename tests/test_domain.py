@@ -133,3 +133,11 @@ def test_every_enum_of_the_package_hashes_by_identity():
         assert cls.__hash__ is object.__hash__, name
         for member in cls:
             assert hash(member) == object.__hash__(member), member
+
+
+def test_every_name_in_a_module_all_resolves():
+    # a stale entry breaks `from hemptwin.<module> import *`
+    for info in pkgutil.iter_modules(hemptwin.__path__):
+        module = importlib.import_module(f"hemptwin.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -126,7 +126,7 @@ def small_export() -> list:
         record = DataRecord(
             record_id=f"r{i}", lot_id=f"lot-{i % 2}",
             participant_role=list(ParticipantRole)[i], record_kind=kind,
-            location_index=i, submitted_at=0.25 * i, true_values={"thc": 0.003},
+            location_index=i, submitted_at=0.25 * i,
             payload={"value": 0.1 * i, "note": f"Hanf \"{i}\" \u00e9t\u00e9",
                      "tags": ["a", i]},
         )

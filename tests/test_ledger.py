@@ -43,9 +43,6 @@ from hemptwin.simulation import run_replication
 
 def make_record(i=0, kind=RecordKind.CULTIVATION_DATA, location=0, tampered=False,
                 submitted_at=0.0):
-    true_values = {"thc": 0.0035} if kind in (
-        RecordKind.PREHARVEST_RESULT, RecordKind.HARVEST_DATA, RecordKind.FINAL_COA
-    ) else {}
     return DataRecord(
         record_id=f"r{i:04d}",
         lot_id=f"lot-0-{location}",
@@ -54,7 +51,6 @@ def make_record(i=0, kind=RecordKind.CULTIVATION_DATA, location=0, tampered=Fals
         location_index=location,
         payload={"value": float(i)},
         submitted_at=submitted_at,
-        true_values=true_values,
         tampered=tampered,
     )
 
@@ -136,7 +132,7 @@ class TestSubmission:
     def test_malformed_record_rejected(self):
         _, system = build_system(two_layer_cfg())
         bad = make_record(0, RecordKind.FINAL_COA)
-        bad.true_values = {}
+        bad.lot_id = ""
         with pytest.raises(MalformedRecordError):
             system.submit(bad, None)
 

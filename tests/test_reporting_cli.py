@@ -11,15 +11,14 @@ import pytest
 
 from hemptwin import cli, reporting, riskmodel
 from hemptwin.cli import main
-from hemptwin.config import RunConfig, default_config, save_config
+from hemptwin.config import RunConfig, Topology, default_config, save_config
 from hemptwin.reporting import (
-    ExperimentSpec,
     RESOURCE_METRICS,
     SECURITY_METRICS,
     build_table,
-    run_experiment,
     run_replications,
     security_variants,
+    write_reports,
 )
 
 
@@ -38,27 +37,12 @@ def cfg_file(tmp_path):
     return path
 
 
-def test_experiment_spec_rejects_duplicate_labels():
-    cfg = tiny_cfg()
-    with pytest.raises(ValueError):
-        ExperimentSpec("x", [("a", cfg), ("a", cfg)], out_dir=None)
-
-
-def test_experiment_spec_rejects_empty_variants():
-    with pytest.raises(ValueError):
-        ExperimentSpec("x", [], out_dir=None)
-
-
 def test_table_shape_and_formats(tmp_path):
     cfg = tiny_cfg()
-    spec = ExperimentSpec(
-        name="security",
-        variants=security_variants(cfg),
-        out_dir=tmp_path,
-        formats=("csv", "json"),
-        metrics=SECURITY_METRICS,
-    )
-    table, paths = run_experiment(spec)
+    variant_reps = [(label, run_replications(variant))
+                    for label, variant in security_variants(cfg)]
+    table = build_table("security", SECURITY_METRICS, variant_reps)
+    paths = write_reports(tmp_path, table, variant_reps, ("csv", "json"))
     csv_text = paths["csv"].read_text()
     lines = csv_text.strip().splitlines()
     assert lines[0] == (
@@ -71,8 +55,8 @@ def test_table_shape_and_formats(tmp_path):
     assert set(payload["metrics"]) == set(SECURITY_METRICS)
     assert payload["replications"] == 2
     # the ledger suppresses falsified gate passes entirely
-    assert table.mean("false_pass_preharvest_pct", "with_ledger") == 0.0
-    assert table.mean("false_pass_preharvest_pct", "without_ledger") > 0.0
+    assert table.cells[("false_pass_preharvest_pct", "with_ledger")][0] == 0.0
+    assert table.cells[("false_pass_preharvest_pct", "without_ledger")][0] > 0.0
     lots = paths["lots"].read_text().strip().splitlines()
     assert len(lots) == 1 + 2 * 2 * 50  # header + variants * reps * lots
 
@@ -221,6 +205,21 @@ def test_cli_compare_resource_scenario(tmp_path, cfg_file):
                  "--out", str(out), "--format", "csv"]) == 0
     text = (out / "resource.csv").read_text()
     assert "fixed_dryers_mean" in text and "dynamic_dryers_mean" in text
+
+
+def test_cli_compare_rejects_an_invalid_variant(tmp_path, capsys):
+    # the base config runs without a ledger, but its ledger variant has no shards
+    cfg = tiny_cfg()
+    cfg = dataclasses.replace(cfg, chain=dataclasses.replace(
+        cfg.chain, topology=Topology.NONE, n_shards=0))
+    path = tmp_path / "no_shards.cfg"
+    save_config(cfg, path)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", "security", "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "chain.n_shards" in err
+    assert not out.exists()
 
 
 def test_cli_shapley_smoke(tmp_path, cfg_file):
