@@ -5,14 +5,15 @@ sequence.  Pools hand out servers in strict request order, record every
 waiting time, and integrate queue length over time so long-run queue
 statistics (Little's law checks) come for free.  A request that finds a free
 server is granted at once and gets no handle; only a request that has to
-queue returns a `PoolRequest`, which can cancel it.
+queue returns a `PoolRequest`, which can cancel it.  A pool's capacity is
+fixed when it is built; `math.inf` makes a pool that never queues.
 
 Every pooled lot step of the twin is one seize-hold-release:
 `ResourcePool.serve` seizes a server, holds it for the time its `hold`
 callback returns at the grant, releases it, and only then runs the step's
-continuation.  The ledger's authority queues are not pools: nothing cancels or
-resizes them, so `hemptwin.ledger` works out each record's finish time in
-closed form when the record arrives.
+continuation.  The ledger's authority queues are not pools: nothing cancels
+them, so `hemptwin.ledger` works out each record's finish time in closed form
+when the record arrives.
 """
 
 from __future__ import annotations
@@ -106,14 +107,15 @@ class _Service:
 class ResourcePool:
     """Multi-server FIFO pool with immediate grants and no preemption.
 
-    Capacity increases take effect immediately (queued requests are granted);
-    decreases take effect as busy servers release.  Buffers are unbounded --
-    any loss behaviour belongs to the callers via timeout events.
+    `capacity` is fixed at construction; `math.inf` means unbounded.  A
+    request queues only while every server is busy, so a non-empty queue
+    means `busy == capacity`.  Buffers are unbounded -- any loss behaviour
+    belongs to the callers via timeout events.
     """
 
     calendar: EventCalendar
     name: str
-    capacity: int
+    capacity: float
     busy: int = 0
     queue: deque = field(default_factory=deque)
     waits: list = field(default_factory=list)
@@ -134,7 +136,7 @@ class ResourcePool:
         server is granted at once, before this returns None; a request that
         queues returns its handle, usable for cancellation.  A server is free
         only while the queue is empty, so the queue-length area stays put."""
-        if self.busy < self.capacity and not self.queue:
+        if self.busy < self.capacity:
             self.busy += 1
             self.waits.append((entity_id, 0.0))
             on_grant()
@@ -142,7 +144,6 @@ class ResourcePool:
         self._advance_areas()
         req = PoolRequest(self, entity_id, self.calendar.now, on_grant)
         self.queue.append(req)
-        self._drain()
         return req
 
     def serve(
@@ -158,28 +159,18 @@ class ResourcePool:
         return self.request(entity_id, _Service(self, hold, then))
 
     def release(self) -> None:
-        """Return one server and hand it to the queue head, FIFO."""
+        """Return one server: it goes straight to the queue head, FIFO, or
+        becomes free when nobody waits."""
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without busy server")
-        self.busy -= 1
-        if self.queue:
-            self._advance_areas()
-            self._drain()
-
-    def resize(self, new_capacity: int) -> None:
-        if new_capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        if not self.queue:
+            self.busy -= 1
+            return
         self._advance_areas()
-        self.capacity = new_capacity
-        self._drain()
-
-    def _drain(self) -> None:
-        while self.busy < self.capacity and self.queue:
-            req = self.queue.popleft()
-            req.granted = True
-            self.busy += 1
-            self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
-            req.on_grant()
+        req = self.queue.popleft()
+        req.granted = True
+        self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
+        req.on_grant()
 
     def average_queue_length(self) -> float:
         self._advance_areas()

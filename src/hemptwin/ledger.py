@@ -8,7 +8,7 @@ block.  The single-chain baseline runs one verification pool and no
 confirmation layer; with the ledger disabled records are accepted at face
 value with zero delay and falsification is never caught.
 
-Nothing cancels or resizes an authority pool, so a record's review end is
+Nothing cancels an authority pool's reviews, so a record's review end is
 known when it arrives: each pool computes it in closed form, and the calendar
 gets one event per record and layer.
 
@@ -595,8 +595,8 @@ class _ReviewQueue:
     else when the first busy one frees (the Kiefer-Wolfowitz recursion).
     That is the end `kernel.ResourcePool.serve` reaches, float for float, as
     long as the k-th arrival takes the stream's k-th draw and no review is
-    cancelled or resized.  The heap never outgrows the records in review at
-    the busiest moment so far."""
+    cancelled.  The heap never outgrows the records in review at the
+    busiest moment so far."""
 
     __slots__ = ("servers", "mean", "stream", "_free")
 

@@ -238,8 +238,9 @@ def scalability_variants(base: ScenarioConfig) -> list:
 
 
 def resource_variants(base: ScenarioConfig) -> list:
-    """Fixed dryer count versus demand-sized dryers (needs the shared
-    schedule visibility the ledger provides)."""
+    """Fixed dryer count versus demand-sized dryers: an unbounded dryer
+    pool, so no harvested lot waits for a dryer (needs the shared schedule
+    visibility the ledger provides)."""
     return [
         ("fixed_dryers", dataclasses.replace(base, dynamic_dryers=False)),
         ("dynamic_dryers", dataclasses.replace(base, dynamic_dryers=True)),

@@ -23,6 +23,7 @@ Timing couplings that drive the headline comparisons:
 from __future__ import annotations
 
 import gc
+import math
 
 import numpy as np
 
@@ -72,7 +73,11 @@ class SupplyChainSimulation:
         cal = self.calendar
         self.field_pool = ResourcePool(cal, "field-workers", cfg.n_field_workers)
         self.lab_pool = ResourcePool(cal, "test-lab", cfg.n_lab_servers)
-        self.dryer_pool = ResourcePool(cal, "dryers", cfg.n_dryers)
+        # stabilizers that see the shared schedule size dryers to demand: a
+        # lot that asks for one is never kept waiting, so n_d does not bind
+        self.dryer_pool = ResourcePool(
+            cal, "dryers", math.inf if cfg.dynamic_dryers else cfg.n_dryers
+        )
         self.processor_pool = ResourcePool(cal, "processors", cfg.n_processors)
 
         target = cfg.run.warmup_lots + cfg.run.run_length_lots
@@ -82,7 +87,6 @@ class SupplyChainSimulation:
         self.done = False
         self.measured: list[Lot] = []
         self._record_seq = 0
-        self._dry_phase = 0  # lots waiting for or busy in drying
 
     # ------------------------------------------------------------------ run
 
@@ -267,10 +271,6 @@ class SupplyChainSimulation:
         lot.dry_episode += 1
         lot.dry_active = True
         lot.dryer_request = None
-        self._dry_phase += 1
-        if cfg.dynamic_dryers:
-            # stabilizers see the shared schedule and size dryers to demand
-            self.dryer_pool.resize(max(cfg.n_dryers, self._dry_phase))
         self._submit(
             lot, RecordKind.HARVEST_DATA, ParticipantRole.GROWER,
             {"harvest_window_days": reported_window, "completed_at": now},
@@ -289,7 +289,6 @@ class SupplyChainSimulation:
         if not accepted:
             # regulator uncovered the falsified completion date: back to testing
             lot.dry_active = False
-            self._dry_phase -= 1
             self._enter_test_queue(lot)
             return
         if tampered:
@@ -305,7 +304,6 @@ class SupplyChainSimulation:
         if lot.dryer_request is not None:
             lot.dryer_request.cancel()
         lot.dry_active = False
-        self._dry_phase -= 1
         if lot.stage is not Stage.DRY_WAIT:
             # record still pending resolution; the biomass spoiled regardless
             lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
@@ -324,7 +322,6 @@ class SupplyChainSimulation:
         return self._dur(lot, "drying")
 
     def _drying_done(self, lot: Lot) -> None:
-        self._dry_phase -= 1
         # drying removes moisture only; cannabinoid content is unchanged
         self._submit(lot, RecordKind.DRYING_DATA, ParticipantRole.DRYER,
                      {"drying_days": self.calendar.now - lot.timestamps[Stage.DRYING][0]})

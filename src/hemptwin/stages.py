@@ -46,7 +46,6 @@ class GateDecision(IdentityEnum):
 class GateResult:
     decision: GateDecision
     reported_thc: float
-    true_thc: float
     tampered: bool
 
 
@@ -89,10 +88,10 @@ def preharvest_gate(
         raise ValueError("gamma_v must be positive")
     thc = true_state.thc_pct
     if thc <= gamma_v:
-        return GateResult(GateDecision.PROCEED, thc, thc, False)
+        return GateResult(GateDecision.PROCEED, thc, False)
     if tampered:
-        return GateResult(GateDecision.PROCEED, gamma_v * 0.95, thc, True)
-    return GateResult(GateDecision.DESTROY, thc, thc, False)
+        return GateResult(GateDecision.PROCEED, gamma_v * 0.95, True)
+    return GateResult(GateDecision.DESTROY, thc, False)
 
 
 def harvest_deadline_gate(
@@ -144,12 +143,12 @@ def final_coa_gate(
         raise ValueError("at least one purification pass must precede the test")
     thc = state.thc_pct
     if thc < gamma:
-        return GateResult(GateDecision.ACCEPT, thc, thc, False)
+        return GateResult(GateDecision.ACCEPT, thc, False)
     if plc_passes_used < max_passes:
-        return GateResult(GateDecision.REPEAT_PLC, thc, thc, False)
+        return GateResult(GateDecision.REPEAT_PLC, thc, False)
     if tampered:
-        return GateResult(GateDecision.ACCEPT, gamma * 0.9, thc, True)
-    return GateResult(GateDecision.REJECT, thc, thc, False)
+        return GateResult(GateDecision.ACCEPT, gamma * 0.9, True)
+    return GateResult(GateDecision.REJECT, thc, False)
 
 
 def _check_fraction(name: str, value: float) -> None:

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hemptwin.kernel import EventCalendar, PoolRequest, ResourcePool, TimeInPastError
 from hemptwin.randomness import RngStream
@@ -96,30 +100,6 @@ def test_grant_order_equals_enqueue_order():
     assert order == list("abcdef")
 
 
-def test_resize_up_grants_queued_requests_immediately():
-    cal = EventCalendar()
-    pool = ResourcePool(cal, "p", capacity=3)
-    started = []
-    for i in range(5):
-        pool.request(i, lambda i=i: started.append(i))
-    assert started == [0, 1, 2]
-    pool.resize(5)
-    assert started == [0, 1, 2, 3, 4]
-
-
-def test_resize_down_never_preempts():
-    cal = EventCalendar()
-    pool = ResourcePool(cal, "p", capacity=3)
-    for i in range(3):
-        pool.request(i, lambda: None)
-    assert pool.busy == 3
-    pool.resize(1)
-    assert pool.busy == 3  # no preemption
-    pool.release()
-    pool.release()
-    assert pool.busy == 1
-
-
 def test_cancelled_request_is_skipped_and_pool_stays_live():
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=1)
@@ -183,14 +163,13 @@ def test_immediate_grant_returns_no_handle():
 
 
 def test_queue_statistics_on_a_mixed_workload():
-    # immediate grants, queued grants, two cancellations, a resize up that
-    # grants from the queue and a resize down below the busy count; the
-    # figures are pinned to those of the kernel that built a handle for every
-    # request and integrated the queue area on every request and release,
-    # except that the area now also holds the time the cancelled requests
-    # spent queued: d from 1 to 1.75 and j from 9.5 to 9.6.  That kernel lost
-    # d's 0.25 after its last area update at 1.5 and j's 0.1 after 9.5, so its
-    # area of 13.75 becomes 14.1 over the 15 days.
+    # immediate grants, queued grants, two cancellations, and k, which queues
+    # at 9.75 behind i's release at the same instant and so waits 0.  Worked
+    # by hand: c, e, f and g wait 2.5, 3.5, 3.0 and 3.75 (12.75 over ten
+    # grants); the queue holds 1, 2, 3, 2, 3, 4, 3 and 1 requests over
+    # 0.5-6, and the cancelled j one more over 9.5-9.6, an area of 13.6 over
+    # the 15 days.  The time the cancelled d (1 to 1.75) and j spent queued
+    # counts.
     cal = EventCalendar()
     pool = ResourcePool(cal, "mixed", capacity=2)
     handles = {}
@@ -207,15 +186,60 @@ def test_queue_statistics_on_a_mixed_workload():
                              (9.5, "j", 2.0), (9.75, "k", 1.25), (13.0, "l", 2.0)]:
         cal.schedule(t, lambda name=name, service=service: arrive(name, service))
     cal.schedule(1.75, lambda: handles["d"].cancel())
-    cal.schedule(2.5, lambda: pool.resize(3))
-    cal.schedule(3.5, lambda: pool.resize(1))
     cal.schedule(9.6, lambda: handles["j"].cancel())
     cal.run()
-    assert [name for name, h in handles.items() if h is None] == ["a", "b", "h", "l"]
-    assert pool.waits == [("a", 0.0), ("b", 0.0), ("c", 2.0), ("e", 1.5), ("f", 3.0),
-                          ("g", 5.25), ("h", 0.0), ("i", 0.75), ("k", 0.75), ("l", 0.0)]
-    assert pool.average_queue_length() == 0.94
-    assert pool.average_wait() == 1.325
+    assert [name for name, h in handles.items() if h is None] == ["a", "b", "h", "i", "l"]
+    assert pool.waits == [("a", 0.0), ("b", 0.0), ("c", 2.5), ("e", 3.5), ("f", 3.0),
+                          ("g", 3.75), ("h", 0.0), ("i", 0.0), ("k", 0.0), ("l", 0.0)]
+    assert pool.average_queue_length() == 13.6 / 15
+    assert pool.average_wait() == 1.275
+
+
+quarter_days = st.integers(0, 20).map(lambda k: k / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.sampled_from([1, 2, 3, math.inf]),
+    jobs=st.lists(
+        st.tuples(quarter_days, quarter_days.filter(lambda d: d > 0),
+                  st.none() | quarter_days),
+        max_size=25,
+    ),
+)
+def test_fixed_capacity_invariant(capacity, jobs):
+    # random arrivals, services and cancels: the pool never holds more than
+    # its capacity, a request queues only while every server is busy (so a
+    # release hands its server to the queue head or frees it, never both),
+    # grants follow request order, and an unbounded pool never queues
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=capacity)
+    requested, granted, cancelled, handles = [], [], set(), {}
+
+    def arrive(i, service, cancel_after):
+        def on_grant():
+            granted.append(i)
+            cal.schedule_in(service, pool.release)
+
+        requested.append(i)
+        handles[i] = pool.request(i, on_grant)
+        if handles[i] is not None and cancel_after is not None:
+            cal.schedule_in(cancel_after, lambda: withdraw(i))
+
+    def withdraw(i):
+        if not handles[i].granted:
+            cancelled.add(i)
+        handles[i].cancel()
+
+    for i, (at, service, cancel_after) in enumerate(jobs):
+        cal.schedule(at, lambda i=i, s=service, c=cancel_after: arrive(i, s, c))
+    while cal.step():
+        assert pool.busy <= capacity
+        assert not pool.queue or pool.busy == capacity
+    assert granted == [i for i in requested if i not in cancelled]
+    assert pool.busy == 0 and not pool.queue
+    if capacity == math.inf:
+        assert all(h is None for h in handles.values())
 
 
 def test_cancelled_request_keeps_its_queued_time_in_the_queue_area():

@@ -258,6 +258,29 @@ def test_dry_drops_emerge_under_dryer_scarcity_and_dynamic_policy_removes_them()
     assert dynamic.finished_count > fixed.finished_count
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+def test_dynamic_dryers_never_queue_and_ignore_n_d(topology):
+    # demand-sized dryers are an unbounded pool: with drying slow enough to
+    # queue lots behind one fixed dryer, no lot waits for a dryer and the
+    # dryer count changes nothing, down to the exported chain
+    from hemptwin.config import StageDuration
+    from hemptwin.ledger import export_chain
+
+    base = with_durations(
+        with_topology(small_cfg(dynamic_dryers=True), topology),
+        drying=StageDuration(2.0, 4.0),
+    )
+    runs = []
+    for n_dryers in (0, 3):
+        stats, sim = run_replication(
+            dataclasses.replace(base, n_dryers=n_dryers), 0, keep_chain=True
+        )
+        assert sim.dryer_pool.waits
+        assert all(wait == 0.0 for _, wait in sim.dryer_pool.waits)
+        runs.append((stats, export_chain(sim.ledger.confirmed_chain())))
+    assert runs[0] == runs[1]
+
+
 def test_gate_records_block_stage_progression():
     # a lot may not start drying until its harvest record has cleared both
     # ledger layers: the gap between harvest completion and drying start must

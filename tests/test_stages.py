@@ -78,7 +78,7 @@ class TestPreharvestGate:
         res = preharvest_gate(CannabinoidState(0.097, 0.0035), 0.003, tampered=True)
         assert res.decision is GateDecision.PROCEED
         assert res.reported_thc <= 0.003
-        assert res.true_thc == 0.0035 and res.tampered
+        assert res.tampered
 
 
 class TestHarvestDeadlineGate:
