@@ -1,19 +1,18 @@
 """Deterministic discrete-event kernel: clock, calendar, and FIFO server pools.
 
 Events fire in non-decreasing time order with FIFO tie-breaking by insertion
-sequence.  Pools hand out servers in strict request order, record every
-waiting time, and integrate queue length over time so long-run queue
-statistics (Little's law checks) come for free.  A request that finds a free
-server is granted at once and gets no handle; only a request that has to
-queue returns a `PoolRequest`, which can cancel it.  A pool's capacity is
-fixed when it is built; `math.inf` makes a pool that never queues.
+sequence.  Pools hand out servers in strict request order and keep no
+statistics.  A pool's capacity is fixed when it is built; `math.inf` makes a
+pool that never queues.
 
-Every pooled lot step of the twin is one seize-hold-release:
-`ResourcePool.serve` seizes a server, holds it for the time its `hold`
-callback returns at the grant, releases it, and only then runs the step's
-continuation.  The ledger's authority queues are not pools: nothing cancels
-them, so `hemptwin.ledger` works out each record's finish time in closed form
-when the record arrives.
+Every pooled lot step of the twin is one seize-hold-release, and one
+`PoolRequest`: `ResourcePool.request` seizes a server, holds it for the time
+its `hold` callback returns at the grant, releases it, and only then runs the
+step's continuation.  A step that finds a free server is granted at once and
+gets no handle; only a step that has to queue returns its `PoolRequest`,
+which can cancel it.  The ledger's authority queues are not pools: nothing
+cancels them, so `hemptwin.ledger` works out each record's finish time in
+closed form when the record arrives.
 """
 
 from __future__ import annotations
@@ -67,40 +66,25 @@ class EventCalendar:
 
 @dataclass(slots=True, eq=False)
 class PoolRequest:
-    """A queued request for one server of `pool`."""
+    """One pooled step: a server of `pool` held for `hold()` days, then `then()`.
+
+    The step is its own end-of-hold event, and a queued step's handle."""
 
     pool: "ResourcePool" = field(repr=False)
-    entity_id: object = None
-    enqueue_time: float = 0.0
-    on_grant: Callable[[], None] = field(default=None, repr=False)
+    hold: Callable[[], float] = field(repr=False)
+    then: Callable[[], None] = field(repr=False)
     granted: bool = False
 
+    def __call__(self) -> None:
+        """End of the hold: release the server, then continue."""
+        self.pool.release()
+        self.then()
+
     def cancel(self) -> None:
-        """Withdraw the request if it is still queued."""
+        """Withdraw the step if it is still queued."""
         queue = self.pool.queue
         if self in queue:
-            self.pool._advance_areas()
             queue.remove(self)
-
-
-@dataclass(slots=True, eq=False)
-class _Service:
-    """One `ResourcePool.serve` step: called at the grant it starts the hold,
-    called again at the end of the hold it releases the server and continues.
-    One object, not two closures with their cells, is what a step keeps alive."""
-
-    pool: "ResourcePool"
-    hold: Callable[[], float]
-    then: Callable[[], None]
-    held: bool = False
-
-    def __call__(self) -> None:
-        if self.held:
-            self.pool.release()
-            self.then()
-        else:
-            self.held = True
-            self.pool.calendar.schedule_in(self.hold(), self)
 
 
 @dataclass
@@ -118,63 +102,34 @@ class ResourcePool:
     capacity: float
     busy: int = 0
     queue: deque = field(default_factory=deque)
-    waits: list = field(default_factory=list)
-    _queue_area: float = 0.0
-    _last_t: float = 0.0
-
-    def _advance_areas(self) -> None:
-        now = self.calendar.now
-        dt = now - self._last_t
-        if dt > 0:
-            self._queue_area += dt * len(self.queue)
-            self._last_t = now
 
     def request(
-        self, entity_id: object, on_grant: Callable[[], None]
-    ) -> PoolRequest | None:
-        """Ask for one server; `on_grant` runs when one is assigned.  A free
-        server is granted at once, before this returns None; a request that
-        queues returns its handle, usable for cancellation.  A server is free
-        only while the queue is empty, so the queue-length area stays put."""
-        if self.busy < self.capacity:
-            self.busy += 1
-            self.waits.append((entity_id, 0.0))
-            on_grant()
-            return None
-        self._advance_areas()
-        req = PoolRequest(self, entity_id, self.calendar.now, on_grant)
-        self.queue.append(req)
-        return req
-
-    def serve(
-        self, entity_id: object, hold: Callable[[], float], then: Callable[[], None]
+        self, hold: Callable[[], float], then: Callable[[], None]
     ) -> PoolRequest | None:
         """Seize one server, hold it, release it, then continue.
 
         At the grant `hold()` runs and returns the hold time; when that time
         is up the server is released -- granting it to the queue head, whose
-        `hold()` runs at once -- and then `then()` runs.  Returns like
-        `request`: None for an immediate grant, the queued request's handle
-        otherwise.  A cancelled request never calls `hold` or `then`."""
-        return self.request(entity_id, _Service(self, hold, then))
+        `hold()` runs at once -- and then `then()` runs.  A free server is
+        granted before this returns None; a step that queues returns its
+        handle, whose `cancel` withdraws it before it ever calls `hold` or
+        `then`."""
+        if self.busy < self.capacity:
+            self.busy += 1
+            self.calendar.schedule_in(hold(), PoolRequest(self, hold, then, True))
+            return None
+        step = PoolRequest(self, hold, then)
+        self.queue.append(step)
+        return step
 
     def release(self) -> None:
-        """Return one server: it goes straight to the queue head, FIFO, or
-        becomes free when nobody waits."""
+        """Return one server: the queue head, FIFO, is granted it and starts
+        its hold, or the server becomes free when nobody waits."""
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without busy server")
         if not self.queue:
             self.busy -= 1
             return
-        self._advance_areas()
-        req = self.queue.popleft()
-        req.granted = True
-        self.waits.append((req.entity_id, self.calendar.now - req.enqueue_time))
-        req.on_grant()
-
-    def average_queue_length(self) -> float:
-        self._advance_areas()
-        return self._queue_area / self._last_t if self._last_t > 0 else 0.0
-
-    def average_wait(self) -> float:
-        return sum(w for _, w in self.waits) / len(self.waits) if self.waits else 0.0
+        step = self.queue.popleft()
+        step.granted = True
+        self.calendar.schedule_in(step.hold(), step)

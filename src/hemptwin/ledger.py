@@ -593,7 +593,7 @@ class _ReviewQueue:
     draws of mean `mean` from `stream`.  `admit(now)` returns the review end
     of a record arriving at `now`: it starts at `now` if a server is idle,
     else when the first busy one frees (the Kiefer-Wolfowitz recursion).
-    That is the end `kernel.ResourcePool.serve` reaches, float for float, as
+    That is the end `kernel.ResourcePool.request` reaches, float for float, as
     long as the k-th arrival takes the stream's k-th draw and no review is
     cancelled.  The heap never outgrows the records in review at the
     busiest moment so far."""

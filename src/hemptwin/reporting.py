@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -55,11 +56,12 @@ def run_replications(
 ) -> list[ReplicationStats]:
     """Replications `first` .. n-1, where n is `replications` or, when that
     is None, the configured count, on at most `parallel` worker processes and
-    never more than there are replications."""
+    never more than there are replications or CPUs: a process pool starts all
+    its workers at the first submit."""
     validate_config(cfg)
     n = cfg.run.replications if replications is None else replications
     jobs = [(cfg, j) for j in range(first, n)]
-    workers = min(parallel, len(jobs))
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, jobs))

@@ -294,8 +294,8 @@ class SupplyChainSimulation:
         if tampered:
             lot.false_pass_harvest = True
         lot.enter_stage(Stage.DRY_WAIT, lot.harvest_end)
-        lot.dryer_request = self.dryer_pool.serve(
-            lot.id, lambda: self._drying_start(lot), lambda: self._drying_done(lot)
+        lot.dryer_request = self.dryer_pool.request(
+            lambda: self._drying_start(lot), lambda: self._drying_done(lot)
         )
 
     def _dry_timeout(self, lot: Lot, token: int) -> None:
@@ -423,7 +423,7 @@ class SupplyChainSimulation:
                 lot.enter_stage(stage, self.calendar.now)
             return self._dur(lot, duration_key)
 
-        return pool.serve(lot.id, hold, lambda: then(lot))
+        return pool.request(hold, lambda: then(lot))
 
     def _end(self, lot: Lot, reason: DropReason | None) -> None:
         """Terminate `lot`: finished when `reason` is None, else dropped or

@@ -354,15 +354,8 @@ def test_criterion_10_property_suites():
     pool = ResourcePool(cal, "fifo", capacity=2)
     order = []
 
-    def serving(name):
-        def on_grant():
-            order.append(name)
-            cal.schedule_in(1.0, pool.release)
-
-        return on_grant
-
     for name in range(20):
-        pool.request(name, serving(name))
+        pool.request(lambda name=name: order.append(name) or 1.0, lambda: None)
     cal.run()
     assert order == list(range(20))
 

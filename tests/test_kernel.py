@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hemptwin.kernel import EventCalendar, PoolRequest, ResourcePool, TimeInPastError
-from hemptwin.randomness import RngStream
 
 
 def test_events_fire_in_time_order():
@@ -44,11 +43,15 @@ def test_clock_never_moves_backward():
     assert times == sorted(times)
 
 
-def _serve(cal, pool, duration):
-    def on_grant():
-        cal.schedule_in(duration, pool.release)
+def _timed(cal, pool, grants, name, days, then=lambda: None):
+    """Request a `days`-long step for `name` whose hold appends (name, grant
+    time) to `grants`."""
 
-    return on_grant
+    def hold():
+        grants.append((name, cal.now))
+        return days
+
+    return pool.request(hold, then)
 
 
 def test_single_server_second_request_waits_service_time():
@@ -56,19 +59,21 @@ def test_single_server_second_request_waits_service_time():
     # -> first starts at 0, second at 2, so the second waits 2 days
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=1)
-    pool.request("a", _serve(cal, pool, 2.0))
-    pool.request("b", _serve(cal, pool, 2.0))
+    grants = []
+    _timed(cal, pool, grants, "a", 2.0)
+    _timed(cal, pool, grants, "b", 2.0)
     cal.run()
-    assert dict(pool.waits) == {"a": 0.0, "b": 2.0}
+    assert grants == [("a", 0.0), ("b", 2.0)]
 
 
 def test_uncontended_pool_all_waits_zero():
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=10)
+    grants = []
     for i in range(10):
-        pool.request(i, _serve(cal, pool, 1.0))
+        _timed(cal, pool, grants, i, 1.0)
     cal.run()
-    assert all(w == 0.0 for _, w in pool.waits)
+    assert grants == [(i, 0.0) for i in range(10)]
 
 
 def test_three_dryers_five_simultaneous_requests():
@@ -76,45 +81,37 @@ def test_three_dryers_five_simultaneous_requests():
     # the remaining 2 -> waits {0, 0, 0, 1, 1}
     cal = EventCalendar()
     pool = ResourcePool(cal, "dryers", capacity=3)
+    grants = []
     for i in range(5):
-        pool.request(i, _serve(cal, pool, 1.0))
+        _timed(cal, pool, grants, i, 1.0)
     cal.run()
-    assert sorted(w for _, w in pool.waits) == [0.0, 0.0, 0.0, 1.0, 1.0]
+    assert sorted(at for _, at in grants) == [0.0, 0.0, 0.0, 1.0, 1.0]
 
 
 def test_grant_order_equals_enqueue_order():
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=1)
-    order = []
-
-    def serving(name):
-        def on_grant():
-            order.append(name)
-            cal.schedule_in(1.0, pool.release)
-
-        return on_grant
-
+    grants = []
     for name in "abcdef":
-        pool.request(name, serving(name))
+        _timed(cal, pool, grants, name, 1.0)
     cal.run()
-    assert order == list("abcdef")
+    assert [name for name, _ in grants] == list("abcdef")
 
 
 def test_cancelled_request_is_skipped_and_pool_stays_live():
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=1)
-    granted = []
-    pool.request("a", lambda: granted.append("a"))
-    req_b = pool.request("b", lambda: granted.append("b"))
+    grants = []
+    _timed(cal, pool, grants, "a", 1.0)
+    req_b = _timed(cal, pool, grants, "b", 1.0)
     assert isinstance(req_b, PoolRequest) and not req_b.granted
     req_b.cancel()
-    pool.request("c", lambda: granted.append("c"))
-    pool.release()  # a done -> c granted, b skipped
-    assert granted == ["a", "c"]
+    _timed(cal, pool, grants, "c", 1.0)
+    cal.run()  # a done -> c granted, b skipped
+    assert grants == [("a", 0.0), ("c", 1.0)]
     # the cancelled request left the queue, so an idle pool grants at once
-    pool.release()
-    pool.request("d", lambda: granted.append("d"))
-    assert granted == ["a", "c", "d"]
+    assert _timed(cal, pool, grants, "d", 1.0) is None
+    assert grants[-1] == ("d", 2.0)
 
 
 def test_release_without_busy_server_raises():
@@ -124,61 +121,27 @@ def test_release_without_busy_server_raises():
         pool.release()
 
 
-def test_littles_law_on_long_single_pool_run():
-    # M/M/2 with arrival rate 1.5/day and mean service 1.0 day (rho = 0.75):
-    # long-run average queue length must match arrival_rate * average wait
-    cal = EventCalendar()
-    pool = ResourcePool(cal, "mmc", capacity=2)
-    arrivals = RngStream(2024, ("arrivals",))
-    services = RngStream(2024, ("services",))
-    horizon = 40_000.0
-    rate = 1.5
-
-    def serve():
-        cal.schedule_in(services.exponential(1.0), pool.release)
-
-    def arrive():
-        if cal.now >= horizon:
-            return
-        pool.request(None, serve)
-        cal.schedule_in(arrivals.exponential(1.0 / rate), arrive)
-
-    cal.schedule(0.0, arrive)
-    cal.run()
-    n = len(pool.waits)
-    effective_rate = n / cal.now
-    lhs = pool.average_queue_length()
-    rhs = effective_rate * pool.average_wait()
-    assert lhs == pytest.approx(rhs, rel=0.10)
-
-
 def test_immediate_grant_returns_no_handle():
     cal = EventCalendar()
     pool = ResourcePool(cal, "p", capacity=1)
-    granted = []
-    assert pool.request("a", lambda: granted.append("a")) is None
-    assert granted == ["a"]
-    assert pool.waits == [("a", 0.0)]
+    grants = []
+    assert _timed(cal, pool, grants, "a", 1.0) is None
+    assert grants == [("a", 0.0)]
     assert pool.busy == 1 and not pool.queue
 
 
-def test_queue_statistics_on_a_mixed_workload():
+def test_grant_times_on_a_mixed_workload():
     # immediate grants, queued grants, two cancellations, and k, which queues
     # at 9.75 behind i's release at the same instant and so waits 0.  Worked
-    # by hand: c, e, f and g wait 2.5, 3.5, 3.0 and 3.75 (12.75 over ten
-    # grants); the queue holds 1, 2, 3, 2, 3, 4, 3 and 1 requests over
-    # 0.5-6, and the cancelled j one more over 9.5-9.6, an area of 13.6 over
-    # the 15 days.  The time the cancelled d (1 to 1.75) and j spent queued
-    # counts.
+    # by hand: c, e, f and g wait 2.5, 3.5, 3.0 and 3.75; the cancelled d and
+    # j are never granted.
     cal = EventCalendar()
     pool = ResourcePool(cal, "mixed", capacity=2)
-    handles = {}
+    handles, arrivals, grants = {}, {}, []
 
     def arrive(name, service):
-        def on_grant():
-            cal.schedule_in(service, pool.release)
-
-        handles[name] = pool.request(name, on_grant)
+        arrivals[name] = cal.now
+        handles[name] = _timed(cal, pool, grants, name, service)
 
     for t, name, service in [(0.0, "a", 3.0), (0.0, "b", 5.0), (0.5, "c", 2.0),
                              (1.0, "d", 4.0), (1.5, "e", 1.0), (2.0, "f", 2.5),
@@ -189,10 +152,9 @@ def test_queue_statistics_on_a_mixed_workload():
     cal.schedule(9.6, lambda: handles["j"].cancel())
     cal.run()
     assert [name for name, h in handles.items() if h is None] == ["a", "b", "h", "i", "l"]
-    assert pool.waits == [("a", 0.0), ("b", 0.0), ("c", 2.5), ("e", 3.5), ("f", 3.0),
-                          ("g", 3.75), ("h", 0.0), ("i", 0.0), ("k", 0.0), ("l", 0.0)]
-    assert pool.average_queue_length() == 13.6 / 15
-    assert pool.average_wait() == 1.275
+    assert [(name, at - arrivals[name]) for name, at in grants] == [
+        ("a", 0.0), ("b", 0.0), ("c", 2.5), ("e", 3.5), ("f", 3.0),
+        ("g", 3.75), ("h", 0.0), ("i", 0.0), ("k", 0.0), ("l", 0.0)]
 
 
 quarter_days = st.integers(0, 20).map(lambda k: k / 4)
@@ -217,12 +179,12 @@ def test_fixed_capacity_invariant(capacity, jobs):
     requested, granted, cancelled, handles = [], [], set(), {}
 
     def arrive(i, service, cancel_after):
-        def on_grant():
+        def hold():
             granted.append(i)
-            cal.schedule_in(service, pool.release)
+            return service
 
         requested.append(i)
-        handles[i] = pool.request(i, on_grant)
+        handles[i] = pool.request(hold, lambda: None)
         if handles[i] is not None and cancel_after is not None:
             cal.schedule_in(cancel_after, lambda: withdraw(i))
 
@@ -242,23 +204,9 @@ def test_fixed_capacity_invariant(capacity, jobs):
         assert all(h is None for h in handles.values())
 
 
-def test_cancelled_request_keeps_its_queued_time_in_the_queue_area():
-    # one server busy over 0-4; a request queues at 1 and is cancelled at 3,
-    # so one request waited for 2 of the 4 days
-    cal = EventCalendar()
-    pool = ResourcePool(cal, "p", capacity=1)
-    pool.request("busy", lambda: cal.schedule_in(4.0, pool.release))
-    handle = {}
-    cal.schedule(1.0, lambda: handle.setdefault("q", pool.request("q", lambda: None)))
-    cal.schedule(3.0, lambda: handle["q"].cancel())
-    cal.run()
-    assert cal.now == 4.0
-    assert pool.average_queue_length() == 0.5
-
-
-class TestServe:
-    """`serve(entity_id, hold, then)`: seize at the grant, hold for `hold()`
-    days, release, then continue."""
+class TestRequest:
+    """`request(hold, then)`: seize at the grant, hold for `hold()` days,
+    release, then continue."""
 
     def test_hold_runs_at_the_grant_and_then_after_the_hold(self):
         cal = EventCalendar()
@@ -272,15 +220,14 @@ class TestServe:
 
             return at_grant
 
-        assert pool.serve("a", hold("a", 2.0),
-                          lambda: log.append(("then", "a", cal.now))) is None
-        req = pool.serve("b", hold("b", 1.0), lambda: log.append(("then", "b", cal.now)))
+        assert pool.request(hold("a", 2.0),
+                            lambda: log.append(("then", "a", cal.now))) is None
+        req = pool.request(hold("b", 1.0), lambda: log.append(("then", "b", cal.now)))
         assert isinstance(req, PoolRequest) and not req.granted
         assert log == [("hold", "a", 0.0)]  # b's hold waits for its grant
         cal.run()
         assert log == [("hold", "a", 0.0), ("hold", "b", 2.0), ("then", "a", 2.0),
                        ("then", "b", 3.0)]
-        assert dict(pool.waits) == {"a": 0.0, "b": 2.0}
         assert pool.busy == 0
 
     def test_grants_stay_fifo(self):
@@ -288,11 +235,10 @@ class TestServe:
         pool = ResourcePool(cal, "p", capacity=2)
         held, done = [], []
         for name, days in zip("abcdef", (3.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
-            pool.serve(name, lambda name=name, days=days: held.append(name) or days,
-                       lambda name=name: done.append(name))
+            pool.request(lambda name=name, days=days: held.append(name) or days,
+                         lambda name=name: done.append(name))
         cal.run()
         assert held == list("abcdef")
-        assert [name for name, _ in pool.waits] == list("abcdef")
         assert done == ["b", "c", "a", "d", "e", "f"]
 
     def test_release_comes_before_then(self):
@@ -301,22 +247,33 @@ class TestServe:
         cal = EventCalendar()
         pool = ResourcePool(cal, "p", capacity=1)
         held, seen = [], []
-        pool.serve("a", lambda: held.append("a") or 1.0,
-                   lambda: seen.append((list(held), pool.busy, len(pool.queue))))
-        req = pool.serve("b", lambda: held.append("b") or 1.0, lambda: None)
+        pool.request(lambda: held.append("a") or 1.0,
+                     lambda: seen.append((list(held), pool.busy, len(pool.queue))))
+        req = pool.request(lambda: held.append("b") or 1.0, lambda: None)
         cal.run()
         assert seen == [(["a", "b"], 1, 0)]
         assert req.granted
 
-    def test_cancelled_queued_serve_never_holds_or_continues(self):
+    def test_cancelled_queued_request_never_holds_or_continues(self):
         cal = EventCalendar()
         pool = ResourcePool(cal, "p", capacity=1)
         log = []
-        pool.serve("a", lambda: 2.0, lambda: log.append("then a"))
-        req = pool.serve("b", lambda: log.append("hold b") or 1.0,
-                         lambda: log.append("then b"))
+        pool.request(lambda: 2.0, lambda: log.append("then a"))
+        req = pool.request(lambda: log.append("hold b") or 1.0,
+                           lambda: log.append("then b"))
         cal.schedule(1.0, req.cancel)
         cal.run()
         assert log == ["then a"]
         assert not req.granted and pool.busy == 0 and not pool.queue
-        assert [name for name, _ in pool.waits] == ["a"]
+
+    def test_cancel_after_the_grant_changes_nothing(self):
+        cal = EventCalendar()
+        pool = ResourcePool(cal, "p", capacity=1)
+        log = []
+        pool.request(lambda: 1.0, lambda: log.append(("then a", cal.now)))
+        req = pool.request(lambda: 1.0, lambda: log.append(("then b", cal.now)))
+        cal.schedule(1.5, req.cancel)  # b was granted at 1
+        cal.run()
+        assert req.granted
+        assert log == [("then a", 1.0), ("then b", 2.0)]
+        assert pool.busy == 0 and not pool.queue

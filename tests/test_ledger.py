@@ -643,7 +643,7 @@ def test_review_queue_ends_reviews_where_the_kernel_pool_does(servers, gaps, dat
             drawn_by.append(i)
             return stream.exponential(1.0)
 
-        pool.serve(i, hold, lambda: ends.__setitem__(i, cal.now))
+        pool.request(hold, lambda: ends.__setitem__(i, cal.now))
 
     for i, at in enumerate(arrivals):
         cal.schedule(at, lambda i=i: arrive(i))

@@ -331,6 +331,19 @@ class _RecordingExecutor:
         return map(fn, jobs)
 
 
+def _record_workers(monkeypatch, cpus, parallel, reps, first):
+    """Run replications `first`..`reps`-1 on a recording executor while
+    `os.cpu_count()` reads `cpus`; returns the worker counts it was built
+    with."""
+    monkeypatch.setattr(_RecordingExecutor, "made", [])
+    monkeypatch.setattr(reporting, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(reporting, "_run_one", lambda job: job[1])
+    monkeypatch.setattr(reporting.os, "cpu_count", lambda: cpus)
+    out = run_replications(tiny_cfg(), replications=reps, parallel=parallel, first=first)
+    assert out == list(range(first, reps))
+    return _RecordingExecutor.made
+
+
 @pytest.mark.parametrize("parallel, reps, first, workers", [
     (8, 3, 0, [3]),  # capped at the replication count
     (2, 3, 1, [2]),  # simulate runs replications 1.. after replication 0
@@ -338,9 +351,12 @@ class _RecordingExecutor:
     (4, 1, 0, []),
 ])
 def test_worker_count_never_exceeds_jobs(monkeypatch, parallel, reps, first, workers):
-    monkeypatch.setattr(_RecordingExecutor, "made", [])
-    monkeypatch.setattr(reporting, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(reporting, "_run_one", lambda job: job[1])
-    out = run_replications(tiny_cfg(), replications=reps, parallel=parallel, first=first)
-    assert out == list(range(first, reps))
-    assert _RecordingExecutor.made == workers
+    assert _record_workers(monkeypatch, 64, parallel, reps, first) == workers
+
+
+@pytest.mark.parametrize("cpus, workers", [
+    (2, [2]),  # 100 000 asked for, two CPUs: two workers
+    (None, []),  # CPU count unknown: one, so the jobs run serially
+])
+def test_worker_count_never_exceeds_cpus(monkeypatch, cpus, workers):
+    assert _record_workers(monkeypatch, cpus, 100_000, 6, 0) == workers
