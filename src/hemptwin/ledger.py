@@ -563,17 +563,14 @@ def parse_chain(text: str) -> ChainState:
 
 @dataclass(slots=True)
 class RecordTicket:
-    """In-flight tracking for one submitted record."""
+    """One submitted record in flight: its shard and verification end are
+    set as it is verified; its latencies, and its block when the chain is
+    kept, are written only when it resolves."""
 
     record: DataRecord
     on_resolved: Callable[[bool], None] | None
-    verification_time: float | None = None
-    confirmation_time: float | None = None
     shard: int | None = None
     verify_end: float | None = None
-    # its shard block and that block's header hash, when the chain is kept
-    block: ShardBlock | None = None
-    header_hash: str | None = None
 
 
 # Per topology: the number of verification pools, the servers per pool and
@@ -633,9 +630,10 @@ class LedgerSystem:
     end and its predecessor's commit.  `submit` calls `on_resolved(accepted)`
     once the record is usable: immediately with the ledger disabled, at
     verification for the single chain, at root confirmation for the two-layer
-    chain.  With `keep_chain`, a verified record's block is sealed and hashed
-    at verification, and the record and its block join `chain` as it
-    resolves accepted.  Rejected (falsified) records resolve with
+    chain.  A record's outcome is written once, when it resolves: its
+    latencies and, with `keep_chain` and an accepted verdict, its block,
+    sealed and hashed then and dated its verification end, which joins
+    `chain` with the record.  Rejected (falsified) records resolve with
     accepted=False and never enter a block.  The queues keep no waits or
     queue lengths.
     """
@@ -661,9 +659,7 @@ class LedgerSystem:
         if cfg.topology is Topology.TWO_LAYER:
             self.root_pool = _ReviewQueue(cfg.n_regulators, root_stream,
                                           cfg.confirmation_mean_days)
-        self._heights = [0] * n_pools
         self._prev_hash = [GENESIS_HASH] * n_pools
-        self._root_height = 0
         self._root_prev = GENESIS_HASH
         # per shard: the time of the last commit scheduled, which a later
         # header waits for
@@ -678,7 +674,6 @@ class LedgerSystem:
         ticket = RecordTicket(record, on_resolved)
         if not self.shard_pools:
             # no ledger: face-value acceptance, zero delay, no detection
-            ticket.verification_time = 0.0
             self._resolve(ticket, True)
             return
         shard = ticket.shard = assign_shard(record.location_index, len(self.shard_pools))
@@ -687,22 +682,16 @@ class LedgerSystem:
                           lambda: self._finish_verification(ticket))
 
     def _finish_verification(self, ticket: RecordTicket) -> None:
-        now = self.calendar.now
-        ticket.verification_time = now - ticket.record.submitted_at
+        now = ticket.verify_end = self.calendar.now
         rejected = ticket.record.tampered and not (
             self.cfg.miss_probability > 0.0
             and self._miss_stream.bernoulli(self.cfg.miss_probability)
         )
-        if rejected:
-            # on-site validation caught the falsified values; no block
-            self._resolve(ticket, False)
+        if rejected or self.root_pool is None:
+            # verification is the record's last layer: on-site validation
+            # caught its falsified values, or the chain has no root layer
+            self._resolve(ticket, not rejected)
             return
-        if self.keep_chain:
-            self._seal_shard_block(ticket, now)
-        if self.root_pool is None:
-            self._resolve(ticket, True)
-            return
-        ticket.verify_end = now
         # the header commits in shard height order: not before its review
         # ends, nor before the shard's previous header commits
         shard = ticket.shard
@@ -710,50 +699,48 @@ class LedgerSystem:
         if at < self._commit_at[shard]:
             at = self._commit_at[shard]
         self._commit_at[shard] = at
-        self.calendar.schedule(at, lambda: self._commit_root(ticket))
-
-    def _seal_shard_block(self, ticket: RecordTicket, now: float) -> None:
-        """Seal and hash the verified record's block now, as the shard's next
-        block links to it; it joins the chain when the record is confirmed."""
-        shard = ticket.shard
-        height = self._heights[shard]
-        self._heights[shard] = height + 1
-        ticket.block = ShardBlock(
-            shard_id=shard,
-            height=height,
-            prev_hash=self._prev_hash[shard],
-            merkle_root=merkle_root([record_hash(ticket.record)]),
-            validator_signature=f"authority-s{shard}",
-            created_at=now,
-            record_ids=[ticket.record.record_id],
-        )
-        ticket.header_hash = self._prev_hash[shard] = shard_header_hash(ticket.block)
-
-    def _commit_root(self, ticket: RecordTicket) -> None:
-        now = self.calendar.now
-        ticket.confirmation_time = now - ticket.verify_end
-        if ticket.block is not None:
-            root = RootBlock(
-                height=self._root_height,
-                prev_hash=self._root_prev,
-                shard_headers=[(ticket.shard, ticket.block.height, ticket.header_hash)],
-                regulator_id="regulator-root",
-                created_at=now,
-            )
-            self._root_height += 1
-            self._root_prev = root_header_hash(root)
-            self.chain.roots.append(root)
-        self._resolve(ticket, True)
+        self.calendar.schedule(at, lambda: self._resolve(ticket, True))
 
     def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
-        """Log the record's latencies, put a confirmed record and its block on
-        the chain, and hand the verdict to its submitter."""
-        record = ticket.record
-        self.latencies.append((record.lot_id, record.record_kind,
-                               ticket.verification_time, ticket.confirmation_time))
-        if ticket.block is not None:
-            self.chain.records[record.record_id] = record
-            self.chain.shard_blocks(ticket.shard).append(ticket.block)
+        """Write the record's outcome: log its latencies; when the chain is
+        kept, seal and hash an accepted verified record's block, dated its
+        verification end, and put both on the chain, with a root block on the
+        two-layer chain; then hand the verdict to its submitter.  Each
+        shard's records resolve in verification order, so a block's height
+        is its place in the shard's list."""
+        record, shard, verify_end = ticket.record, ticket.shard, ticket.verify_end
+        now = self.calendar.now
+        committed = accepted and self.root_pool is not None
+        self.latencies.append((
+            record.lot_id, record.record_kind,
+            0.0 if shard is None else verify_end - record.submitted_at,
+            now - verify_end if committed else None,
+        ))
+        if accepted and shard is not None and self.keep_chain:
+            chain = self.chain
+            blocks = chain.shard_blocks(shard)
+            block = ShardBlock(
+                shard_id=shard,
+                height=len(blocks),
+                prev_hash=self._prev_hash[shard],
+                merkle_root=merkle_root([record_hash(record)]),
+                validator_signature=f"authority-s{shard}",
+                created_at=verify_end,
+                record_ids=[record.record_id],
+            )
+            header = self._prev_hash[shard] = shard_header_hash(block)
+            chain.records[record.record_id] = record
+            blocks.append(block)
+            if committed:
+                root = RootBlock(
+                    height=len(chain.roots),
+                    prev_hash=self._root_prev,
+                    shard_headers=[(shard, block.height, header)],
+                    regulator_id="regulator-root",
+                    created_at=now,
+                )
+                self._root_prev = root_header_hash(root)
+                chain.roots.append(root)
         if ticket.on_resolved is not None:
             ticket.on_resolved(accepted)
 

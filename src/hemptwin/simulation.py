@@ -204,9 +204,10 @@ class SupplyChainSimulation:
     def _test_done(self, lot: Lot) -> None:
         self._close_stage(lot, Stage.PREHARVEST_TEST)
         cfg = self.cfg
-        would_fail = lot.state.thc_pct > cfg.thc_preharvest_limit
-        tampered = would_fail and lot.tamper.bernoulli(cfg.tamper_probability)
-        result = stages.preharvest_gate(lot.state, cfg.thc_preharvest_limit, tampered)
+        result = stages.preharvest_gate(
+            lot.state, cfg.thc_preharvest_limit,
+            lambda: lot.tamper.bernoulli(cfg.tamper_probability),
+        )
         if result.decision is stages.GateDecision.DESTROY:
             self._end(lot, DropReason.PREHARVEST_FAIL)
             on_resolved = None
@@ -215,7 +216,7 @@ class SupplyChainSimulation:
                 self._preharvest_resolved(lot, ok, tampered))
         self._submit(
             lot, RecordKind.PREHARVEST_RESULT, ParticipantRole.LAB,
-            {"cbd": lot.state.cbd_pct, "thc": result.reported_thc,
+            {"cbd": lot.state.cbd_pct, "thc": result.reported,
              "sampled_at": lot.sample_time},
             tampered=result.tampered,
             on_resolved=on_resolved,
@@ -257,12 +258,11 @@ class SupplyChainSimulation:
         )
         lot.record_state(Stage.HARVEST, state)
 
-        late = t_prime > cfg.harvest_deadline_days
-        tampered = late and lot.tamper.bernoulli(cfg.tamper_probability)
-        decision, reported_window, tampered = stages.harvest_deadline_gate(
-            t_prime, cfg.harvest_deadline_days, tampered
+        result = stages.harvest_deadline_gate(
+            t_prime, cfg.harvest_deadline_days,
+            lambda: lot.tamper.bernoulli(cfg.tamper_probability),
         )
-        if decision is stages.GateDecision.RETEST:
+        if result.decision is stages.GateDecision.RETEST:
             self._enter_test_queue(lot)
             return
         # proceed: the biomass is wet from this moment; ledger resolution and
@@ -273,9 +273,9 @@ class SupplyChainSimulation:
         lot.dryer_request = None
         self._submit(
             lot, RecordKind.HARVEST_DATA, ParticipantRole.GROWER,
-            {"harvest_window_days": reported_window, "completed_at": now},
-            tampered=tampered,
-            on_resolved=lambda ok, lot=lot, tampered=tampered: (
+            {"harvest_window_days": result.reported, "completed_at": now},
+            tampered=result.tampered,
+            on_resolved=lambda ok, lot=lot, tampered=result.tampered: (
                 self._harvest_record_resolved(lot, ok, tampered)),
         )
         self.calendar.schedule(
@@ -375,14 +375,9 @@ class SupplyChainSimulation:
 
     def _coa_done(self, lot: Lot) -> None:
         cfg = self.cfg
-        would_fail = lot.state.thc_pct >= cfg.thc_final_limit
-        exhausted = lot.plc_passes >= cfg.max_plc_passes
-        tampered = (
-            would_fail and exhausted and lot.tamper.bernoulli(cfg.tamper_probability)
-        )
         result = stages.final_coa_gate(
             lot.state, cfg.thc_final_limit, lot.plc_passes, cfg.max_plc_passes,
-            tampered,
+            lambda: lot.tamper.bernoulli(cfg.tamper_probability),
         )
         if result.decision is stages.GateDecision.REJECT:
             self._end(lot, DropReason.FINAL_COA_FAIL)
@@ -392,7 +387,7 @@ class SupplyChainSimulation:
             return
         self._submit(
             lot, RecordKind.FINAL_COA, ParticipantRole.PROCESSOR,
-            {"cbd": lot.state.cbd_pct, "thc": result.reported_thc},
+            {"cbd": lot.state.cbd_pct, "thc": result.reported},
             tampered=result.tampered,
             on_resolved=lambda ok, lot=lot, tampered=result.tampered: (
                 self._coa_resolved(lot, ok, tampered)),

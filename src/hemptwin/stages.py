@@ -10,6 +10,7 @@ ratio (it removes THC faster than CBD).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .domain import CannabinoidState, IdentityEnum
 
@@ -44,8 +45,11 @@ class GateDecision(IdentityEnum):
 
 @dataclass(frozen=True)
 class GateResult:
+    """A gate's decision, the value reported on the record (THC, or the
+    harvest window) and whether that report is falsified."""
+
     decision: GateDecision
-    reported_thc: float
+    reported: float
     tampered: bool
 
 
@@ -80,33 +84,35 @@ def harvest_increment(
 
 
 def preharvest_gate(
-    true_state: CannabinoidState, gamma_v: float, tampered: bool
+    true_state: CannabinoidState, gamma_v: float, falsify: Callable[[], bool]
 ) -> GateResult:
-    """Destroy the lot when sampled THC exceeds gamma_v, unless the result is
-    falsified; a falsified pass reports a value just under the limit."""
+    """Destroy the lot when sampled THC exceeds gamma_v, unless `falsify()`,
+    asked only then, says the result is falsified; a falsified pass reports a
+    value just under the limit."""
     if gamma_v <= 0:
         raise ValueError("gamma_v must be positive")
     thc = true_state.thc_pct
     if thc <= gamma_v:
         return GateResult(GateDecision.PROCEED, thc, False)
-    if tampered:
+    if falsify():
         return GateResult(GateDecision.PROCEED, gamma_v * 0.95, True)
     return GateResult(GateDecision.DESTROY, thc, False)
 
 
 def harvest_deadline_gate(
-    t_prime: float, limit: float, tampered: bool
-) -> tuple[GateDecision, float, bool]:
+    t_prime: float, limit: float, falsify: Callable[[], bool]
+) -> GateResult:
     """Harvest must complete within `limit` days of sampling.  Late lots are
-    rescheduled for another test; a falsified completion date reports the
-    limit itself.  Returns (decision, reported window, tampered)."""
+    rescheduled for another test, unless `falsify()`, asked only then, says
+    the completion date is falsified; that reports the limit itself as the
+    window."""
     if t_prime < 0:
         raise ValueError(f"t_prime must be non-negative, got {t_prime}")
     if t_prime <= limit:
-        return GateDecision.PROCEED, t_prime, False
-    if tampered:
-        return GateDecision.PROCEED, limit, True
-    return GateDecision.RETEST, t_prime, False
+        return GateResult(GateDecision.PROCEED, t_prime, False)
+    if falsify():
+        return GateResult(GateDecision.PROCEED, limit, True)
+    return GateResult(GateDecision.RETEST, t_prime, False)
 
 
 def extraction_step(state: CannabinoidState, q: float) -> CannabinoidState:
@@ -134,11 +140,11 @@ def final_coa_gate(
     gamma: float,
     plc_passes_used: int,
     max_passes: int,
-    tampered: bool,
+    falsify: Callable[[], bool],
 ) -> GateResult:
     """Final certificate: THC below gamma is accepted; a first failure earns
     another purification pass; a failure with passes exhausted is rejected
-    unless the certificate is falsified."""
+    unless `falsify()`, asked only then, says the certificate is falsified."""
     if plc_passes_used < 1:
         raise ValueError("at least one purification pass must precede the test")
     thc = state.thc_pct
@@ -146,7 +152,7 @@ def final_coa_gate(
         return GateResult(GateDecision.ACCEPT, thc, False)
     if plc_passes_used < max_passes:
         return GateResult(GateDecision.REPEAT_PLC, thc, False)
-    if tampered:
+    if falsify():
         return GateResult(GateDecision.ACCEPT, gamma * 0.9, True)
     return GateResult(GateDecision.REJECT, thc, False)
 

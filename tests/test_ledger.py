@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import enum
 import functools
@@ -254,14 +255,14 @@ class TestChainStructure:
             cal.schedule(i * 0.05, lambda r=record: system.submit(
                 dataclasses.replace(r, submitted_at=cal.now),
                 lambda ok, rid=r.record_id: ok and confirmed.append(rid)))
-        in_flight = 0  # steps that left a sealed block waiting for its commit
+        in_flight = 0  # steps that left a verified record waiting for its commit
         while cal.step():
             chain = system.confirmed_chain()
             assert audit_chain(chain).ok
             assert sorted(chain.records) == sorted(confirmed)
             for blocks in chain.shards.values():
                 assert [b.height for b in blocks] == list(range(len(blocks)))
-            in_flight += sum(system._heights) > len(confirmed)
+            in_flight += any(at > cal.now for at in system._commit_at)
         assert in_flight > 0
         # the tampered records are rejected; every other one is confirmed
         assert len(confirmed) == 40 - len(range(3, 40, 7))
@@ -584,6 +585,32 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
     for block in blocks:
         (rid,) = block.record_ids
         assert block.merkle_root == sha256(line_of[rid])
+
+
+def test_chain_and_latency_log_describe_the_same_confirmations():
+    # a confirmed record's verification latency is its block's date minus its
+    # submission, and its confirmation latency its root block's date minus
+    # its block's date, float for float
+    cfg = dataclasses.replace(
+        default_config(),
+        run=RunConfig(warmup_lots=5, run_length_lots=30, replications=1, master_seed=79),
+    )
+    assert cfg.chain.topology is Topology.TWO_LAYER
+    _, sim = run_replication(cfg, 0, keep_chain=True)
+    chain = sim.ledger.confirmed_chain()
+    block_at = {(b.shard_id, b.height): b for blocks in chain.shards.values() for b in blocks}
+    from_chain = collections.Counter()
+    for root in chain.roots:
+        for sid, height, _ in root.shard_headers:
+            block = block_at[sid, height]
+            (rid,) = block.record_ids
+            rec = chain.records[rid]
+            from_chain[rec.lot_id, rec.record_kind, block.created_at - rec.submitted_at,
+                       root.created_at - block.created_at] += 1
+    from_log = collections.Counter(entry for entry in sim.ledger.latencies
+                                   if entry[3] is not None)
+    assert len(chain.roots) == len(block_at) == len(chain.records) > 0
+    assert from_chain == from_log
 
 
 @pytest.mark.parametrize("topology, pools", [(Topology.TWO_LAYER, 3),

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import gc
+from pathlib import Path
 
 import pytest
 
+from hemptwin import simulation
 from hemptwin.config import RunConfig, Topology, default_config
 from hemptwin.domain import DropReason, Lot, ReplicationStats, Stage
 from hemptwin.ledger import ParticipantRole, RecordKind
@@ -401,3 +404,18 @@ def test_run_length_window_excludes_warmup():
     assert stats.lots_observed == 50
     # warmup discards the first full season here, so season 0 cannot appear
     assert {out.season for out in stats.lot_outputs} == {1}
+
+
+def test_gate_limits_are_compared_only_in_stages():
+    # the simulation hands each gate limit to `stages`, which alone decides
+    # pass or fail and when a falsification is drawn
+    tree = ast.parse(Path(simulation.__file__).read_text())
+    limits = {"thc_preharvest_limit", "thc_final_limit", "harvest_deadline_days",
+              "max_plc_passes"}
+    read = [
+        (compare.lineno, node.attr)
+        for compare in ast.walk(tree) if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Attribute) and node.attr in limits
+    ]
+    assert read == []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hemptwin.domain import CannabinoidState
@@ -66,34 +66,34 @@ class TestHarvestIncrement:
 
 class TestPreharvestGate:
     def test_below_threshold_proceeds(self):
-        res = preharvest_gate(CannabinoidState(0.08, 0.0029), 0.003, tampered=False)
+        res = preharvest_gate(CannabinoidState(0.08, 0.0029), 0.003, falsify=lambda: False)
         assert res.decision is GateDecision.PROCEED
-        assert res.reported_thc == 0.0029 and not res.tampered
+        assert res.reported == 0.0029 and not res.tampered
 
     def test_above_threshold_destroyed(self):
-        res = preharvest_gate(CannabinoidState(0.097, 0.0035), 0.003, tampered=False)
+        res = preharvest_gate(CannabinoidState(0.097, 0.0035), 0.003, falsify=lambda: False)
         assert res.decision is GateDecision.DESTROY
 
     def test_tampered_failure_proceeds_with_passing_report(self):
-        res = preharvest_gate(CannabinoidState(0.097, 0.0035), 0.003, tampered=True)
+        res = preharvest_gate(CannabinoidState(0.097, 0.0035), 0.003, falsify=lambda: True)
         assert res.decision is GateDecision.PROCEED
-        assert res.reported_thc <= 0.003
+        assert res.reported <= 0.003
         assert res.tampered
 
 
 class TestHarvestDeadlineGate:
     def test_within_limit(self):
-        decision, reported, tampered = harvest_deadline_gate(12.0, 15.0, False)
-        assert decision is GateDecision.PROCEED and reported == 12.0
+        res = harvest_deadline_gate(12.0, 15.0, falsify=lambda: False)
+        assert res.decision is GateDecision.PROCEED and res.reported == 12.0
 
     def test_late_honest_retests(self):
-        decision, _, _ = harvest_deadline_gate(16.0, 15.0, False)
-        assert decision is GateDecision.RETEST
+        res = harvest_deadline_gate(16.0, 15.0, falsify=lambda: False)
+        assert res.decision is GateDecision.RETEST
 
     def test_late_tampered_reports_limit(self):
-        decision, reported, tampered = harvest_deadline_gate(16.0, 15.0, True)
-        assert decision is GateDecision.PROCEED
-        assert reported <= 15.0 and tampered
+        res = harvest_deadline_gate(16.0, 15.0, falsify=lambda: True)
+        assert res.decision is GateDecision.PROCEED
+        assert res.reported <= 15.0 and res.tampered
 
 
 class TestMultiplicativeSteps:
@@ -128,21 +128,80 @@ class TestMultiplicativeSteps:
 
 class TestFinalCoaGate:
     def test_accepts_below_limit(self):
-        res = final_coa_gate(CannabinoidState(0.06, 0.0004), 0.0005, 1, 2, False)
+        res = final_coa_gate(CannabinoidState(0.06, 0.0004), 0.0005, 1, 2,
+                             falsify=lambda: False)
         assert res.decision is GateDecision.ACCEPT
 
     def test_first_failure_repeats_purification(self):
-        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 1, 2, False)
+        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 1, 2,
+                             falsify=lambda: False)
         assert res.decision is GateDecision.REPEAT_PLC
 
     def test_exhausted_honest_failure_rejected(self):
-        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 2, 2, False)
+        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 2, 2,
+                             falsify=lambda: False)
         assert res.decision is GateDecision.REJECT
 
     def test_exhausted_tampered_accepts_with_false_report(self):
-        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 2, 2, True)
+        res = final_coa_gate(CannabinoidState(0.06, 0.0008), 0.0005, 2, 2,
+                             falsify=lambda: True)
         assert res.decision is GateDecision.ACCEPT
-        assert res.reported_thc < 0.0005 and res.tampered
+        assert res.reported < 0.0005 and res.tampered
+
+
+class _Falsifier:
+    """A `falsify` callable that answers `verdict` and counts its calls."""
+
+    def __init__(self, verdict: bool) -> None:
+        self.verdict = verdict
+        self.calls = 0
+
+    def __call__(self) -> bool:
+        self.calls += 1
+        return self.verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gate=st.sampled_from(["preharvest", "harvest", "final"]),
+    value=st.floats(min_value=0.0, max_value=1.0),
+    limit=st.floats(min_value=1e-6, max_value=1.0),
+    passes=st.integers(min_value=1, max_value=4),
+    max_passes=st.integers(min_value=1, max_value=4),
+    verdict=st.booleans(),
+)
+@example(gate="preharvest", value=0.5, limit=0.5, passes=1, max_passes=1, verdict=True)
+@example(gate="final", value=0.5, limit=0.5, passes=2, max_passes=2, verdict=False)
+def test_gates_ask_for_falsification_only_on_their_failing_path(
+    gate, value, limit, passes, max_passes, verdict
+):
+    # the rule table each gate followed when its caller decided `tampered`
+    # itself: asked only beyond the limit (the certificate: with passes used
+    # up), a falsified report passes with a forged value, an honest one fails
+    falsify = _Falsifier(verdict)
+    state = CannabinoidState(0.05, value)
+    if gate == "preharvest":
+        res = preharvest_gate(state, limit, falsify)
+        beyond = value > limit
+        passing, failing, forged = GateDecision.PROCEED, GateDecision.DESTROY, limit * 0.95
+    elif gate == "harvest":
+        res = harvest_deadline_gate(value, limit, falsify)
+        beyond = value > limit
+        passing, failing, forged = GateDecision.PROCEED, GateDecision.RETEST, limit
+    else:
+        res = final_coa_gate(state, limit, passes, max_passes, falsify)
+        beyond = value >= limit and passes >= max_passes
+        passing, failing, forged = GateDecision.ACCEPT, GateDecision.REJECT, limit * 0.9
+    assert falsify.calls == int(beyond)
+    outcome = (res.decision, res.reported, res.tampered)
+    if beyond and verdict:
+        assert outcome == (passing, forged, True)
+    elif beyond:
+        assert outcome == (failing, value, False)
+    elif gate == "final" and value >= limit:
+        assert outcome == (GateDecision.REPEAT_PLC, value, False)
+    else:
+        assert outcome == (passing, value, False)
 
 
 # ---------------------------------------------------------------------------
