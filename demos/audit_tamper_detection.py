@@ -28,7 +28,7 @@ cfg = dataclasses.replace(
 )
 
 stats, sim = run_replication(cfg, 0, keep_chain=True)
-chain = sim.ledger.confirmed_chain()
+chain = sim.ledger.chain
 text = export_chain(chain)
 n_blocks = sum(len(blocks) for blocks in chain.shards.values())
 print(f"exported {len(chain.records)} records in {n_blocks} shard blocks "

@@ -65,7 +65,7 @@ def cmd_simulate(args) -> int:
     # replication 0 keeps its chain for the export; the others do not, and
     # its simulation is dropped before they run
     stats, sim = run_replication(cfg, 0, keep_chain=True)
-    chain_text = export_chain(sim.ledger.confirmed_chain())
+    chain_text = export_chain(sim.ledger.chain)
     del sim
     reps = [stats] + run_replications(cfg, parallel=args.parallel, first=1)
     variant_reps = [("baseline", reps)]

@@ -15,9 +15,11 @@ gets one event per record and layer.
 Chains are hash-linked: each block carries the header hash of its
 predecessor and a merkle root over its records, so any post-hoc mutation is
 detectable by `audit_chain`.  Every hash is the SHA-256 of the object's
-export line, so a verifier can check one from the export alone.  The
-ledger's chain holds only confirmed work: a record and its block join it
-when the record is confirmed.
+export line, which the object keeps: the ledger writes it once, when the
+record resolves, parsing keeps the text it read, export joins the kept
+lines and audit hashes them, so audit checks the bytes a verifier hashes.
+The ledger's chain holds only confirmed work: a record and its block join
+it when the record is confirmed.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ __all__ = [
     "MalformedRecordError",
     "ChainParseError",
     "GENESIS_HASH",
-    "record_hash",
-    "shard_header_hash",
-    "root_header_hash",
+    "sha256",
     "merkle_root",
     "assign_shard",
     "audit_chain",
@@ -107,7 +107,8 @@ class RecordKind(IdentityEnum):
 @dataclass(slots=True)
 class DataRecord:
     """One submitted data record.  `payload` is the as-reported (on-chain)
-    view; the `tampered` flag stays off-chain."""
+    view; the `tampered` flag stays off-chain.  `line`, as on the blocks, is
+    the export line the object is hashed as, empty until it is written."""
 
     record_id: str
     lot_id: str
@@ -117,6 +118,7 @@ class DataRecord:
     payload: dict
     submitted_at: float
     tampered: bool = False
+    line: str = ""
 
     def validate(self) -> None:
         if not self.record_id or not self.lot_id:
@@ -135,6 +137,7 @@ class ShardBlock:
     created_at: float
     record_ids: list
     nonce: int = 0  # vestigial under proof-of-authority; kept constant
+    line: str = ""
 
 
 @dataclass
@@ -145,6 +148,7 @@ class RootBlock:
     regulator_id: str
     created_at: float
     nonce: int = 0
+    line: str = ""
 
 
 @dataclass
@@ -162,15 +166,14 @@ class ChainState:
 
 
 # ---------------------------------------------------------------------------
-# chain export schema: export, hashing and parsing all read this table
+# chain export schema: writing and parsing a line both read this table
 
 # Each export line is one JSON object tagged by `kind`.  Per line kind: the
 # class it describes and, for every export key in the order of the class's
 # fields, the value's type, paired with the attribute it comes from when that
 # is not named like the key.  An enum is written as its member's value, a
-# float field also accepts a JSON integer and keeps it an integer, so that it
-# is written and hashed back as it was read, and a list type names its items
-# (a tuple item is a fixed array).
+# float field also accepts a JSON integer and keeps it an integer, and a list
+# type names its items (a tuple item is a fixed array).
 _LINE_FIELDS = {
     "meta": (ChainState, {"topology": Topology, "n_shards": int}),
     "record": (DataRecord, {
@@ -256,14 +259,13 @@ def _template(items: list, tag: str) -> _Template:
 
 
 class _Line(NamedTuple):
-    """One line kind of `_LINE_FIELDS`, compiled for export (and so hash)
-    and parse."""
+    """One line kind of `_LINE_FIELDS`, compiled for writing and parsing."""
 
     cls: type
     keys: tuple  # export keys
     types: tuple  # their JSON types
     readers: tuple  # (index into keys, reader) for values converted on parse
-    export: _Template  # the export line, `kind` tag included
+    template: _Template  # writes the export line, `kind` tag included
 
 
 def _reader(typ) -> Callable | None:
@@ -312,17 +314,12 @@ def _compile(kind: str) -> _Line:
 _LINES = {kind: _compile(kind) for kind in _LINE_FIELDS}
 
 
-def _export_line(obj, kind: str) -> str:
-    return _LINES[kind].export.write(obj)
-
-
-def _digest(obj, kind: str) -> str:
-    """The SHA-256 of the object's export line, exactly as exported."""
-    return hashlib.sha256(_LINES[kind].export.write(obj).encode("ascii")).hexdigest()
-
-
-def record_hash(rec: DataRecord) -> str:
-    return _digest(rec, "record")
+def sha256(line: str) -> str:
+    """The hash of a line's text: SHA-256 of its UTF-8 bytes, which for every
+    line the ledger writes are its ASCII bytes.  A lone surrogate, which only
+    a string passed to `parse_chain` in-process can hold, hashes as its
+    surrogate code unit rather than raising."""
+    return hashlib.sha256(line.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def merkle_root(leaf_hashes: list[str]) -> str:
@@ -334,19 +331,8 @@ def merkle_root(leaf_hashes: list[str]) -> str:
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
-        level = [
-            hashlib.sha256((a + b).encode("ascii")).hexdigest()
-            for a, b in zip(level[::2], level[1::2])
-        ]
+        level = [sha256(a + b) for a, b in zip(level[::2], level[1::2])]
     return level[0]
-
-
-def shard_header_hash(block: ShardBlock) -> str:
-    return _digest(block, "shard_block")
-
-
-def root_header_hash(block: RootBlock) -> str:
-    return _digest(block, "root_block")
 
 
 def assign_shard(location_index: int, n_shards: int) -> int:
@@ -371,8 +357,9 @@ class AuditResult:
 
 
 def audit_chain(chain: ChainState) -> AuditResult:
-    """Recompute every hash link, merkle root, and root-coverage relation;
-    report the first violation in deterministic order."""
+    """Recompute every hash link, merkle root, and root-coverage relation
+    from the objects' kept lines; report the first violation in
+    deterministic order."""
     covered_records: set[str] = set()
     header_hashes: dict[tuple[int, int], str] = {}
     for shard_id in sorted(chain.shards):
@@ -397,10 +384,10 @@ def audit_chain(chain: ChainState) -> AuditResult:
                         False, shard_id, block.height, f"record {rid} in two blocks"
                     )
                 covered_records.add(rid)
-                leaf_hashes.append(record_hash(rec))
+                leaf_hashes.append(sha256(rec.line))
             if merkle_root(leaf_hashes) != block.merkle_root:
                 return AuditResult(False, shard_id, block.height, "merkle root mismatch")
-            prev = shard_header_hash(block)
+            prev = sha256(block.line)
             prev_height = block.height
             header_hashes[(shard_id, block.height)] = prev
 
@@ -436,7 +423,7 @@ def audit_chain(chain: ChainState) -> AuditResult:
                 return AuditResult(
                     False, shard_id, root.height, "shard header hash mismatch"
                 )
-        prev = root_header_hash(root)
+        prev = sha256(root.line)
         prev_height = root.height
 
     if chain.topology is Topology.TWO_LAYER:
@@ -452,13 +439,13 @@ def audit_chain(chain: ChainState) -> AuditResult:
 
 
 def export_chain(chain: ChainState) -> str:
-    """Line-delimited export, one object per line, canonical field order.
-    Bit-exact across runs with the same seed."""
-    lines = [_export_line(chain, "meta")]
-    lines += [_export_line(chain.records[rid], "record") for rid in sorted(chain.records)]
+    """Line-delimited export: the meta line, written here, then each object's
+    kept line.  Bit-exact across runs with the same seed."""
+    lines = [_LINES["meta"].template.write(chain)]
+    lines += [chain.records[rid].line for rid in sorted(chain.records)]
     for shard_id in sorted(chain.shards):
-        lines += [_export_line(block, "shard_block") for block in chain.shards[shard_id]]
-    lines += [_export_line(root, "root_block") for root in chain.roots]
+        lines += [block.line for block in chain.shards[shard_id]]
+    lines += [root.line for root in chain.roots]
     return "\n".join(lines) + "\n"
 
 
@@ -484,8 +471,9 @@ def _check_fields(obj: dict, line: _Line) -> None:
             raise ValueError(f"field {key!r} must be {typ.__name__}, got {got.__name__}")
 
 
-def _parse_line(obj, chain: ChainState | None) -> ChainState:
-    """Add one decoded export line to `chain`; the meta line starts it."""
+def _parse_line(obj, text: str, chain: ChainState | None) -> ChainState:
+    """Add the export line `text`, decoded as `obj`, to `chain`; the meta
+    line starts it."""
     if type(obj) is not dict:
         raise ValueError(f"expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -517,6 +505,7 @@ def _parse_line(obj, chain: ChainState | None) -> ChainState:
     item = line.cls(*values)
     if kind == "meta":
         return item
+    item.line = text
     if kind == "record":
         # a second copy would silently replace the first, forged or genuine
         if item.record_id in chain.records:
@@ -534,9 +523,9 @@ def parse_chain(text: str) -> ChainState:
     object, a second meta line, a second record line with the same id, or a
     line missing a field of its kind, holding one of the wrong type, an
     unknown enum value or an integer no float can hold, or holding a key its
-    kind does not declare raises ChainParseError naming the line.  A float
-    field's integer stays an integer, so it exports and hashes as it was
-    read.  Lines end only at a line feed: JSON allows U+2028, U+2029 and
+    kind does not declare raises ChainParseError naming the line.  Each
+    object keeps its line's text, stripped, so it exports and hashes as it
+    was read.  Lines end only at a line feed: JSON allows U+2028, U+2029 and
     U+0085 raw inside a string, and `str.splitlines` would break the line
     there."""
     chain: ChainState | None = None
@@ -548,7 +537,7 @@ def parse_chain(text: str) -> ChainState:
             obj, end = _decode(line)
             if end != len(line):
                 raise ValueError(f"extra data at column {end + 1}")
-            chain = _parse_line(obj, chain)
+            chain = _parse_line(obj, line, chain)
         except (ValueError, RecursionError) as exc:
             raise ChainParseError(f"line {lineno}: {exc}") from exc
     if chain is None:
@@ -631,9 +620,11 @@ class LedgerSystem:
     once the record is usable: immediately with the ledger disabled, at
     verification for the single chain, at root confirmation for the two-layer
     chain.  A record's outcome is written once, when it resolves: its
-    latencies and, with `keep_chain` and an accepted verdict, its block,
-    sealed and hashed then and dated its verification end, which joins
-    `chain` with the record.  Rejected (falsified) records resolve with
+    latencies and, with `keep_chain` and an accepted verdict, the export
+    lines of the record and its block, written and hashed then, the block
+    dated its verification end; both join `chain` then.  So `chain` holds
+    no in-flight work, for every topology, and audits clean at any moment
+    of a run.  Rejected (falsified) records resolve with
     accepted=False and never enter a block.  The queues keep no waits or
     queue lengths.
     """
@@ -703,11 +694,12 @@ class LedgerSystem:
 
     def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
         """Write the record's outcome: log its latencies; when the chain is
-        kept, seal and hash an accepted verified record's block, dated its
-        verification end, and put both on the chain, with a root block on the
-        two-layer chain; then hand the verdict to its submitter.  Each
-        shard's records resolve in verification order, so a block's height
-        is its place in the shard's list."""
+        kept, write the export lines of an accepted verified record and its
+        block, dated its verification end, hash them and put both on the
+        chain, with a root block on the two-layer chain; then hand the
+        verdict to its submitter.  Each shard's records resolve in
+        verification order, so a block's height is its place in the shard's
+        list."""
         record, shard, verify_end = ticket.record, ticket.shard, ticket.verify_end
         now = self.calendar.now
         committed = accepted and self.root_pool is not None
@@ -719,16 +711,18 @@ class LedgerSystem:
         if accepted and shard is not None and self.keep_chain:
             chain = self.chain
             blocks = chain.shard_blocks(shard)
+            record.line = _LINES["record"].template.write(record)
             block = ShardBlock(
                 shard_id=shard,
                 height=len(blocks),
                 prev_hash=self._prev_hash[shard],
-                merkle_root=merkle_root([record_hash(record)]),
+                merkle_root=merkle_root([sha256(record.line)]),
                 validator_signature=f"authority-s{shard}",
                 created_at=verify_end,
                 record_ids=[record.record_id],
             )
-            header = self._prev_hash[shard] = shard_header_hash(block)
+            block.line = _LINES["shard_block"].template.write(block)
+            header = self._prev_hash[shard] = sha256(block.line)
             chain.records[record.record_id] = record
             blocks.append(block)
             if committed:
@@ -739,16 +733,8 @@ class LedgerSystem:
                     regulator_id="regulator-root",
                     created_at=now,
                 )
-                self._root_prev = root_header_hash(root)
+                root.line = _LINES["root_block"].template.write(root)
+                self._root_prev = sha256(root.line)
                 chain.roots.append(root)
         if ticket.on_resolved is not None:
             ticket.on_resolved(accepted)
-
-    # -- exported view -----------------------------------------------------
-
-    def confirmed_chain(self) -> ChainState:
-        """The ledger's own chain, for every topology: a record and its block
-        join it only when confirmed (root-covered on the two-layer chain), and
-        the root chain commits each shard's headers in height order, so it
-        holds no in-flight work and always audits clean."""
-        return self.chain

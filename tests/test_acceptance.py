@@ -236,7 +236,7 @@ def test_criterion_07_risk_ranking_and_brackets(risk_results):
 
 def test_criterion_08_audit_detects_any_mutation(base_cfg):
     _, sim = run_replication(base_cfg, 0, keep_chain=True)
-    chain = sim.ledger.confirmed_chain()
+    chain = sim.ledger.chain
     assert audit_chain(chain).ok
     lines = export_chain(chain).splitlines()
 

@@ -132,7 +132,7 @@ def small_export() -> list:
         )
         calendar.schedule(record.submitted_at, lambda r=record: ledger.submit(r))
     calendar.run()
-    return export_chain(ledger.confirmed_chain()).splitlines()
+    return export_chain(ledger.chain).splitlines()
 
 
 # every field of every line is set in turn to each of these

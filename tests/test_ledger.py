@@ -26,17 +26,15 @@ from hemptwin.ledger import (
     ParticipantRole,
     RecordKind,
     _LINE_FIELDS,
+    _LINES,
     _ReviewQueue,
-    _digest,
-    _export_line,
+    _Template,
     assign_shard,
     audit_chain,
     export_chain,
     merkle_root,
     parse_chain,
-    record_hash,
-    root_header_hash,
-    shard_header_hash,
+    sha256,
 )
 from hemptwin.randomness import RngStream
 from hemptwin.simulation import run_replication
@@ -209,12 +207,12 @@ class TestChainStructure:
 
     def test_fresh_chain_audits_ok(self):
         system = self.run_traffic()
-        chain = system.confirmed_chain()
+        chain = system.chain
         assert audit_chain(chain).ok
 
     def test_every_verified_record_in_exactly_one_block(self):
         system = self.run_traffic()
-        chain = system.confirmed_chain()
+        chain = system.chain
         seen = []
         for blocks in chain.shards.values():
             for block in blocks:
@@ -224,7 +222,7 @@ class TestChainStructure:
 
     def test_every_shard_header_in_exactly_one_root(self):
         system = self.run_traffic()
-        chain = system.confirmed_chain()
+        chain = system.chain
         refs = [(sid, h) for root in chain.roots for sid, h, _ in root.shard_headers]
         blocks = [(b.shard_id, b.height) for bs in chain.shards.values() for b in bs]
         assert sorted(refs) == sorted(blocks)
@@ -257,7 +255,7 @@ class TestChainStructure:
                 lambda ok, rid=r.record_id: ok and confirmed.append(rid)))
         in_flight = 0  # steps that left a verified record waiting for its commit
         while cal.step():
-            chain = system.confirmed_chain()
+            chain = system.chain
             assert audit_chain(chain).ok
             assert sorted(chain.records) == sorted(confirmed)
             for blocks in chain.shards.values():
@@ -269,12 +267,12 @@ class TestChainStructure:
 
     def test_heights_contiguous_per_shard(self):
         system = self.run_traffic()
-        for blocks in system.confirmed_chain().shards.values():
+        for blocks in system.chain.shards.values():
             assert [b.height for b in blocks] == list(range(len(blocks)))
 
     def test_export_parse_round_trip_and_determinism(self):
         system = self.run_traffic()
-        text = export_chain(system.confirmed_chain())
+        text = export_chain(system.chain)
         reparsed = parse_chain(text)
         assert export_chain(reparsed) == text
         assert audit_chain(reparsed).ok
@@ -285,14 +283,14 @@ class TestChainStructure:
         cal, system = build_system(two_layer_cfg())
         cal.schedule(3, lambda: system.submit(make_record(0, submitted_at=cal.now)))
         cal.run()
-        text = export_chain(system.confirmed_chain())
+        text = export_chain(system.chain)
         assert '"submitted_at":3}' in text
         reparsed = parse_chain(text)
         assert export_chain(reparsed) == text
         assert audit_chain(reparsed).ok
 
     def test_merkle_root_single_leaf_is_identity(self):
-        h = record_hash(make_record(3))
+        h = sha256("line")
         assert merkle_root([h]) == h
         assert merkle_root([h, h]) != h
 
@@ -300,7 +298,7 @@ class TestChainStructure:
 class TestAudit:
     def export_lines(self):
         system = TestChainStructure().run_traffic()
-        return export_chain(system.confirmed_chain()).splitlines()
+        return export_chain(system.chain).splitlines()
 
     def test_payload_byte_flip_detected_at_correct_height(self):
         lines = self.export_lines()
@@ -376,7 +374,7 @@ class TestAudit:
 
     def test_duplicate_root_reference_detected(self):
         system = TestChainStructure().run_traffic(n=6)
-        chain = system.confirmed_chain()
+        chain = system.chain
         chain.roots.append(chain.roots[-1])
         result = audit_chain(chain)
         assert not result.ok
@@ -385,7 +383,7 @@ class TestAudit:
 @functools.cache
 def small_export_lines() -> tuple:
     system = TestChainStructure().run_traffic(n=6)
-    return tuple(export_chain(system.confirmed_chain()).splitlines())
+    return tuple(export_chain(system.chain).splitlines())
 
 
 json_values = st.recursive(
@@ -441,14 +439,22 @@ def test_any_text_parses_or_raises_parse_error(text):
     parses_or_raises_parse_error(text)
 
 
-def sha256(text: str) -> str:
+def test_raw_lone_surrogate_parses_or_raises_parse_error():
+    # no UTF-8 text decodes to a lone surrogate, so only an in-process call
+    # can pass one; its line hashes rather than raising UnicodeEncodeError
+    lines = list(small_export_lines())
+    i = next(i for i, line in enumerate(lines) if '"kind":"record"' in line)
+    lines[i] = lines[i].replace('"payload":{', '"payload":{"note":"\ud800",', 1)
+    assert "\ud800" in lines[i]
+    text = "\n".join(lines)
+    parses_or_raises_parse_error(text)
+    assert audit_chain(parse_chain(text)).reason == "merkle root mismatch"
+
+
+def line_hash(text: str) -> str:
+    """The hash rule stated for the chain export, as a verifier without the
+    twin computes it: SHA-256 of the line's text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def line_hash(obj: dict) -> str:
-    """The hash rule stated for the chain export: SHA-256 of the canonical
-    JSON of the line, `kind` tag included."""
-    return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 # strings with escapes: quotes, backslashes, control, non-ASCII and lone
@@ -496,11 +502,14 @@ def test_line_templates_write_the_canonical_json_of_the_line_dict(kind, data):
         attrs[attr] = data.draw(field_values(typ), label=attr)
         line[key] = attrs[attr].value if isinstance(typ, enum.EnumMeta) else attrs[attr]
     obj = _LINE_FIELDS[kind][0](**attrs)
-    assert _export_line(obj, kind) == json.dumps(line, sort_keys=True, separators=(",", ":"))
-    assert _digest(obj, kind) == line_hash(line)
+    text = _LINES[kind].template.write(obj)
+    assert text == json.dumps(line, sort_keys=True, separators=(",", ":"))
+    assert sha256(text) == line_hash(text)
 
 
-# Python 3.10 has no operator.call; the ledger then defines its own.
+# Python 3.10 has no operator.call; the ledger then defines its own.  The
+# ledger writes the record, block and root lines as records resolve, so the
+# child also runs the ledger that wrote `small_export_lines`.
 WITHOUT_OPERATOR_CALL = """
 import operator, sys
 del operator.call
@@ -509,20 +518,23 @@ assert ledger.call is not getattr(operator, "call", None)
 chain = ledger.parse_chain(sys.stdin.read())
 print(ledger.audit_chain(chain).describe())
 sys.stdout.write(ledger.export_chain(chain))
+sys.path.insert(0, sys.argv[1])
+import test_ledger
+sys.stdout.write("\\n".join(test_ledger.small_export_lines()) + "\\n")
 """
 
 
 def test_export_and_audit_without_operator_call():
     text = "\n".join(small_export_lines()) + "\n"
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
-    done = subprocess.run([sys.executable, "-c", WITHOUT_OPERATOR_CALL], input=text,
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", WITHOUT_OPERATOR_CALL, str(tests)],
+                          input=text, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    verdict, exported = done.stdout.split("\n", 1)
-    assert verdict == audit_chain(parse_chain(text)).describe()
-    assert exported == export_chain(parse_chain(text)) == text
+    assert audit_chain(parse_chain(text)).ok
+    assert done.stdout == "Ok\n" + text + text
 
 
 @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"], ids=lambda c: f"U+{ord(c):04X}")
@@ -535,18 +547,75 @@ def test_payload_string_holding_a_raw_unicode_line_boundary_parses(brk):
         cal.schedule(i * 0.6, lambda r=record: system.submit(
             dataclasses.replace(r, submitted_at=cal.now), None))
     cal.run()
-    escaped = export_chain(system.confirmed_chain())
-    forged = escaped.replace("text", "texT", 1)
-    for text in (escaped, forged):
-        raw = text.replace(json.dumps(brk)[1:-1], brk)
-        assert raw != text
-        assert export_chain(parse_chain(raw)) == text
-        assert audit_chain(parse_chain(raw)).describe() == audit_chain(parse_chain(text)).describe()
-        # line numbers count "\n" lines
-        n = text.count("\n") + 1
-        with pytest.raises(ChainParseError, match=f"^line {n}: "):
-            parse_chain(raw + "not json\n")
-    assert audit_chain(parse_chain(escaped)).ok and not audit_chain(parse_chain(forged)).ok
+    escaped = export_chain(system.chain)
+    raw = escaped.replace(json.dumps(brk)[1:-1], brk)
+    assert raw != escaped
+    chain = parse_chain(raw)
+    # each raw line is one line, and exports as it was read
+    assert len(chain.records) == 6
+    assert export_chain(chain) == raw
+    # its text is not the text its block hashed, so the first block in audit
+    # order fails, while the escaped export audits Ok
+    assert audit_chain(chain).describe() == (
+        f"Violation at shard {min(chain.shards)} height 0: merkle root mismatch")
+    assert audit_chain(parse_chain(escaped)).ok
+    # line numbers count "\n" lines
+    n = escaped.count("\n") + 1
+    with pytest.raises(ChainParseError, match=f"^line {n}: "):
+        parse_chain(raw + "not json\n")
+
+
+def test_re_spaced_record_line_is_a_merkle_root_mismatch():
+    # audit hashes the text it read: json.dumps' default spacing keeps every
+    # value of the line, yet its hash no longer matches its block's root
+    lines = list(small_export_lines())
+    i = max(i for i, line in enumerate(lines) if '"kind":"record"' in line)
+    obj = json.loads(lines[i])
+    lines[i] = json.dumps(obj, sort_keys=True)
+    assert json.loads(lines[i]) == obj and lines[i] != small_export_lines()[i]
+    chain = parse_chain("\n".join(lines))
+    sid, height = next((sid, block.height) for sid, blocks in chain.shards.items()
+                       for block in blocks if obj["record_id"] in block.record_ids)
+    assert audit_chain(chain).describe() == (
+        f"Violation at shard {sid} height {height}: merkle root mismatch")
+
+
+def test_crlf_joined_export_audits_ok():
+    # parsing strips each line, so a trailing carriage return is not hashed
+    lines = small_export_lines()
+    chain = parse_chain("\r\n".join(lines) + "\r\n")
+    assert audit_chain(chain).ok
+    assert export_chain(chain) == "\n".join(lines) + "\n"
+
+
+def test_each_line_is_written_once(monkeypatch):
+    # a record, shard-block or root-block line is written when its record
+    # resolves, the meta line at export, and nothing in parse or audit
+    cfg = dataclasses.replace(
+        default_config(),
+        run=RunConfig(warmup_lots=2, run_length_lots=10, replications=1, master_seed=80),
+    )
+    writes = collections.Counter()
+    phase = ["simulate"]
+    write = _Template.write
+
+    def counted(template, obj):
+        writes[phase[0]] += 1
+        return write(template, obj)
+
+    monkeypatch.setattr(_Template, "write", counted)
+    _, sim = run_replication(cfg, 0, keep_chain=True)
+    phase[0] = "export"
+    text = export_chain(sim.ledger.chain)
+    phase[0] = "parse"
+    chain = parse_chain(text)
+    phase[0] = "audit"
+    assert audit_chain(chain).ok and audit_chain(sim.ledger.chain).ok
+    phase[0] = "export parsed"
+    assert export_chain(chain) == text
+    n_lines = len(chain.records) + sum(map(len, chain.shards.values())) + len(chain.roots)
+    assert n_lines == len(text.splitlines()) - 1 > 0
+    assert writes == {"simulate": n_lines, "export": 1, "export parsed": 1}
 
 
 @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
@@ -557,34 +626,39 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
         run=RunConfig(warmup_lots=5, run_length_lots=30, replications=1, master_seed=77),
     )
     _, sim = run_replication(cfg, 0, keep_chain=True)
-    chain = sim.ledger.confirmed_chain()
+    chain = sim.ledger.chain
     lines = export_chain(chain).splitlines()
-    objs = [json.loads(line) for line in lines]
-    # the hash of each exported line's text, as a verifier without the twin
-    # computes it
-    by_kind = {kind: [sha256(line) for line, o in zip(lines, objs) if o["kind"] == kind]
-               for kind in ("record", "shard_block", "root_block")}
     blocks = [block for sid in sorted(chain.shards) for block in chain.shards[sid]]
-    assert by_kind["record"] == [record_hash(chain.records[rid]) for rid in sorted(chain.records)]
-    assert by_kind["shard_block"] == [shard_header_hash(block) for block in blocks]
-    assert by_kind["root_block"] == [root_header_hash(root) for root in chain.roots]
-    assert len(lines) == 1 + len(chain.records) + len(blocks) + len(chain.roots)
+    kept = ([(chain.records[rid], "record") for rid in sorted(chain.records)]
+            + [(block, "shard_block") for block in blocks]
+            + [(root, "root_block") for root in chain.roots])
+    # export joins the kept lines, and audit hashes them without writing any
+    # object again: this is the check that each object and its text agree
+    assert [obj.line for obj, _ in kept] == lines[1:]
+    assert all(obj.line == _LINES[kind].template.write(obj) for obj, kind in kept)
     assert bool(chain.records) == (topology is not Topology.NONE)
     assert bool(chain.roots) == (topology is Topology.TWO_LAYER)
-    # each root header is the hash of the exported line of the shard block it
-    # names, and a one-record block's merkle root the hash of its record's line
+    # each hash is the hash of the exported line it names, as a verifier
+    # without the twin computes it: a one-record block's merkle root that of
+    # its record's line, a prev_hash that of the line before, and a root
+    # header that of the shard block's line
     line_of = {}
-    for line, obj in zip(lines, objs):
+    for line in lines[1:]:
+        obj = json.loads(line)
         if obj["kind"] == "record":
             line_of[obj["record_id"]] = line
         elif obj["kind"] == "shard_block":
             line_of[obj["shard_id"], obj["height"]] = line
-    for root in chain.roots:
-        for sid, height, header in root.shard_headers:
-            assert header == sha256(line_of[sid, height])
     for block in blocks:
         (rid,) = block.record_ids
-        assert block.merkle_root == sha256(line_of[rid])
+        assert block.merkle_root == line_hash(line_of[rid])
+        if block.height:
+            assert block.prev_hash == line_hash(line_of[block.shard_id, block.height - 1])
+    for before, root in zip(chain.roots, chain.roots[1:]):
+        assert root.prev_hash == line_hash(before.line)
+    for root in chain.roots:
+        for sid, height, header in root.shard_headers:
+            assert header == line_hash(line_of[sid, height])
 
 
 def test_chain_and_latency_log_describe_the_same_confirmations():
@@ -597,7 +671,7 @@ def test_chain_and_latency_log_describe_the_same_confirmations():
     )
     assert cfg.chain.topology is Topology.TWO_LAYER
     _, sim = run_replication(cfg, 0, keep_chain=True)
-    chain = sim.ledger.confirmed_chain()
+    chain = sim.ledger.chain
     block_at = {(b.shard_id, b.height): b for blocks in chain.shards.values() for b in blocks}
     from_chain = collections.Counter()
     for root in chain.roots:
@@ -626,7 +700,7 @@ def test_meta_n_shards_is_the_number_of_verification_pools(topology, pools):
     _, sim = run_replication(cfg, 0, keep_chain=True)
     assert len(sim.ledger.shard_pools) == pools
     lines = [json.loads(line)
-             for line in export_chain(sim.ledger.confirmed_chain()).splitlines()]
+             for line in export_chain(sim.ledger.chain).splitlines()]
     assert lines[0] == {"kind": "meta", "n_shards": pools, "topology": topology.value}
     shard_ids = {o["shard_id"] for o in lines if o["kind"] == "shard_block"}
     assert all(0 <= sid < pools for sid in shard_ids)

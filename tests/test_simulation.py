@@ -171,7 +171,7 @@ def test_lots_carry_only_declared_fields():
 def test_every_record_kind_and_role_is_emitted():
     sim = SupplyChainSimulation(small_cfg(), 0, keep_chain=True)
     sim.run()
-    records = sim.ledger.confirmed_chain().records.values()
+    records = sim.ledger.chain.records.values()
     assert {r.record_kind for r in records} == set(RecordKind)
     assert {r.participant_role for r in records} == set(ParticipantRole)
 
@@ -233,7 +233,7 @@ def test_verification_outcomes_all_verified_when_honest():
     cfg = dataclasses.replace(small_cfg(), tamper_probability=0.0)
     sim = SupplyChainSimulation(cfg, 0, keep_chain=True)
     sim.run()
-    chain = sim.ledger.confirmed_chain()
+    chain = sim.ledger.chain
     assert len(chain.records) > 500
 
 
@@ -280,7 +280,7 @@ def test_dynamic_dryers_never_queue_and_ignore_n_d(topology):
         )
         assert all(lot.dryer_request is None for lot in sim.measured)
         assert any(Stage.DRYING in lot.timestamps for lot in sim.measured)
-        runs.append((stats, export_chain(sim.ledger.confirmed_chain())))
+        runs.append((stats, export_chain(sim.ledger.chain)))
     assert runs[0] == runs[1]
 
 
