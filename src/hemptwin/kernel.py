@@ -18,6 +18,7 @@ closed form when the record arrives.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,19 +31,23 @@ class TimeInPastError(ValueError):
 
 
 class EventCalendar:
-    """Pending events ordered by (time, insertion sequence)."""
+    """Pending events ordered by (time, insertion sequence).  `order` hands
+    out the sequence numbers, also to timed work kept off the calendar."""
 
     def __init__(self) -> None:
         self.now = 0.0
+        self.fired = -1  # sequence number of the event that fired last
+        self.order = itertools.count()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
 
     def schedule(self, at_time: float, action: Callable[[], None]) -> None:
         """Fire `action` at exactly `at_time` (>= current clock)."""
         if at_time < self.now:
             raise TimeInPastError(f"schedule at {at_time} < clock {self.now}")
-        heapq.heappush(self._heap, (at_time, self._seq, action))
-        self._seq += 1
+        heapq.heappush(self._heap, (at_time, next(self.order), action))
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> None:
         self.schedule(self.now + delay, action)
@@ -51,8 +56,7 @@ class EventCalendar:
         """Fire the next event; returns False when the calendar is empty."""
         if not self._heap:
             return False
-        at_time, _, action = heapq.heappop(self._heap)
-        self.now = at_time
+        self.now, self.fired, action = heapq.heappop(self._heap)
         action()
         return True
 

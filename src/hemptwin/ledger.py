@@ -5,12 +5,13 @@ by that shard's local authority pool (slow), appended to the shard chain, and
 then confirmed online by the root-chain regulator pool (fast).  A record only
 becomes authoritative once its shard block header is embedded in a root
 block.  The single-chain baseline runs one verification pool and no
-confirmation layer; with the ledger disabled records are accepted at face
-value with zero delay and falsification is never caught.
+confirmation layer; a disabled ledger takes no records: the twin accepts
+its data at face value with zero delay, and falsification is never caught.
 
 Nothing cancels an authority pool's reviews, so a record's review end is
-known when it arrives: each pool computes it in closed form, and the calendar
-gets one event per record and layer.
+known when it arrives: each pool computes it in closed form.  Only a record
+a submitter waits on gets calendar events; the others' layer ends wait on
+the ledger's own heap until a later event or a read needs them.
 
 Chains are hash-linked: each block carries the header hash of its
 predecessor and a merkle root over its records, so any post-hoc mutation is
@@ -28,11 +29,12 @@ import enum
 import hashlib
 import heapq
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 try:
     from operator import call
@@ -552,13 +554,13 @@ def parse_chain(text: str) -> ChainState:
 
 @dataclass(slots=True)
 class RecordTicket:
-    """One submitted record in flight: its shard and verification end are
-    set as it is verified; its latencies, and its block when the chain is
-    kept, are written only when it resolves."""
+    """One submitted record in flight: its verification end is set as it is
+    verified; its latencies, and its block when the chain is kept, are
+    written only when it resolves."""
 
     record: DataRecord
     on_resolved: Callable[[bool], None] | None
-    shard: int | None = None
+    shard: int
     verify_end: float | None = None
 
 
@@ -575,26 +577,24 @@ _ROUTES = {
 
 
 class _ReviewQueue:
-    """A FIFO pool of `servers` authorities whose reviews take exponential
-    draws of mean `mean` from `stream`.  `admit(now)` returns the review end
-    of a record arriving at `now`: it starts at `now` if a server is idle,
-    else when the first busy one frees (the Kiefer-Wolfowitz recursion).
-    That is the end `kernel.ResourcePool.request` reaches, float for float, as
-    long as the k-th arrival takes the stream's k-th draw and no review is
-    cancelled.  The heap never outgrows the records in review at the
-    busiest moment so far."""
+    """A FIFO pool of `servers` authorities whose reviews take the durations
+    `holds` yields, one per record.  `admit(now)` returns the review end of a
+    record arriving at `now`: it starts at `now` if a server is idle, else
+    when the first busy one frees (the Kiefer-Wolfowitz recursion).  That is
+    the end `kernel.ResourcePool.request` reaches, float for float, as long
+    as the k-th arrival takes the k-th hold and no review is cancelled.  The
+    heap never outgrows the records in review at the busiest moment so far."""
 
-    __slots__ = ("servers", "mean", "stream", "_free")
+    __slots__ = ("servers", "holds", "_free")
 
-    def __init__(self, servers: int, stream: RngStream, mean: float) -> None:
+    def __init__(self, servers: int, holds: Iterator[float]) -> None:
         self.servers = servers
-        self.mean = mean
-        self.stream = stream
+        self.holds = holds
         self._free: list[float] = []  # heap: when each server used so far frees
 
     def admit(self, now: float) -> float:
         free = self._free
-        hold = self.stream.exponential(self.mean)
+        hold = next(self.holds)
         if free and (free[0] <= now or len(free) == self.servers):
             # reuse the server that frees first; it starts at once if idle
             start = free[0]
@@ -609,24 +609,24 @@ class _ReviewQueue:
 class LedgerSystem:
     """Verification and confirmation queues wired into an event calendar.
 
-    The route is fixed when the ledger is built: the topology decides the
-    verification pools, their service mean and whether a root confirmation
-    layer exists, and no later call looks at the topology again.  Each layer
-    is a `_ReviewQueue` per pool: a record gets its verification end from its
+    The topology fixes the route when the ledger is built: the verification
+    pools, their service mean and whether a root confirmation layer exists;
+    a disabled ledger has no pools and takes no records.  Each layer is a
+    `_ReviewQueue` per pool: a record gets its verification end from its
     shard's queue at submission and, on the two-layer chain, its review end
-    from the root queue once verified; the root chain commits each shard's
-    headers in height order, so a header commits at the later of its review
-    end and its predecessor's commit.  `submit` calls `on_resolved(accepted)`
-    once the record is usable: immediately with the ledger disabled, at
-    verification for the single chain, at root confirmation for the two-layer
-    chain.  A record's outcome is written once, when it resolves: its
-    latencies and, with `keep_chain` and an accepted verdict, the export
-    lines of the record and its block, written and hashed then, the block
-    dated its verification end; both join `chain` then.  So `chain` holds
-    no in-flight work, for every topology, and audits clean at any moment
-    of a run.  Rejected (falsified) records resolve with
-    accepted=False and never enter a block.  The queues keep no waits or
-    queue lengths.
+    from the root queue once verified; a header commits at the later of its
+    review end and its shard's previous commit, so in height order.
+    `submit` calls `on_resolved(accepted)` once the record is usable: at
+    verification for the single chain, at root confirmation for the
+    two-layer chain.  Only such awaited ends are calendar events; the others
+    wait on the ledger's heap, numbered from the calendar's sequence, and
+    run in its order before the next awaited end or a read of `chain` or
+    `latencies`: all of them once the calendar is empty, else those keyed
+    before the event that fired last.  A record's outcome is written once,
+    when it resolves: its latencies and, with `keep_chain` and an accepted
+    verdict, the export lines of the record and its block, dated its
+    verification end; both join `chain` then, so `chain` holds no in-flight
+    work and audits clean at any moment of a run.
     """
 
     def __init__(
@@ -639,22 +639,35 @@ class LedgerSystem:
         self.calendar = calendar
         self.cfg = cfg
         self.keep_chain = keep_chain
-        self.latencies: list[tuple[str, RecordKind, float, float | None]] = []
+        self._latencies: list[tuple[str, RecordKind, float, float | None]] = []
         n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
-        self.chain = ChainState(topology=cfg.topology, n_shards=n_pools)
+        self._chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self._miss_stream, root_stream, *shard_streams = stream.children(
             [("miss",), ("root",)] + [("shard", s) for s in range(n_pools)]
         )
-        self.shard_pools = [_ReviewQueue(servers, s, verify_mean) for s in shard_streams]
+        self.shard_pools = [_ReviewQueue(servers, s.exponentials(verify_mean))
+                            for s in shard_streams]
         self.root_pool = None
         if cfg.topology is Topology.TWO_LAYER:
-            self.root_pool = _ReviewQueue(cfg.n_regulators, root_stream,
-                                          cfg.confirmation_mean_days)
+            self.root_pool = _ReviewQueue(
+                cfg.n_regulators, root_stream.exponentials(cfg.confirmation_mean_days))
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_prev = GENESIS_HASH
         # per shard: the time of the last commit scheduled, which a later
         # header waits for
         self._commit_at = [0.0] * n_pools
+        # layer ends nobody awaits: heap of (time, calendar sequence, ticket)
+        self._pending: list[tuple[float, int, RecordTicket]] = []
+
+    @property
+    def chain(self) -> ChainState:
+        self._catch_up()
+        return self._chain
+
+    @property
+    def latencies(self) -> list[tuple[str, RecordKind, float, float | None]]:
+        self._catch_up()
+        return self._latencies
 
     # -- submission --------------------------------------------------------
 
@@ -662,18 +675,38 @@ class LedgerSystem:
         self, record: DataRecord, on_resolved: Callable[[bool], None] | None = None
     ) -> None:
         record.validate()
-        ticket = RecordTicket(record, on_resolved)
-        if not self.shard_pools:
-            # no ledger: face-value acceptance, zero delay, no detection
-            self._resolve(ticket, True)
-            return
-        shard = ticket.shard = assign_shard(record.location_index, len(self.shard_pools))
-        calendar = self.calendar
-        calendar.schedule(self.shard_pools[shard].admit(calendar.now),
-                          lambda: self._finish_verification(ticket))
+        shard = assign_shard(record.location_index, len(self.shard_pools))
+        self._due(RecordTicket(record, on_resolved, shard),
+                  self.shard_pools[shard].admit(self.calendar.now))
 
-    def _finish_verification(self, ticket: RecordTicket) -> None:
-        now = ticket.verify_end = self.calendar.now
+    def _due(self, ticket: RecordTicket, at: float) -> None:
+        """The ticket's layer ends at `at`: an event if awaited, else a heap entry."""
+        calendar = self.calendar
+        if ticket.on_resolved is None:
+            heapq.heappush(self._pending, (at, next(calendar.order), ticket))
+        else:
+            calendar.schedule(at, lambda: self._layer_ends(ticket, calendar.now))
+
+    def _catch_up(self, key: tuple | None = None) -> None:
+        """Run the pending ends keyed before `key`; by default, before the
+        event that fired last, or every one once the calendar is empty."""
+        if key is None:
+            calendar = self.calendar
+            key = (calendar.now, calendar.fired) if len(calendar) else (math.inf,)
+        pending = self._pending
+        while pending and pending[0] < key:
+            at, _, ticket = heapq.heappop(pending)
+            self._layer_ends(ticket, at)
+
+    def _layer_ends(self, ticket: RecordTicket, now: float) -> None:
+        """The ticket's layer in review ends at `now`: a committed record
+        resolves; a verified one resolves or goes on to the root layer."""
+        if ticket.on_resolved is not None:  # an event: the ends before it run first
+            self._catch_up((now, self.calendar.fired))
+        if ticket.verify_end is not None:
+            self._resolve(ticket, True, now)
+            return
+        ticket.verify_end = now
         rejected = ticket.record.tampered and not (
             self.cfg.miss_probability > 0.0
             and self._miss_stream.bernoulli(self.cfg.miss_probability)
@@ -681,7 +714,7 @@ class LedgerSystem:
         if rejected or self.root_pool is None:
             # verification is the record's last layer: on-site validation
             # caught its falsified values, or the chain has no root layer
-            self._resolve(ticket, not rejected)
+            self._resolve(ticket, not rejected, now)
             return
         # the header commits in shard height order: not before its review
         # ends, nor before the shard's previous header commits
@@ -690,26 +723,24 @@ class LedgerSystem:
         if at < self._commit_at[shard]:
             at = self._commit_at[shard]
         self._commit_at[shard] = at
-        self.calendar.schedule(at, lambda: self._resolve(ticket, True))
+        self._due(ticket, at)
 
-    def _resolve(self, ticket: RecordTicket, accepted: bool) -> None:
-        """Write the record's outcome: log its latencies; when the chain is
-        kept, write the export lines of an accepted verified record and its
+    def _resolve(self, ticket: RecordTicket, accepted: bool, now: float) -> None:
+        """Write the record's outcome at `now`: log its latencies; when the
+        chain is kept, write the export lines of an accepted record and its
         block, dated its verification end, hash them and put both on the
         chain, with a root block on the two-layer chain; then hand the
         verdict to its submitter.  Each shard's records resolve in
         verification order, so a block's height is its place in the shard's
         list."""
         record, shard, verify_end = ticket.record, ticket.shard, ticket.verify_end
-        now = self.calendar.now
         committed = accepted and self.root_pool is not None
-        self.latencies.append((
-            record.lot_id, record.record_kind,
-            0.0 if shard is None else verify_end - record.submitted_at,
+        self._latencies.append((
+            record.lot_id, record.record_kind, verify_end - record.submitted_at,
             now - verify_end if committed else None,
         ))
-        if accepted and shard is not None and self.keep_chain:
-            chain = self.chain
+        if accepted and self.keep_chain:
+            chain = self._chain
             blocks = chain.shard_blocks(shard)
             record.line = _LINES["record"].template.write(record)
             block = ShardBlock(

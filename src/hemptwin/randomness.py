@@ -22,6 +22,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +38,8 @@ __all__ = [
 # failing has probability below 2**-1000; the cap exists to turn a parameter
 # pathology into a loud error instead of a hang.
 GROWTH_NOISE_MAX_ROUNDS = 1000
+
+_BLOCK = 512  # uniforms per generator call behind `RngStream.exponentials`
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): a pool of 4
 # 32-bit words and two hash-constant sequences INIT * MULT**k mod 2**32.
@@ -218,8 +221,13 @@ class RngStream:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (self._gen or self._generator()).random() * (hi - lo)
 
-    def exponential(self, mean: float) -> float:
-        return -mean * math.log1p(-(self._gen or self._generator()).random())
+    def exponentials(self, mean: float) -> Iterator[float]:
+        """Endless exponential draws of mean `mean` by inversion, each from
+        the stream's next uniform; the uniforms are drawn `_BLOCK` at a time,
+        ahead, so this must be the stream's only consumer."""
+        while True:
+            for u in self.random(_BLOCK).tolist():
+                yield -mean * math.log1p(-u)
 
     def standard_normal(self) -> float:
         return float((self._gen or self._generator()).standard_normal())

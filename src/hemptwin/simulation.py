@@ -452,6 +452,10 @@ class SupplyChainSimulation:
         tampered: bool = False,
         on_resolved=None,
     ) -> None:
+        if not self.ledger.shard_pools:  # no ledger: no record, face-value data
+            if on_resolved is not None:
+                on_resolved(True)
+            return
         self._record_seq += 1
         record = DataRecord(
             record_id=f"r{self._record_seq:06d}",

@@ -77,14 +77,14 @@ class TestAssignShard:
 
 
 class TestSubmission:
-    def test_disabled_ledger_accepts_instantly_and_never_detects(self):
+    def test_disabled_ledger_takes_no_records(self):
+        # the twin accepts its data without a record (see test_simulation)
         cal, system = build_system(ChainConfig(topology=Topology.NONE))
-        resolutions = []
-        system.submit(make_record(0, RecordKind.HARVEST_DATA, tampered=True),
-                      resolutions.append)
-        assert resolutions == [True]
-        assert cal.now == 0.0
-        assert system.latencies[0][2] == 0.0
+        assert system.shard_pools == [] and system.root_pool is None
+        with pytest.raises(ValueError):
+            system.submit(make_record(0, RecordKind.HARVEST_DATA, tampered=True),
+                          lambda ok: None)
+        assert system.latencies == [] and len(cal) == 0
 
     def test_two_layer_idle_latency_is_one_verification_plus_confirmation(self):
         # mean latency over idle submissions must approach mu_v + mu_c
@@ -711,16 +711,19 @@ def test_meta_n_shards_is_the_number_of_verification_pools(topology, pools):
 # authority review queues
 
 
-class ListStream:
-    """Stands in for an RngStream: `exponential` hands out `holds` in turn."""
+class CountedHolds:
+    """Hands out `holds` in turn, counting the draws taken."""
 
     def __init__(self, holds):
-        self.holds = list(holds)
+        self.holds = iter(holds)
         self.taken = 0
 
-    def exponential(self, mean):
+    def __iter__(self):
+        return self
+
+    def __next__(self):
         self.taken += 1
-        return self.holds[self.taken - 1]
+        return next(self.holds)
 
 
 # a coarse grid makes arrivals meet free times exactly and arrive together
@@ -736,25 +739,26 @@ def test_review_queue_ends_reviews_where_the_kernel_pool_does(servers, gaps, dat
     # the oracle: one seize-hold-release per arrival through the kernel pool
     cal = EventCalendar()
     pool = ResourcePool(cal, "oracle", servers)
-    stream = ListStream(holds)
+    oracle_holds = iter(holds)
     drawn_by, ends = [], [None] * len(arrivals)
 
     def arrive(i):
         def hold():
             drawn_by.append(i)
-            return stream.exponential(1.0)
+            return next(oracle_holds)
 
         pool.request(hold, lambda: ends.__setitem__(i, cal.now))
 
     for i, at in enumerate(arrivals):
         cal.schedule(at, lambda i=i: arrive(i))
     cal.run()
-    queue = _ReviewQueue(servers, ListStream(holds), 1.0)
+    queue_holds = CountedHolds(holds)
+    queue = _ReviewQueue(servers, queue_holds)
     admitted = []
     for at in arrivals:
         admitted.append(queue.admit(at))
         # one draw per arrival, taken as it arrives
-        assert queue.stream.taken == len(admitted)
+        assert queue_holds.taken == len(admitted)
     # the kernel hands the k-th draw to the k-th arrival too
     assert drawn_by == list(range(len(arrivals)))
     assert [end.hex() for end in admitted] == [end.hex() for end in ends]
@@ -777,3 +781,84 @@ def test_review_queues_hold_no_more_than_the_records_in_flight():
         assert max(len(queue._free) for queue in queues) <= peak
     assert len(system.latencies) == 300
     assert 1 < peak < 300
+
+
+# ---------------------------------------------------------------------------
+# layer ends nobody awaits
+
+
+def run_schedule(cfg, items, await_all, stop_at=None):
+    """Submit `items`, each (time, location, gate, tampered), to a ledger
+    that keeps its chain.  Gate records get an `on_resolved` that logs
+    (time, record id, verdict); with `await_all` every other record gets a
+    no-op one, so that each of its layer ends is a calendar event.  The
+    calendar runs dry, or halts right after a sentinel event at `stop_at`; a
+    later event keeps it from running dry, as the twin's next season start
+    does.  Returns the latency log, the chain export and the verdicts."""
+    cal = EventCalendar()
+    ledger = LedgerSystem(cal, cfg, RngStream(31, ("oracle",)), keep_chain=True)
+    verdicts = []
+
+    def submit(i, location, gate, tampered):
+        record = make_record(i, RecordKind.HARVEST_DATA if gate else RecordKind.DRYING_DATA,
+                             location, tampered, cal.now)
+        if gate:
+            on_resolved = lambda ok: verdicts.append((cal.now, record.record_id, ok))
+        else:
+            on_resolved = (lambda ok: None) if await_all else None
+        ledger.submit(record, on_resolved)
+
+    for i, item in enumerate(items):
+        cal.schedule(item[0], lambda i=i, item=item: submit(i, *item[1:]))
+    if stop_at is None:
+        cal.run()
+    else:
+        halted = []
+        cal.schedule(stop_at, lambda: halted.append(cal.now))
+        cal.schedule(stop_at + 100.0, lambda: None)
+        cal.run(stop=lambda: bool(halted))
+    return ledger.latencies, export_chain(ledger.chain), verdicts
+
+
+coarse_times = st.sampled_from([0.0, 0.05, 0.1, 0.2]) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(st.tuples(coarse_times, st.integers(0, 3), st.booleans(), st.booleans()),
+                   min_size=1, max_size=40),
+    topology=st.sampled_from([Topology.TWO_LAYER, Topology.SINGLE_CHAIN]),
+    n_shards=st.integers(1, 3),
+    validators=st.integers(1, 3),
+    regulators=st.integers(1, 3),
+    miss=st.sampled_from([0.0, 0.3, 0.8]) | st.floats(0.01, 0.99),
+    stop_at=st.none() | coarse_times,
+)
+def test_unawaited_ends_off_the_calendar_change_no_outcome(
+        items, topology, n_shards, validators, regulators, miss, stop_at):
+    # the ledger's own heap runs the ends nobody awaits in the calendar's
+    # order: a run where every record is awaited, so every end is an event,
+    # logs the same latencies, exports the same chain and hands the gate
+    # records the same verdicts at the same times, in the same order
+    cfg = ChainConfig(topology=topology, n_shards=n_shards,
+                      n_validators_per_shard=validators, n_regulators=regulators,
+                      miss_probability=miss)
+    assert (run_schedule(cfg, items, await_all=False, stop_at=stop_at)
+            == run_schedule(cfg, items, await_all=True, stop_at=stop_at))
+
+
+@pytest.mark.parametrize("stop_at", [None, 1.5], ids=["dry", "halted"])
+def test_unawaited_ends_keep_clamped_commits_in_order(stop_at):
+    # one shard, several validators and regulators: headers reach the root
+    # layer out of height order, so commits clamp to the shard's previous
+    # commit and tie with it; every third record is a gate record, and
+    # tampered records are missed half the time
+    cfg = two_layer_cfg(n_shards=1, n_validators_per_shard=4, n_regulators=3,
+                        miss_probability=0.5)
+    items = [(0.01 * (i // 4), 0, i % 3 == 0, i % 5 == 2) for i in range(120)]
+    unawaited = run_schedule(cfg, items, await_all=False, stop_at=stop_at)
+    assert unawaited == run_schedule(cfg, items, await_all=True, stop_at=stop_at)
+    chain = parse_chain(unawaited[1])
+    assert any(a.created_at == b.created_at for a, b in zip(chain.roots, chain.roots[1:]))
+    tampered = {f"r{i:04d}" for i, item in enumerate(items) if item[3]}
+    assert 0 < len(tampered & set(chain.records)) < len(tampered)

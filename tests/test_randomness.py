@@ -26,9 +26,19 @@ def test_uniform_degenerate_support():
 
 
 def test_exponential_mean_one_tenth_day():
-    stream = RngStream(7, ("e",))
-    draws = np.array([stream.exponential(0.1) for _ in range(100_000)])
+    draws = RngStream(7, ("e",)).exponentials(0.1)
+    draws = np.array([next(draws) for _ in range(100_000)])
     assert abs(draws.mean() - 0.1) < 0.005
+
+
+@pytest.mark.parametrize("mean", [0.1, 2.5])
+def test_block_exponentials_equal_successive_scalar_draws(mean):
+    # each draw inverts the next uniform that one scalar draw at a time
+    # would take; 1100 draws cross two block boundaries
+    blocks = RngStream(7, ("e", 2)).exponentials(mean)
+    one_by_one = RngStream(7, ("e", 2))
+    assert ([next(blocks).hex() for _ in range(1100)]
+            == [(-mean * math.log1p(-one_by_one.uniform())).hex() for _ in range(1100)])
 
 
 def test_growth_noise_zero_time_is_exactly_zero():
@@ -187,7 +197,6 @@ def test_a_float_part_is_refused_after_an_equal_int_part():
 
 _draw_op = st.one_of(
     st.tuples(st.just("uniform"), st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
-    st.tuples(st.just("exponential"), st.floats(0, 1e9)),
     st.tuples(st.just("bernoulli"), st.floats(0, 1)),
     st.tuples(st.just("standard_normal")),
 )
@@ -203,8 +212,6 @@ def _oracle_draw(gen, op):
     if name == "uniform":
         lo, hi = args
         return lo + gen.random() * (hi - lo)
-    if name == "exponential":
-        return -args[0] * math.log1p(-gen.random())
     if name == "bernoulli":
         return gen.random() < args[0]
     return float(gen.standard_normal())
@@ -232,7 +239,7 @@ def test_scalar_draws_equal_a_seed_sequence_generator(master_seed, label, suffix
 def _draws(stream):
     return (
         stream.uniform(2.0, 5.0),
-        stream.exponential(0.3),
+        next(stream.exponentials(0.3)),
         stream.standard_normal(),
         stream.bernoulli(0.4),
         stream.random(5).tolist(),

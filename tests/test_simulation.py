@@ -73,11 +73,60 @@ def test_ledger_blocks_all_false_passes(baseline_stats):
     assert baseline_stats.fake_qualified == 0
 
 
-def test_disabled_ledger_lets_false_passes_through():
-    stats = run_replication(with_topology(small_cfg(), Topology.NONE), 0)
+def test_disabled_ledger_lets_false_passes_through(monkeypatch):
+    # with no ledger the twin builds no record and logs no latency
+    built = []
+    record = simulation.DataRecord
+
+    def counted(*args, **kwargs):
+        built.append(record(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(simulation, "DataRecord", counted)
+    sim = SupplyChainSimulation(with_topology(small_cfg(), Topology.NONE), 0)
+    stats = sim.run()
+    assert built == [] and sim.ledger.latencies == []
     assert stats.false_pass_preharvest > 0
     assert stats.fake_qualified >= 0  # at least possible; preharvest must leak
-    assert stats.verification_mean == 0.0
+    assert stats.verification_mean == stats.verification_sd == 0.0
+    assert stats.confirmation_mean == 0.0
+
+
+def test_disabled_ledger_accepts_instantly_and_never_detects():
+    sim = SupplyChainSimulation(with_topology(small_cfg(), Topology.NONE), 0)
+    lot = Lot(id="lot-0-0", season_index=0, index_in_season=0, arrival_time=0.0,
+              life=None, tamper=None)
+    resolutions = []
+    sim._submit(lot, RecordKind.HARVEST_DATA, ParticipantRole.GROWER, {},
+                tampered=True, on_resolved=resolutions.append)
+    assert resolutions == [True]
+    assert sim.calendar.now == 0.0 and len(sim.calendar) == 0
+    assert sim.ledger.latencies == []
+
+
+def test_ledger_puts_on_the_calendar_only_ends_a_lot_waits_for(monkeypatch):
+    # every calendar event the ledger schedules ends a layer of a record
+    # whose submitter waits for it; the other records still resolve
+    from hemptwin.kernel import EventCalendar
+
+    ledger_events = []
+    schedule = EventCalendar.schedule
+
+    def logged(calendar, at_time, action):
+        if action.__module__ == "hemptwin.ledger":
+            cells = dict(zip(action.__code__.co_freevars,
+                             (cell.cell_contents for cell in action.__closure__)))
+            ledger_events.append(cells["ticket"])
+        schedule(calendar, at_time, action)
+
+    monkeypatch.setattr(EventCalendar, "schedule", logged)
+    sim = SupplyChainSimulation(with_topology(small_cfg(), Topology.TWO_LAYER), 0)
+    sim.run()
+    assert ledger_events
+    assert all(ticket.on_resolved is not None for ticket in ledger_events)
+    gates = {RecordKind.PREHARVEST_RESULT, RecordKind.HARVEST_DATA, RecordKind.FINAL_COA}
+    assert {ticket.record.record_kind for ticket in ledger_events} <= gates
+    assert {kind for _, kind, _, _ in sim.ledger.latencies} == set(RecordKind)
 
 
 class _ThresholdFlags(SupplyChainSimulation):
