@@ -52,7 +52,7 @@ print(f"\n2) root block {root['height']} confirms shard {shard_id} block height 
 
 # 3) edit one number in one record's payload
 victim_block = chain.shards[0][7]
-victim = victim_block.record_ids[0]
+victim = victim_block.records[0]
 lines = []
 for line in text.splitlines():
     obj = json.loads(line)

@@ -38,6 +38,7 @@ class EventCalendar:
         self.now = 0.0
         self.fired = -1  # sequence number of the event that fired last
         self.order = itertools.count()
+        self._halted_after: int | None = None  # `fired` when `run` last stopped
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
 
     def __len__(self) -> int:
@@ -60,12 +61,20 @@ class EventCalendar:
         action()
         return True
 
+    @property
+    def halted(self) -> bool:
+        """Whether `run` stopped at `stop()` and no event has fired since."""
+        return self._halted_after == self.fired
+
     def run(self, stop: Callable[[], bool] | None = None) -> None:
-        """Run until the calendar empties or `stop()` turns true."""
-        while self._heap:
-            if stop is not None and stop():
+        """Run until the calendar empties or `stop()`, checked also after the
+        last event, turns true; `halted` tells which."""
+        while stop is None or not stop():
+            if not self._heap:
+                self._halted_after = None
                 return
             self.step()
+        self._halted_after = self.fired
 
 
 @dataclass(slots=True, eq=False)

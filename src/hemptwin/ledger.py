@@ -31,9 +31,9 @@ import heapq
 import json
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 try:
@@ -58,7 +58,6 @@ __all__ = [
     "RootBlock",
     "ChainState",
     "AuditResult",
-    "MalformedRecordError",
     "ChainParseError",
     "GENESIS_HASH",
     "sha256",
@@ -71,10 +70,6 @@ __all__ = [
 ]
 
 GENESIS_HASH = "0" * 64
-
-
-class MalformedRecordError(ValueError):
-    """Record missing required fields for its kind."""
 
 
 class ChainParseError(ValueError):
@@ -114,51 +109,49 @@ class DataRecord:
 
     record_id: str
     lot_id: str
-    participant_role: ParticipantRole
+    role: ParticipantRole
     record_kind: RecordKind
-    location_index: int
+    location: int
     payload: dict
     submitted_at: float
+    _: KW_ONLY
     tampered: bool = False
     line: str = ""
 
-    def validate(self) -> None:
-        if not self.record_id or not self.lot_id:
-            raise MalformedRecordError("record_id and lot_id are required")
-        if self.location_index < 0:
-            raise MalformedRecordError("location_index must be non-negative")
 
-
-@dataclass
+@dataclass(slots=True)
 class ShardBlock:
     shard_id: int
     height: int
     prev_hash: str
     merkle_root: str
-    validator_signature: str
+    validator: str
     created_at: float
-    record_ids: list
+    records: list[str]  # the ids of its records
     nonce: int = 0  # vestigial under proof-of-authority; kept constant
+    _: KW_ONLY
     line: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class RootBlock:
     height: int
     prev_hash: str
-    shard_headers: list  # [(shard_id, height, header_hash), ...]
-    regulator_id: str
+    headers: list[tuple[int, int, str]]  # [(shard_id, height, header_hash), ...]
+    regulator: str
     created_at: float
     nonce: int = 0
+    _: KW_ONLY
     line: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     """Everything a chain export contains: confirmed records and blocks."""
 
     topology: Topology
     n_shards: int  # verification pools: 0 with the ledger disabled
+    _: KW_ONLY
     records: dict = field(default_factory=dict)  # record_id -> DataRecord
     shards: dict = field(default_factory=dict)  # shard_id -> [ShardBlock]
     roots: list = field(default_factory=list)
@@ -168,45 +161,9 @@ class ChainState:
 
 
 # ---------------------------------------------------------------------------
-# chain export schema: writing and parsing a line both read this table
-
-# Each export line is one JSON object tagged by `kind`.  Per line kind: the
-# class it describes and, for every export key in the order of the class's
-# fields, the value's type, paired with the attribute it comes from when that
-# is not named like the key.  An enum is written as its member's value, a
-# float field also accepts a JSON integer and keeps it an integer, and a list
-# type names its items (a tuple item is a fixed array).
-_LINE_FIELDS = {
-    "meta": (ChainState, {"topology": Topology, "n_shards": int}),
-    "record": (DataRecord, {
-        "record_id": str,
-        "lot_id": str,
-        "role": (ParticipantRole, "participant_role"),
-        "record_kind": RecordKind,
-        "location": (int, "location_index"),
-        "payload": dict,
-        "submitted_at": float,
-    }),
-    "shard_block": (ShardBlock, {
-        "shard_id": int,
-        "height": int,
-        "prev_hash": str,
-        "merkle_root": str,
-        "validator": (str, "validator_signature"),
-        "created_at": float,
-        "records": (list[str], "record_ids"),
-        "nonce": int,
-    }),
-    "root_block": (RootBlock, {
-        "height": int,
-        "prev_hash": str,
-        "headers": (list[tuple[int, int, str]], "shard_headers"),
-        "regulator": (str, "regulator_id"),
-        "created_at": float,
-        "nonce": int,
-    }),
-}
-
+# chain export schema: the classes above.  Each export line is one JSON
+# object tagged by `kind`: the fields of its class before `KW_ONLY`, each
+# under its attribute's name and of the type the class declares.
 
 # Canonical JSON: sorted keys, no whitespace, non-ASCII escaped.  One C
 # encoder, built once, serves every call; it skips the cycle check, as no chain
@@ -250,18 +207,8 @@ class _Template(NamedTuple):
         return self.text % (*map(call, self.writers, self.get(obj)),)
 
 
-def _template(items: list, tag: str) -> _Template:
-    """Compile (key, attribute path, writer) items and a constant `kind` tag
-    into one template."""
-    slots = {key: "%s" for key, _, _ in items} | {"kind": _escape(tag)}
-    text = ",".join(f"{_escape(key)}:{slots[key]}" for key in sorted(slots))
-    items = sorted(items, key=itemgetter(0))
-    return _Template("{" + text + "}", attrgetter(*(path for _, path, _ in items)),
-                     tuple(write for _, _, write in items))
-
-
 class _Line(NamedTuple):
-    """One line kind of `_LINE_FIELDS`, compiled for writing and parsing."""
+    """One chain class's export line, compiled for writing and parsing."""
 
     cls: type
     keys: tuple  # export keys
@@ -294,26 +241,33 @@ def _reader(typ) -> Callable | None:
     return None
 
 
-def _compile(kind: str) -> _Line:
-    cls, line_fields = _LINE_FIELDS[kind]
-    keys, types, attrs, items, readers = [], [], [], [], []
-    for i, (key, spec) in enumerate(line_fields.items()):
-        typ, attr = spec if type(spec) is tuple else (spec, key)
+def _compile(kind: str, cls: type) -> _Line:
+    """The line kind `kind` of the chain class `cls`: an enum is written as
+    its member's value, a float field also accepts a JSON integer and keeps
+    it an integer, and a list type names its items (a tuple item is a fixed
+    array).  Parsing builds the object from the values by position."""
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in fields(cls) if not f.kw_only]
+    types, written, readers = [], {}, []
+    for i, key in enumerate(keys):
+        typ = hints[key]
         is_enum = isinstance(typ, enum.EnumMeta)
-        keys.append(key)
         types.append(str if is_enum else typing.get_origin(typ) or typ)
-        attrs.append(attr)
-        items.append((key, attr + "._value_" if is_enum else attr, _writer(types[-1])))
+        written[key] = (key + "._value_" if is_enum else key, _writer(types[-1]))
         read = _reader(typ)
         if read is not None:
             readers.append((i, read))
-    # parsing constructs the object from the line's values by position
-    if attrs != [f.name for f in fields(cls)][:len(attrs)]:
-        raise TypeError(f"{kind} keys must follow the fields of {cls.__name__}")
-    return _Line(cls, tuple(keys), tuple(types), tuple(readers), _template(items, kind))
+    # the template writes the keys sorted, the constant `kind` tag among them
+    slots = dict.fromkeys(keys, "%s") | {"kind": _escape(kind)}
+    text = ",".join(f"{_escape(key)}:{slots[key]}" for key in sorted(slots))
+    paths, writers = zip(*(written[key] for key in sorted(written)))
+    template = _Template("{" + text + "}", attrgetter(*paths), writers)
+    return _Line(cls, tuple(keys), tuple(types), tuple(readers), template)
 
 
-_LINES = {kind: _compile(kind) for kind in _LINE_FIELDS}
+_LINES = {kind: _compile(kind, cls) for kind, cls in [
+    ("meta", ChainState), ("record", DataRecord),
+    ("shard_block", ShardBlock), ("root_block", RootBlock)]}
 
 
 def sha256(line: str) -> str:
@@ -337,11 +291,11 @@ def merkle_root(leaf_hashes: list[str]) -> str:
     return level[0]
 
 
-def assign_shard(location_index: int, n_shards: int) -> int:
+def assign_shard(location: int, n_shards: int) -> int:
     """Deterministic location-based routing, stable per participant."""
     if n_shards < 1:
         raise ValueError("need at least one shard")
-    return location_index % n_shards
+    return location % n_shards
 
 
 @dataclass(frozen=True)
@@ -375,7 +329,7 @@ def audit_chain(chain: ChainState) -> AuditResult:
             if block.prev_hash != prev:
                 return AuditResult(False, shard_id, block.height, "prev_hash mismatch")
             leaf_hashes = []
-            for rid in block.record_ids:
+            for rid in block.records:
                 rec = chain.records.get(rid)
                 if rec is None:
                     return AuditResult(
@@ -408,7 +362,7 @@ def audit_chain(chain: ChainState) -> AuditResult:
             )
         if root.prev_hash != prev:
             return AuditResult(False, None, root.height, "root prev_hash mismatch")
-        for shard_id, height, header in root.shard_headers:
+        for shard_id, height, header in root.headers:
             key = (shard_id, height)
             if key in referenced:
                 return AuditResult(
@@ -621,7 +575,7 @@ class LedgerSystem:
     two-layer chain.  Only such awaited ends are calendar events; the others
     wait on the ledger's heap, numbered from the calendar's sequence, and
     run in its order before the next awaited end or a read of `chain` or
-    `latencies`: all of them once the calendar is empty, else those keyed
+    `latencies`: all of them once the calendar has run dry, else those keyed
     before the event that fired last.  A record's outcome is written once,
     when it resolves: its latencies and, with `keep_chain` and an accepted
     verdict, the export lines of the record and its block, dated its
@@ -674,8 +628,7 @@ class LedgerSystem:
     def submit(
         self, record: DataRecord, on_resolved: Callable[[bool], None] | None = None
     ) -> None:
-        record.validate()
-        shard = assign_shard(record.location_index, len(self.shard_pools))
+        shard = assign_shard(record.location, len(self.shard_pools))
         self._due(RecordTicket(record, on_resolved, shard),
                   self.shard_pools[shard].admit(self.calendar.now))
 
@@ -689,10 +642,11 @@ class LedgerSystem:
 
     def _catch_up(self, key: tuple | None = None) -> None:
         """Run the pending ends keyed before `key`; by default, before the
-        event that fired last, or every one once the calendar is empty."""
+        event that fired last, or every one once the calendar has run dry."""
         if key is None:
             calendar = self.calendar
-            key = (calendar.now, calendar.fired) if len(calendar) else (math.inf,)
+            key = ((calendar.now, calendar.fired) if len(calendar) or calendar.halted
+                   else (math.inf,))
         pending = self._pending
         while pending and pending[0] < key:
             at, _, ticket = heapq.heappop(pending)
@@ -748,9 +702,9 @@ class LedgerSystem:
                 height=len(blocks),
                 prev_hash=self._prev_hash[shard],
                 merkle_root=merkle_root([sha256(record.line)]),
-                validator_signature=f"authority-s{shard}",
+                validator=f"authority-s{shard}",
                 created_at=verify_end,
-                record_ids=[record.record_id],
+                records=[record.record_id],
             )
             block.line = _LINES["shard_block"].template.write(block)
             header = self._prev_hash[shard] = sha256(block.line)
@@ -760,8 +714,8 @@ class LedgerSystem:
                 root = RootBlock(
                     height=len(chain.roots),
                     prev_hash=self._root_prev,
-                    shard_headers=[(shard, block.height, header)],
-                    regulator_id="regulator-root",
+                    headers=[(shard, block.height, header)],
+                    regulator="regulator-root",
                     created_at=now,
                 )
                 root.line = _LINES["root_block"].template.write(root)

@@ -460,9 +460,9 @@ class SupplyChainSimulation:
         record = DataRecord(
             record_id=f"r{self._record_seq:06d}",
             lot_id=lot.id,
-            participant_role=role,
+            role=role,
             record_kind=kind,
-            location_index=lot.index_in_season,
+            location=lot.index_in_season,
             payload=payload,
             submitted_at=self.calendar.now,
             tampered=tampered,

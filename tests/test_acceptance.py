@@ -242,7 +242,7 @@ def test_criterion_08_audit_detects_any_mutation(base_cfg):
 
     # single-byte payload mutation
     target_block = chain.shards[1][5]
-    victim = target_block.record_ids[0]
+    victim = target_block.records[0]
     mutated = []
     for line in lines:
         obj = json.loads(line)

@@ -125,8 +125,8 @@ def small_export() -> list:
     for i, kind in enumerate(list(RecordKind)[:6]):
         record = DataRecord(
             record_id=f"r{i}", lot_id=f"lot-{i % 2}",
-            participant_role=list(ParticipantRole)[i], record_kind=kind,
-            location_index=i, submitted_at=0.25 * i,
+            role=list(ParticipantRole)[i], record_kind=kind,
+            location=i, submitted_at=0.25 * i,
             payload={"value": 0.1 * i, "note": f"Hanf \"{i}\" \u00e9t\u00e9",
                      "tags": ["a", i]},
         )

@@ -43,6 +43,26 @@ def test_clock_never_moves_backward():
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("later", [False, True], ids=["nothing-left", "event-left"])
+def test_run_tells_a_halt_from_running_dry(later):
+    cal = EventCalendar()
+    fired = []
+    cal.schedule(1.0, lambda: fired.append(cal.now))
+    if later:
+        cal.schedule(2.0, lambda: fired.append(cal.now))
+    # stop() turns true at the first event, checked also after the last one
+    cal.run(stop=lambda: bool(fired))
+    assert fired == [1.0] and cal.halted
+    cal.run()
+    assert fired == [1.0, 2.0][:1 + later] and not cal.halted
+    # a halt lasts until another event fires
+    cal.schedule(cal.now, lambda: None)
+    cal.run(stop=lambda: True)
+    assert cal.halted and len(cal) == 1
+    cal.step()
+    assert not cal.halted
+
+
 def _timed(cal, pool, grants, name, days, then=lambda: None):
     """Request a `days`-long step for `name` whose hold appends (name, grant
     time) to `grants`."""

@@ -222,7 +222,7 @@ def test_every_record_kind_and_role_is_emitted():
     sim.run()
     records = sim.ledger.chain.records.values()
     assert {r.record_kind for r in records} == set(RecordKind)
-    assert {r.participant_role for r in records} == set(ParticipantRole)
+    assert {r.role for r in records} == set(ParticipantRole)
 
 
 def test_timestamps_non_decreasing():
