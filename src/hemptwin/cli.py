@@ -125,7 +125,9 @@ def cmd_shapley(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        text = Path(args.chain).read_text(encoding="utf-8")
+        # decoded from bytes: a text-mode read would take a lone "\r" for a
+        # line end, and the export's lines end at "\n" only
+        text = Path(args.chain).read_bytes().decode("utf-8")
         chain = parse_chain(text)
     except (OSError, UnicodeDecodeError, ChainParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

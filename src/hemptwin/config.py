@@ -352,5 +352,6 @@ def save_config(cfg: ScenarioConfig, path) -> None:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="": lines end at "\n" only, so a lone "\r" stays in its line
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return config_from_text(fh.read())

@@ -21,6 +21,12 @@ record resolves, parsing keeps the text it read, export joins the kept
 lines and audit hashes them, so audit checks the bytes a verifier hashes.
 The ledger's chain holds only confirmed work: a record and its block join
 it when the record is confirmed.
+
+Submitters hand the ledger a record's fields, not a record: the ledger
+numbers records in submission order and, only when it keeps the chain,
+builds each accepted `DataRecord` as it resolves, named `r` and its
+six-digit number (`r000001`, ...).  A ledger that keeps no chain builds no
+record and names none.
 """
 
 from __future__ import annotations
@@ -508,11 +514,19 @@ def parse_chain(text: str) -> ChainState:
 
 @dataclass(slots=True)
 class RecordTicket:
-    """One submitted record in flight: its verification end is set as it is
-    verified; its latencies, and its block when the chain is kept, are
-    written only when it resolves."""
+    """One submitted record in flight: the fields the submitter gave, its
+    shard and its waiter.  Its verification end is set as it is verified;
+    its latencies, and its `DataRecord` and block when the chain is kept,
+    are written only when it resolves."""
 
-    record: DataRecord
+    seq: int  # its place in submission order, from 1: the record id's number
+    lot_id: str
+    record_kind: RecordKind
+    role: ParticipantRole
+    location: int
+    payload: dict
+    submitted_at: float
+    tampered: bool
     on_resolved: Callable[[bool], None] | None
     shard: int
     verify_end: float | None = None
@@ -578,9 +592,9 @@ class LedgerSystem:
     `latencies`: all of them once the calendar has run dry, else those keyed
     before the event that fired last.  A record's outcome is written once,
     when it resolves: its latencies and, with `keep_chain` and an accepted
-    verdict, the export lines of the record and its block, dated its
-    verification end; both join `chain` then, so `chain` holds no in-flight
-    work and audits clean at any moment of a run.
+    verdict, its `DataRecord`, and the export lines of the record and its
+    block, dated its verification end; both join `chain` then, so `chain`
+    holds no in-flight work and audits clean at any moment of a run.
     """
 
     def __init__(
@@ -612,6 +626,7 @@ class LedgerSystem:
         self._commit_at = [0.0] * n_pools
         # layer ends nobody awaits: heap of (time, calendar sequence, ticket)
         self._pending: list[tuple[float, int, RecordTicket]] = []
+        self._submitted = 0  # records submitted so far
 
     @property
     def chain(self) -> ChainState:
@@ -626,11 +641,26 @@ class LedgerSystem:
     # -- submission --------------------------------------------------------
 
     def submit(
-        self, record: DataRecord, on_resolved: Callable[[bool], None] | None = None
+        self,
+        lot_id: str,
+        on_resolved: Callable[[bool], None] | None,
+        kind: RecordKind,
+        role: ParticipantRole,
+        location: int,
+        payload: dict,
+        tampered: bool = False,
     ) -> None:
-        shard = assign_shard(record.location, len(self.shard_pools))
-        self._due(RecordTicket(record, on_resolved, shard),
-                  self.shard_pools[shard].admit(self.calendar.now))
+        """Submit a record of `kind` on lot `lot_id`, reported now by the
+        participant `role` at `location` (which routes it to a shard), with
+        the on-chain `payload`; `tampered` marks falsified values, off-chain.
+        `on_resolved(accepted)`, if given, runs once the record is usable.
+        Records are numbered in submission order, from 1."""
+        shard = assign_shard(location, len(self.shard_pools))
+        self._submitted += 1
+        now = self.calendar.now
+        self._due(RecordTicket(self._submitted, lot_id, kind, role, location, payload,
+                               now, tampered, on_resolved, shard),
+                  self.shard_pools[shard].admit(now))
 
     def _due(self, ticket: RecordTicket, at: float) -> None:
         """The ticket's layer ends at `at`: an event if awaited, else a heap entry."""
@@ -661,7 +691,7 @@ class LedgerSystem:
             self._resolve(ticket, True, now)
             return
         ticket.verify_end = now
-        rejected = ticket.record.tampered and not (
+        rejected = ticket.tampered and not (
             self.cfg.miss_probability > 0.0
             and self._miss_stream.bernoulli(self.cfg.miss_probability)
         )
@@ -681,21 +711,31 @@ class LedgerSystem:
 
     def _resolve(self, ticket: RecordTicket, accepted: bool, now: float) -> None:
         """Write the record's outcome at `now`: log its latencies; when the
-        chain is kept, write the export lines of an accepted record and its
-        block, dated its verification end, hash them and put both on the
-        chain, with a root block on the two-layer chain; then hand the
-        verdict to its submitter.  Each shard's records resolve in
-        verification order, so a block's height is its place in the shard's
-        list."""
-        record, shard, verify_end = ticket.record, ticket.shard, ticket.verify_end
+        chain is kept, build an accepted record, named `r` and its six-digit
+        submission number, write the export lines of it and its block, dated
+        its verification end, hash them and put both on the chain, with a
+        root block on the two-layer chain; then hand the verdict to its
+        submitter.  Each shard's records resolve in verification order, so a
+        block's height is its place in the shard's list."""
+        shard, verify_end = ticket.shard, ticket.verify_end
         committed = accepted and self.root_pool is not None
         self._latencies.append((
-            record.lot_id, record.record_kind, verify_end - record.submitted_at,
+            ticket.lot_id, ticket.record_kind, verify_end - ticket.submitted_at,
             now - verify_end if committed else None,
         ))
         if accepted and self.keep_chain:
             chain = self._chain
             blocks = chain.shard_blocks(shard)
+            record = DataRecord(
+                record_id=f"r{ticket.seq:06d}",
+                lot_id=ticket.lot_id,
+                role=ticket.role,
+                record_kind=ticket.record_kind,
+                location=ticket.location,
+                payload=ticket.payload,
+                submitted_at=ticket.submitted_at,
+                tampered=ticket.tampered,
+            )
             record.line = _LINES["record"].template.write(record)
             block = ShardBlock(
                 shard_id=shard,

@@ -11,9 +11,12 @@ label.
 A stream's generator is the PCG64 that ``np.random.SeedSequence((master_seed,
 *label))`` seeds, each string part replaced by a 64-bit hash.  The seed words
 come from a vectorised copy of SeedSequence's hash-mix, so
-``RngStream.children`` seeds many streams (a season's lot streams, say) in one
-numpy pass; ``tests/test_randomness.py`` checks the words against
-``np.random.SeedSequence`` bit for bit over generated labels.
+``RngStream.children`` seeds many streams (every lot stream of a
+replication, say) in one numpy pass; ``tests/test_randomness.py`` checks the
+words against ``np.random.SeedSequence`` bit for bit over generated labels.
+A stream builds its generator at its first draw, from the words its
+``children`` call computed or, for a stream built alone, from words computed
+then: a stream that never draws costs its seed words and nothing more.
 """
 
 from __future__ import annotations
@@ -168,9 +171,7 @@ def _seed_words(master_seed: int, label: tuple, suffixes) -> np.ndarray:
 
 
 class _SeedWords:
-    """Hands PCG64 the seed words computed for it (PCG64 asks for 4 uint64).
-    It is registered as numpy's ISeedSequence on first use, so that importing
-    this module does not import numpy.random."""
+    """Hands PCG64 the seed words computed for it (PCG64 asks for 4 uint64)."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
@@ -179,10 +180,13 @@ class _SeedWords:
         return self.words
 
 
-def _generators(master_seed: int, label: tuple, suffixes) -> list:
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # no-op once registered
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in _seed_words(master_seed, label, suffixes)]
+@functools.cache
+def _pcg64() -> type:
+    """numpy's PCG64, once `_SeedWords` is registered as its ISeedSequence:
+    registered at the first generator built, so that importing this module
+    does not import numpy.random, and only then."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return np.random.PCG64
 
 
 @dataclass
@@ -196,23 +200,29 @@ class RngStream:
     master_seed: int
     label: tuple = ()
     _gen: np.random.Generator | None = field(default=None, repr=False)
+    # the PCG64 seed words, when a `children` call computed them
+    _words: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen, = _generators(self.master_seed, self.label, [()])
+            if self._words is None:
+                self._words, = _seed_words(self.master_seed, self.label, [()])
+            self._gen = np.random.Generator(_pcg64()(_SeedWords(self._words)))
         return self._gen
 
     def children(self, suffixes) -> list["RngStream"]:
-        """Derive one independent stream per label suffix, seeded together in
-        one pass; each equals the stream that ``child(*suffix)`` derives."""
+        """Derive one independent stream per label suffix, their seed words
+        computed together in one pass; each builds its generator at its first
+        draw and equals the stream that ``child(*suffix)`` derives."""
         suffixes = [tuple(s) for s in suffixes]
-        gens = _generators(self.master_seed, self.label, suffixes)
-        return [RngStream(self.master_seed, self.label + s, gen)
-                for s, gen in zip(suffixes, gens)]
+        words = _seed_words(self.master_seed, self.label, suffixes)
+        return [RngStream(self.master_seed, self.label + s, None, w)
+                for s, w in zip(suffixes, words)]
 
     def child(self, *extra) -> "RngStream":
-        """Derive an independent stream with an extended label; its generator
-        is seeded at the first draw, as a one-row ``children`` call seeds it."""
+        """Derive an independent stream with an extended label; its seed
+        words are computed at its first draw, as a one-row ``children`` call
+        computes them."""
         return RngStream(self.master_seed, self.label + extra)
 
     # The scalar draws run thousands of times a replication: they read the

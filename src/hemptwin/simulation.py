@@ -30,7 +30,7 @@ import numpy as np
 from .config import DURATION_STAGES, ScenarioConfig, validate_config
 from .domain import DropReason, Lot, LotOutput, ReplicationStats, Stage
 from .kernel import EventCalendar, PoolRequest, ResourcePool
-from .ledger import DataRecord, LedgerSystem, ParticipantRole, RecordKind
+from .ledger import LedgerSystem, ParticipantRole, RecordKind
 from .randomness import RngStream, sample_growth_noise
 from . import stages
 
@@ -86,20 +86,23 @@ class SupplyChainSimulation:
         self._terminations = 0
         self.done = False
         self.measured: list[Lot] = []
-        self._record_seq = 0
+        # each season's lot streams, until the season starts and its lots take
+        # them; seeded when the run starts
+        self._lot_streams: list[list[RngStream] | None] = []
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> ReplicationStats:
         self.calendar.schedule(0.0, lambda: self._season_start(0))
-        # The cyclic collector is paused while the calendar runs.  Lots,
-        # events and records are freed by reference counting; a replication
-        # makes almost no reference cycles, so a collection during it would
-        # scan objects still in use and free next to nothing.  The few
-        # cycles it leaves are collected after it.
+        # The cyclic collector is paused while the lot streams are seeded and
+        # the calendar runs.  Lots, events and records are freed by reference
+        # counting; a replication makes almost no reference cycles, so a
+        # collection during it would scan objects still in use and free next
+        # to nothing.  The few cycles it leaves are collected after it.
         collecting = gc.isenabled()
         gc.disable()
         try:
+            self._seed_lot_streams()
             self.calendar.run(stop=lambda: self.done)
         finally:
             if collecting:
@@ -113,6 +116,18 @@ class SupplyChainSimulation:
 
     # -------------------------------------------------------------- arrivals
 
+    def _seed_lot_streams(self) -> None:
+        """Seed every lot stream the replication may use in one pass, and
+        file them by season.  A stream builds its generator at its first
+        draw, so a season that never starts costs its seed words only."""
+        n = self.cfg.n_lots_per_season
+        streams = self.base.children(
+            ("lot", season, i, kind) for season in range(self._max_seasons)
+            for i in range(n) for kind in ("life", "tamper")
+        )
+        self._lot_streams = [streams[2 * n * season:2 * n * (season + 1)]
+                             for season in range(self._max_seasons)]
+
     def _season_start(self, season: int) -> None:
         now = self.calendar.now
         if season + 1 < self._max_seasons:
@@ -120,11 +135,10 @@ class SupplyChainSimulation:
                 now + self.cfg.season_interval_days,
                 lambda: self._season_start(season + 1),
             )
-        n = self.cfg.n_lots_per_season
-        streams = self.base.children(
-            ("lot", season, i, kind) for i in range(n) for kind in ("life", "tamper")
-        )
-        for i in range(n):
+        # the season's lots hold its streams from here on: a lot's streams are
+        # freed with the lot
+        streams, self._lot_streams[season] = self._lot_streams[season], None
+        for i in range(self.cfg.n_lots_per_season):
             lot = Lot(
                 id=f"lot-{season}-{i}",
                 season_index=season,
@@ -456,18 +470,8 @@ class SupplyChainSimulation:
             if on_resolved is not None:
                 on_resolved(True)
             return
-        self._record_seq += 1
-        record = DataRecord(
-            record_id=f"r{self._record_seq:06d}",
-            lot_id=lot.id,
-            role=role,
-            record_kind=kind,
-            location=lot.index_in_season,
-            payload=payload,
-            submitted_at=self.calendar.now,
-            tampered=tampered,
-        )
-        self.ledger.submit(record, on_resolved)
+        self.ledger.submit(lot.id, on_resolved, kind, role, lot.index_in_season,
+                           payload, tampered)
 
     def _collect_stats(self) -> ReplicationStats:
         stats = ReplicationStats(replication_index=self.rep)
@@ -498,14 +502,12 @@ class SupplyChainSimulation:
                     fake_qualified=lot.fake_qualified,
                 )
             )
-        verifications = [
-            v for lot_id, _, v, _ in self.ledger.latencies
-            if lot_id in measured_ids and v is not None
-        ]
-        confirmations = [
-            c for lot_id, _, _, c in self.ledger.latencies
-            if lot_id in measured_ids and c is not None
-        ]
+        verifications, confirmations = [], []
+        for lot_id, _, v, c in self.ledger.latencies:
+            if lot_id in measured_ids:
+                verifications.append(v)
+                if c is not None:
+                    confirmations.append(c)
         if verifications:
             stats.verification_mean = float(np.mean(verifications))
             stats.verification_sd = _sd(verifications)

@@ -17,6 +17,7 @@ from hemptwin.config import (
     config_from_text,
     config_to_text,
     default_config,
+    load_config,
     validate_config,
 )
 from stage_order import with_durations
@@ -157,6 +158,24 @@ def test_comment_holding_a_unicode_line_boundary_is_one_comment(brk):
     text = f"lots.n = 50  # pasted{brk}text\nlots.n = 50\n"
     with pytest.raises(ConfigError, match="^line 2: duplicate key 'lots.n'$"):
         config_from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("lots.n = 50  # pasted\rtext\nlots.n = 50\n", id="lone-CR"),
+    pytest.param("lots.n = 50  # a comment\r\nlots.n = 50\r\n", id="CRLF"),
+])
+def test_a_config_file_reads_as_its_text(tmp_path, text):
+    # a file is read without newline translation: a lone "\r" stays in its
+    # comment, where a text-mode read used to start line 2 with "text"
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'lots.n'$"):
+        config_from_text(text)
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'lots.n'$"):
+        load_config(path)
+    first_line = text.split("\n", 1)[0] + "\n"
+    path.write_bytes(first_line.encode("utf-8"))
+    assert load_config(path) == config_from_text(first_line) == default_config()
 
 
 def test_unknown_key_rejected():

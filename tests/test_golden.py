@@ -32,7 +32,6 @@ from hemptwin.config import (
 from hemptwin.kernel import EventCalendar
 from hemptwin.ledger import (
     ChainParseError,
-    DataRecord,
     LedgerSystem,
     ParticipantRole,
     RecordKind,
@@ -123,14 +122,11 @@ def small_export() -> list:
     ledger = LedgerSystem(calendar, ChainConfig(n_shards=2),
                           RngStream(20210, ("audit-verdicts",)), keep_chain=True)
     for i, kind in enumerate(list(RecordKind)[:6]):
-        record = DataRecord(
-            record_id=f"r{i}", lot_id=f"lot-{i % 2}",
-            role=list(ParticipantRole)[i], record_kind=kind,
-            location=i, submitted_at=0.25 * i,
-            payload={"value": 0.1 * i, "note": f"Hanf \"{i}\" \u00e9t\u00e9",
-                     "tags": ["a", i]},
-        )
-        calendar.schedule(record.submitted_at, lambda r=record: ledger.submit(r))
+        payload = {"value": 0.1 * i, "note": f"Hanf \"{i}\" \u00e9t\u00e9",
+                   "tags": ["a", i]}
+        calendar.schedule(0.25 * i, lambda i=i, kind=kind, payload=payload: (
+            ledger.submit(f"lot-{i % 2}", None, kind, list(ParticipantRole)[i], i,
+                          payload)))
     calendar.run()
     return export_chain(ledger.chain).splitlines()
 

@@ -20,7 +20,6 @@ from hemptwin.config import MAX_COUNT, ChainConfig, RunConfig, Topology, default
 from hemptwin.kernel import EventCalendar, ResourcePool
 from hemptwin.ledger import (
     ChainParseError,
-    DataRecord,
     LedgerSystem,
     ParticipantRole,
     RecordKind,
@@ -38,18 +37,18 @@ from hemptwin.randomness import RngStream
 from hemptwin.simulation import run_replication
 
 
-def make_record(i=0, kind=RecordKind.CULTIVATION_DATA, location=0, tampered=False,
-                submitted_at=0.0):
-    return DataRecord(
-        record_id=f"r{i:04d}",
-        lot_id=f"lot-0-{location}",
-        role=ParticipantRole.GROWER,
-        record_kind=kind,
-        location=location,
-        payload={"value": float(i)},
-        submitted_at=submitted_at,
-        tampered=tampered,
-    )
+def submit_record(system, i=0, on_resolved=None, kind=RecordKind.CULTIVATION_DATA,
+                  location=0, tampered=False, payload=None):
+    """Submit to `system`, now, a grower's record at `location` whose payload
+    holds the value `i`."""
+    system.submit(f"lot-0-{location}", on_resolved, kind, ParticipantRole.GROWER,
+                  location, {"value": float(i)} if payload is None else payload,
+                  tampered)
+
+
+def record_id(i):
+    """The id the ledger gives the record submitted `i`-th, counted from 0."""
+    return f"r{i + 1:06d}"
 
 
 def two_layer_cfg(**kw):
@@ -80,8 +79,8 @@ class TestSubmission:
         cal, system = build_system(ChainConfig(topology=Topology.NONE))
         assert system.shard_pools == [] and system.root_pool is None
         with pytest.raises(ValueError):
-            system.submit(make_record(0, RecordKind.HARVEST_DATA, tampered=True),
-                          lambda ok: None)
+            submit_record(system, 0, lambda ok: None, RecordKind.HARVEST_DATA,
+                          tampered=True)
         assert system.latencies == [] and len(cal) == 0
 
     def test_two_layer_idle_latency_is_one_verification_plus_confirmation(self):
@@ -94,9 +93,7 @@ class TestSubmission:
             # spaced far apart so queues are always empty
             cal.schedule(
                 i * 50.0,
-                lambda i=i: system.submit(
-                    make_record(i, submitted_at=cal.now), done.append
-                ),
+                lambda i=i: submit_record(system, i, done.append),
             )
         cal.run()
         verif = np.array([v for _, _, v, _ in system.latencies])
@@ -108,8 +105,8 @@ class TestSubmission:
         cfg = two_layer_cfg(n_shards=2, n_validators_per_shard=1, n_regulators=2)
         cal, system = build_system(cfg)
         done = {}
-        system.submit(make_record(0, location=0), lambda ok: done.setdefault(0, cal.now))
-        system.submit(make_record(1, location=1), lambda ok: done.setdefault(1, cal.now))
+        submit_record(system, 0, lambda ok: done.setdefault(0, cal.now), location=0)
+        submit_record(system, 1, lambda ok: done.setdefault(1, cal.now), location=1)
         cal.run()
         assert len(done) == 2
         # with one validator per shard and no cross-shard queueing, each
@@ -120,7 +117,7 @@ class TestSubmission:
     def test_single_chain_has_no_confirmation_stage(self):
         cfg = ChainConfig(topology=Topology.SINGLE_CHAIN, n_regulators=2)
         cal, system = build_system(cfg)
-        system.submit(make_record(0), None)
+        submit_record(system, 0)
         cal.run()
         (_, _, verif, conf), = system.latencies
         assert verif > 0 and conf is None
@@ -131,7 +128,7 @@ class TestVerification:
     def test_honest_record_verified_and_blocked(self):
         cal, system = build_system(two_layer_cfg(n_shards=1))
         verdicts = []
-        system.submit(make_record(0), verdicts.append)
+        submit_record(system, 0, verdicts.append)
         cal.run()
         assert verdicts == [True]
         assert len(system.chain.shards[0]) == 1
@@ -140,10 +137,8 @@ class TestVerification:
     def test_tampered_record_rejected_and_not_blocked(self):
         cal, system = build_system(two_layer_cfg(n_shards=1))
         verdicts = []
-        system.submit(
-            make_record(0, RecordKind.PREHARVEST_RESULT, tampered=True),
-            verdicts.append,
-        )
+        submit_record(system, 0, verdicts.append, RecordKind.PREHARVEST_RESULT,
+                      tampered=True)
         cal.run()
         assert verdicts == [False]
         assert len(system.chain.shards.get(0, [])) == 0
@@ -154,11 +149,9 @@ class TestVerification:
         for i in range(1000):
             cal.schedule(
                 float(i),
-                lambda i=i: system.submit(
-                    make_record(i, RecordKind.HARVEST_DATA, location=i % 2,
-                                tampered=True, submitted_at=cal.now),
-                    verdicts.append,
-                ),
+                lambda i=i: submit_record(system, i, verdicts.append,
+                                          RecordKind.HARVEST_DATA, location=i % 2,
+                                          tampered=True),
             )
         cal.run()
         assert verdicts == [False] * 1000
@@ -171,11 +164,9 @@ class TestVerification:
         for i in range(2000):
             cal.schedule(
                 float(i),
-                lambda i=i: system.submit(
-                    make_record(i, RecordKind.HARVEST_DATA, location=i % 2,
-                                tampered=True, submitted_at=cal.now),
-                    verdicts.append,
-                ),
+                lambda i=i: submit_record(system, i, verdicts.append,
+                                          RecordKind.HARVEST_DATA, location=i % 2,
+                                          tampered=True),
             )
         cal.run()
         missed = sum(verdicts)
@@ -189,9 +180,7 @@ class TestChainStructure:
         for i in range(n):
             cal.schedule(
                 i * 0.6,
-                lambda i=i: system.submit(
-                    make_record(i, location=i % 5, submitted_at=cal.now), None
-                ),
+                lambda i=i: submit_record(system, i, location=i % 5),
             )
         cal.run()
         return system
@@ -224,7 +213,7 @@ class TestChainStructure:
         cfg = two_layer_cfg(n_shards=1, n_validators_per_shard=4, n_regulators=2)
         cal, system = build_system(cfg)
         for i in range(40):
-            system.submit(make_record(i), None)
+            submit_record(system, i)
         cal.run()
         committed = {}
         for root in system.chain.roots:
@@ -240,10 +229,9 @@ class TestChainStructure:
         cal, system = build_system(cfg)
         confirmed = []
         for i in range(40):
-            record = make_record(i, location=i % 2, tampered=i % 7 == 3)
-            cal.schedule(i * 0.05, lambda r=record: system.submit(
-                dataclasses.replace(r, submitted_at=cal.now),
-                lambda ok, rid=r.record_id: ok and confirmed.append(rid)))
+            cal.schedule(i * 0.05, lambda i=i: submit_record(
+                system, i, lambda ok: ok and confirmed.append(record_id(i)),
+                location=i % 2, tampered=i % 7 == 3))
         in_flight = 0  # steps that left a verified record waiting for its commit
         while cal.step():
             chain = system.chain
@@ -272,7 +260,7 @@ class TestChainStructure:
         # a float field holding an integer is written as one; parsing used to
         # read it back as a float, whose hash differs
         cal, system = build_system(two_layer_cfg())
-        cal.schedule(3, lambda: system.submit(make_record(0, submitted_at=cal.now)))
+        cal.schedule(3, lambda: submit_record(system, 0))
         cal.run()
         text = export_chain(system.chain)
         assert '"submitted_at":3}' in text
@@ -534,10 +522,9 @@ def test_payload_string_holding_a_raw_unicode_line_boundary_parses(brk):
     # the export escapes these characters; JSON allows them raw in a string
     cal, system = build_system(two_layer_cfg())
     for i in range(6):
-        record = make_record(i, location=i % 5)
-        record.payload["note"] = f"pasted{brk}text"
-        cal.schedule(i * 0.6, lambda r=record: system.submit(
-            dataclasses.replace(r, submitted_at=cal.now), None))
+        payload = {"value": float(i), "note": f"pasted{brk}text"}
+        cal.schedule(i * 0.6, lambda i=i, payload=payload: submit_record(
+            system, i, location=i % 5, payload=payload))
     cal.run()
     escaped = export_chain(system.chain)
     raw = escaped.replace(json.dumps(brk)[1:-1], brk)
@@ -764,7 +751,7 @@ def test_review_queues_hold_no_more_than_the_records_in_flight():
     for i in range(300):
         cal.schedule(i * 0.02, lambda i=i: (
             submitted.append(i),
-            system.submit(make_record(i, location=i % 2, submitted_at=cal.now)),
+            submit_record(system, i, location=i % 2),
         ))
     queues = system.shard_pools + [system.root_pool]
     peak = 0  # the most records submitted and not yet resolved at once
@@ -782,7 +769,7 @@ def test_review_queues_hold_no_more_than_the_records_in_flight():
 def run_schedule(cfg, items, await_all, stop_at=None, later=True):
     """Submit `items`, each (time, location, gate, tampered), to a ledger
     that keeps its chain.  Gate records get an `on_resolved` that logs
-    (time, record id, verdict); with `await_all` every other record gets a
+    (time, item index, verdict); with `await_all` every other record gets a
     no-op one, so that each of its layer ends is a calendar event.  The
     calendar runs dry, or halts right after a sentinel event at `stop_at`,
     with a `later` event still pending, as the twin's next season start is,
@@ -793,13 +780,13 @@ def run_schedule(cfg, items, await_all, stop_at=None, later=True):
     verdicts = []
 
     def submit(i, location, gate, tampered):
-        record = make_record(i, RecordKind.HARVEST_DATA if gate else RecordKind.DRYING_DATA,
-                             location, tampered, cal.now)
         if gate:
-            on_resolved = lambda ok: verdicts.append((cal.now, record.record_id, ok))
+            on_resolved = lambda ok: verdicts.append((cal.now, i, ok))
         else:
             on_resolved = (lambda ok: None) if await_all else None
-        ledger.submit(record, on_resolved)
+        submit_record(ledger, i, on_resolved,
+                      RecordKind.HARVEST_DATA if gate else RecordKind.DRYING_DATA,
+                      location, tampered)
 
     for i, item in enumerate(items):
         cal.schedule(item[0], lambda i=i, item=item: submit(i, *item[1:]))
@@ -866,5 +853,6 @@ def test_unawaited_ends_keep_clamped_commits_in_order(stop_at):
     assert unawaited == run_schedule(cfg, items, await_all=True, stop_at=stop_at)
     chain = parse_chain(unawaited[1])
     assert any(a.created_at == b.created_at for a, b in zip(chain.roots, chain.roots[1:]))
-    tampered = {f"r{i:04d}" for i, item in enumerate(items) if item[3]}
+    # submitted in item order: the times never decrease, and ties fire FIFO
+    tampered = {record_id(i) for i, item in enumerate(items) if item[3]}
     assert 0 < len(tampered & set(chain.records)) < len(tampered)

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 import typing
@@ -12,6 +13,7 @@ import pytest
 from hemptwin import cli, reporting, riskmodel
 from hemptwin.cli import main
 from hemptwin.config import RunConfig, Topology, default_config, save_config
+from hemptwin.ledger import audit_chain, export_chain, parse_chain
 from hemptwin.reporting import (
     RESOURCE_METRICS,
     SECURITY_METRICS,
@@ -20,14 +22,24 @@ from hemptwin.reporting import (
     security_variants,
     write_reports,
 )
+from hemptwin.simulation import run_replication
 
 
-def tiny_cfg(seed=1234):
+def tiny_cfg(seed=1234, topology=Topology.TWO_LAYER):
+    cfg = default_config()
     return dataclasses.replace(
-        default_config(),
+        cfg,
+        chain=dataclasses.replace(cfg.chain, topology=topology),
         run=RunConfig(warmup_lots=5, run_length_lots=50, replications=2,
                       master_seed=seed),
     )
+
+
+def child_env():
+    """The environment for a child interpreter that imports hemptwin from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
 
 
 @pytest.fixture()
@@ -129,6 +141,36 @@ def test_cli_audit_undecodable_bytes_are_a_parse_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe\x00garbage\n")
     assert main(["audit", "--chain", str(bad)]) == 2
+
+
+@pytest.fixture(scope="module")
+def clean_export():
+    _, sim = run_replication(tiny_cfg(), 0, keep_chain=True)
+    return export_chain(sim.ledger.chain)
+
+
+def test_cli_audit_keeps_a_lone_carriage_return_in_its_line(tmp_path, capsys,
+                                                            clean_export):
+    # JSON reads "\r" as whitespace, so the re-spaced record line parses, but
+    # its text is not the text its block hashed.  A text-mode read used to end
+    # line 2 at the "\r", a parse error (exit 2).
+    lines = clean_export.split("\n")
+    assert '"kind":"record"' in lines[1]
+    lines[1] = lines[1].replace(",", ",\r", 1)
+    text = "\n".join(lines)
+    verdict = audit_chain(parse_chain(text)).describe()
+    assert verdict.endswith("merkle root mismatch")
+    chain = tmp_path / "chain.txt"
+    chain.write_bytes(text.encode("utf-8"))
+    assert main(["audit", "--chain", str(chain)]) == 1
+    assert capsys.readouterr().out == verdict + "\n"
+
+
+def test_cli_audit_of_a_crlf_joined_export_is_ok(tmp_path, capsys, clean_export):
+    chain = tmp_path / "chain.txt"
+    chain.write_bytes(clean_export.replace("\n", "\r\n").encode("utf-8"))
+    assert main(["audit", "--chain", str(chain)]) == 0
+    assert capsys.readouterr().out == "Ok\n"
 
 
 def test_cli_annotations_name_imported_types():
@@ -254,12 +296,9 @@ assert "scipy.special" in sys.modules
 
 
 def test_only_shapley_imports_scipy(tmp_path, cfg_file):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
     done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_SCIPY, str(cfg_file),
-                           str(tmp_path)], env=env, capture_output=True, text=True,
-                          timeout=300)
+                           str(tmp_path)], env=child_env(), capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
@@ -305,11 +344,33 @@ def test_cli_shapley_has_no_replication_flags(tmp_path, cfg_file, capsys, flag):
     assert not list(tmp_path.glob("risk_*"))
 
 
-def test_parallel_replications_match_serial():
-    cfg = tiny_cfg()
+@pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+def test_parallel_replications_match_serial(topology):
+    cfg = tiny_cfg(topology=topology)
     serial = run_replications(cfg, replications=2, parallel=1)
     parallel = run_replications(cfg, replications=2, parallel=2)
     assert serial == parallel
+
+
+REPLICATION_3 = """
+import pickle, sys
+from hemptwin.simulation import run_replication
+cfg = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(pickle.dumps(run_replication(cfg, 3)))
+"""
+
+
+@pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+def test_a_replication_alone_in_a_fresh_process_equals_it_run_after_others(topology):
+    # a replication depends on its config and index only, not on what the
+    # process ran before it: no cache or counter a run leaves behind (seed
+    # words of strings, hash-mix constants) changes a later run
+    cfg = tiny_cfg(topology=topology)
+    after_others = [run_replication(cfg, j) for j in range(4)][3]
+    done = subprocess.run([sys.executable, "-c", REPLICATION_3], input=pickle.dumps(cfg),
+                          env=child_env(), capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert pickle.loads(done.stdout) == after_others
 
 
 class _RecordingExecutor:

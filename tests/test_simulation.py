@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from hemptwin import simulation
+from hemptwin import ledger, simulation
 from hemptwin.config import RunConfig, Topology, default_config
 from hemptwin.domain import DropReason, Lot, ReplicationStats, Stage
-from hemptwin.ledger import ParticipantRole, RecordKind
+from hemptwin.ledger import LedgerSystem, ParticipantRole, RecordKind
+from hemptwin.randomness import RngStream
 from hemptwin.simulation import _ENDINGS, SupplyChainSimulation, run_replication
 from stage_order import validate_stage_trace, with_durations
 
@@ -73,19 +74,25 @@ def test_ledger_blocks_all_false_passes(baseline_stats):
     assert baseline_stats.fake_qualified == 0
 
 
-def test_disabled_ledger_lets_false_passes_through(monkeypatch):
-    # with no ledger the twin builds no record and logs no latency
+@pytest.fixture()
+def records_built(monkeypatch):
+    """The `DataRecord`s the ledger builds from here on."""
     built = []
-    record = simulation.DataRecord
+    record = ledger.DataRecord
 
     def counted(*args, **kwargs):
         built.append(record(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(simulation, "DataRecord", counted)
+    monkeypatch.setattr(ledger, "DataRecord", counted)
+    return built
+
+
+def test_disabled_ledger_lets_false_passes_through(records_built):
+    # with no ledger the twin builds no record and logs no latency
     sim = SupplyChainSimulation(with_topology(small_cfg(), Topology.NONE), 0)
     stats = sim.run()
-    assert built == [] and sim.ledger.latencies == []
+    assert records_built == [] and sim.ledger.latencies == []
     assert stats.false_pass_preharvest > 0
     assert stats.fake_qualified >= 0  # at least possible; preharvest must leak
     assert stats.verification_mean == stats.verification_sd == 0.0
@@ -125,8 +132,93 @@ def test_ledger_puts_on_the_calendar_only_ends_a_lot_waits_for(monkeypatch):
     assert ledger_events
     assert all(ticket.on_resolved is not None for ticket in ledger_events)
     gates = {RecordKind.PREHARVEST_RESULT, RecordKind.HARVEST_DATA, RecordKind.FINAL_COA}
-    assert {ticket.record.record_kind for ticket in ledger_events} <= gates
+    assert {ticket.record_kind for ticket in ledger_events} <= gates
     assert {kind for _, kind, _, _ in sim.ledger.latencies} == set(RecordKind)
+
+
+@pytest.mark.parametrize("topology", [Topology.TWO_LAYER, Topology.SINGLE_CHAIN],
+                         ids=lambda t: t.value)
+def test_a_ledger_builds_records_only_for_the_chain_it_keeps(records_built, topology):
+    # a replication that keeps no chain builds no `DataRecord`, yet logs a
+    # latency per record; one that keeps it builds exactly its chain's records
+    cfg = with_topology(small_cfg(), topology)
+    sim = SupplyChainSimulation(cfg, 0)
+    sim.run()
+    assert records_built == [] and sim.ledger.latencies
+    _, kept = run_replication(cfg, 0, keep_chain=True)
+    assert records_built == list(kept.ledger.chain.records.values())
+
+
+def test_kept_record_ids_number_the_twins_submissions(monkeypatch):
+    # each kept record is named `r` and its six-digit place in the order the
+    # twin submitted records; rejected records leave their numbers unused
+    submitted = []
+    submit = LedgerSystem.submit
+
+    def logged(system, lot_id, on_resolved, kind, *rest):
+        submitted.append((lot_id, kind, system.calendar.now))
+        submit(system, lot_id, on_resolved, kind, *rest)
+
+    monkeypatch.setattr(LedgerSystem, "submit", logged)
+    _, sim = run_replication(small_cfg(), 0, keep_chain=True)
+    records = sim.ledger.chain.records
+    assert 0 < len(records) < len(submitted)
+    for rid, rec in records.items():
+        number = int(rid[1:])
+        assert rid == f"r{number:06d}"
+        assert submitted[number - 1] == (rec.lot_id, rec.record_kind, rec.submitted_at)
+
+
+def test_a_replication_seeds_its_lot_streams_in_one_pass(monkeypatch):
+    # one `children` call seeds every lot stream a replication may use; a
+    # stream builds its generator at its first draw, so a season that never
+    # starts builds none
+    cfg = small_cfg()
+    batches, built, started = [], set(), set()
+    children, generator = RngStream.children, RngStream._generator
+    season_start = SupplyChainSimulation._season_start
+
+    def recording_children(stream, suffixes):
+        streams = children(stream, suffixes)
+        batches.append([s.label for s in streams])
+        return streams
+
+    def recording_generator(stream):
+        if stream._gen is None:
+            built.add(stream.label)
+        return generator(stream)
+
+    def recording_start(sim, season):
+        started.add(season)
+        season_start(sim, season)
+
+    monkeypatch.setattr(RngStream, "children", recording_children)
+    monkeypatch.setattr(RngStream, "_generator", recording_generator)
+    monkeypatch.setattr(SupplyChainSimulation, "_season_start", recording_start)
+    sim = SupplyChainSimulation(cfg, 5)
+    sim.run()
+    lot_batches = [labels for labels in batches if labels[0][2] == "lot"]
+    assert lot_batches == [[("rep", 5, "lot", season, i, kind)
+                            for season in range(sim._max_seasons)
+                            for i in range(cfg.n_lots_per_season)
+                            for kind in ("life", "tamper")]]
+    assert len(started) < sim._max_seasons
+    assert {label[3] for label in built if label[2:3] == ("lot",)} == started
+
+
+def test_stats_read_the_latency_log_once(monkeypatch):
+    reads = []
+    latencies = LedgerSystem.latencies
+
+    def counted(system):
+        reads.append(system)
+        return latencies.fget(system)
+
+    sim = SupplyChainSimulation(small_cfg(), 0)
+    sim.run()
+    monkeypatch.setattr(LedgerSystem, "latencies", property(counted))
+    sim._collect_stats()
+    assert reads == [sim.ledger]
 
 
 class _ThresholdFlags(SupplyChainSimulation):
