@@ -126,7 +126,6 @@ class Lot:
     # process state owned by the simulation
     life: RngStream | None = None  # stage durations, growth noise, fractions
     tamper: RngStream | None = None  # falsification draws
-    pending_parallel: int = 0  # germination / soil preparation still running
     cultivation_days: float = 0.0
     harvest_end: float = 0.0
     dry_episode: int = 0  # harvests completed; stale dry-wait timeouts compare it

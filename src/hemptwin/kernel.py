@@ -1,9 +1,10 @@
 """Deterministic discrete-event kernel: clock, calendar, and FIFO server pools.
 
 Events fire in non-decreasing time order with FIFO tie-breaking by insertion
-sequence.  Pools hand out servers in strict request order and keep no
-statistics.  A pool's capacity is fixed when it is built; `math.inf` makes a
-pool that never queues.
+sequence; a time before the clock, NaN included, is refused.  `run` fires
+them until the calendar empties or an event calls `halt()`.  Pools hand out
+servers in strict request order and keep no statistics.  A pool's capacity
+is fixed when it is built; `math.inf` makes a pool that never queues.
 
 Every pooled lot step of the twin is one seize-hold-release, and one
 `PoolRequest`: `ResourcePool.request` seizes a server, holds it for the time
@@ -38,16 +39,16 @@ class EventCalendar:
         self.now = 0.0
         self.fired = -1  # sequence number of the event that fired last
         self.order = itertools.count()
-        self._halted_after: int | None = None  # `fired` when `run` last stopped
+        self._halted_after: int | None = None  # `fired` at the last `halt()`
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def schedule(self, at_time: float, action: Callable[[], None]) -> None:
-        """Fire `action` at exactly `at_time` (>= current clock)."""
-        if at_time < self.now:
-            raise TimeInPastError(f"schedule at {at_time} < clock {self.now}")
+        """Fire `action` at exactly `at_time` (>= current clock; NaN is not)."""
+        if not at_time >= self.now:
+            raise TimeInPastError(f"schedule at {at_time}, not at or after clock {self.now}")
         heapq.heappush(self._heap, (at_time, next(self.order), action))
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> None:
@@ -63,18 +64,21 @@ class EventCalendar:
 
     @property
     def halted(self) -> bool:
-        """Whether `run` stopped at `stop()` and no event has fired since."""
+        """Whether the event that fired last called `halt()`; `run` resets it."""
         return self._halted_after == self.fired
 
-    def run(self, stop: Callable[[], bool] | None = None) -> None:
-        """Run until the calendar empties or `stop()`, checked also after the
-        last event, turns true; `halted` tells which."""
-        while stop is None or not stop():
+    def halt(self) -> None:
+        """Stop `run` once the event firing now returns."""
+        self._halted_after = self.fired
+
+    def run(self) -> None:
+        """Fire events until the calendar empties or one calls `halt()`;
+        `halted` tells which."""
+        self._halted_after = None
+        while self._halted_after != self.fired:
             if not self._heap:
-                self._halted_after = None
                 return
             self.step()
-        self._halted_after = self.fired
 
 
 @dataclass(slots=True, eq=False)

@@ -19,6 +19,8 @@ detectable by `audit_chain`.  Every hash is the SHA-256 of the object's
 export line, which the object keeps: the ledger writes it once, when the
 record resolves, parsing keeps the text it read, export joins the kept
 lines and audit hashes them, so audit checks the bytes a verifier hashes.
+A line is its kind's template, built from its class's fields, filled by
+one writer for every value, which writes a value's canonical JSON.
 The ledger's chain holds only confirmed work: a record and its block join
 it when the record is confirmed.
 
@@ -41,13 +43,6 @@ from dataclasses import KW_ONLY, dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
-
-try:
-    from operator import call
-except ImportError:  # Python < 3.11
-
-    def call(obj, /, *args, **kwargs):
-        return obj(*args, **kwargs)
 
 from .config import ChainConfig, Topology
 from .domain import IdentityEnum
@@ -109,9 +104,9 @@ class RecordKind(IdentityEnum):
 
 @dataclass(slots=True)
 class DataRecord:
-    """One submitted data record.  `payload` is the as-reported (on-chain)
-    view; the `tampered` flag stays off-chain.  `line`, as on the blocks, is
-    the export line the object is hashed as, empty until it is written."""
+    """One accepted data record.  `payload` is the as-reported (on-chain)
+    view.  `line`, as on the blocks, is the export line the object is hashed
+    as, empty until it is written."""
 
     record_id: str
     lot_id: str
@@ -121,7 +116,6 @@ class DataRecord:
     payload: dict
     submitted_at: float
     _: KW_ONLY
-    tampered: bool = False
     line: str = ""
 
 
@@ -186,31 +180,16 @@ else:  # the pure-Python json writes the same text
     _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _writer(typ) -> Callable:
-    """value -> its canonical JSON, for a field of JSON type `typ`: a string
-    is escaped and a finite number written as its repr; anything else, a
-    value not of the field's type included, goes through the encoder."""
+def _value(value) -> str:
+    """The canonical JSON of one chain value: a string is escaped and a
+    finite int or float written as its repr, the text the encoder writes
+    for them; anything else goes through the encoder."""
+    typ = type(value)
     if typ is str:
-        return lambda value: _escape(value) if type(value) is str else _canonical(value)
-    if typ is int or typ is float:
-        return lambda value: (repr(value) if type(value) is typ and value - value == 0
-                              else _canonical(value))
-    return _canonical
-
-
-class _Template(NamedTuple):
-    """The canonical JSON of one object kind: a %-template over its sorted
-    keys, the getter of their values in that order, and their writers."""
-
-    text: str
-    get: Callable
-    writers: tuple
-
-    def write(self, obj) -> str:
-        # not tuple(map(...)): that allocates a 10-slot tuple and shrinks it,
-        # the shrunk tuple is freed to another size's free list, and the
-        # collector counts one more live object per call, so collects sooner
-        return self.text % (*map(call, self.writers, self.get(obj)),)
+        return _escape(value)
+    if (typ is int or typ is float) and value - value == 0:
+        return repr(value)
+    return _canonical(value)
 
 
 class _Line(NamedTuple):
@@ -220,7 +199,15 @@ class _Line(NamedTuple):
     keys: tuple  # export keys
     types: tuple  # their JSON types
     readers: tuple  # (index into keys, reader) for values converted on parse
-    template: _Template  # writes the export line, `kind` tag included
+    text: str  # %-template of the line, `kind` tag included, keys sorted
+    get: Callable  # the values of the template's slots, in its order
+
+    def write(self, obj) -> str:
+        """The export line of `obj`."""
+        # not tuple(map(...)): that allocates a 10-slot tuple and shrinks it,
+        # the shrunk tuple is freed to another size's free list, and the
+        # collector counts one more live object per call, so collects sooner
+        return self.text % (*map(_value, self.get(obj)),)
 
 
 def _reader(typ) -> Callable | None:
@@ -248,27 +235,27 @@ def _reader(typ) -> Callable | None:
 
 
 def _compile(kind: str, cls: type) -> _Line:
-    """The line kind `kind` of the chain class `cls`: an enum is written as
-    its member's value, a float field also accepts a JSON integer and keeps
+    """The line kind `kind` of the chain class `cls`.  Its fields give the
+    template, which writes an enum as its member's value; the type hints
+    drive parsing only: a float field also accepts a JSON integer and keeps
     it an integer, and a list type names its items (a tuple item is a fixed
     array).  Parsing builds the object from the values by position."""
     hints = typing.get_type_hints(cls)
     keys = [f.name for f in fields(cls) if not f.kw_only]
-    types, written, readers = [], {}, []
+    types, paths, readers = [], {}, []
     for i, key in enumerate(keys):
         typ = hints[key]
         is_enum = isinstance(typ, enum.EnumMeta)
         types.append(str if is_enum else typing.get_origin(typ) or typ)
-        written[key] = (key + "._value_" if is_enum else key, _writer(types[-1]))
+        paths[key] = key + "._value_" if is_enum else key
         read = _reader(typ)
         if read is not None:
             readers.append((i, read))
     # the template writes the keys sorted, the constant `kind` tag among them
     slots = dict.fromkeys(keys, "%s") | {"kind": _escape(kind)}
     text = ",".join(f"{_escape(key)}:{slots[key]}" for key in sorted(slots))
-    paths, writers = zip(*(written[key] for key in sorted(written)))
-    template = _Template("{" + text + "}", attrgetter(*paths), writers)
-    return _Line(cls, tuple(keys), tuple(types), tuple(readers), template)
+    get = attrgetter(*(paths[key] for key in sorted(paths)))
+    return _Line(cls, tuple(keys), tuple(types), tuple(readers), "{" + text + "}", get)
 
 
 _LINES = {kind: _compile(kind, cls) for kind, cls in [
@@ -403,7 +390,7 @@ def audit_chain(chain: ChainState) -> AuditResult:
 def export_chain(chain: ChainState) -> str:
     """Line-delimited export: the meta line, written here, then each object's
     kept line.  Bit-exact across runs with the same seed."""
-    lines = [_LINES["meta"].template.write(chain)]
+    lines = [_LINES["meta"].write(chain)]
     lines += [chain.records[rid].line for rid in sorted(chain.records)]
     for shard_id in sorted(chain.shards):
         lines += [block.line for block in chain.shards[shard_id]]
@@ -734,9 +721,8 @@ class LedgerSystem:
                 location=ticket.location,
                 payload=ticket.payload,
                 submitted_at=ticket.submitted_at,
-                tampered=ticket.tampered,
             )
-            record.line = _LINES["record"].template.write(record)
+            record.line = _LINES["record"].write(record)
             block = ShardBlock(
                 shard_id=shard,
                 height=len(blocks),
@@ -746,7 +732,7 @@ class LedgerSystem:
                 created_at=verify_end,
                 records=[record.record_id],
             )
-            block.line = _LINES["shard_block"].template.write(block)
+            block.line = _LINES["shard_block"].write(block)
             header = self._prev_hash[shard] = sha256(block.line)
             chain.records[record.record_id] = record
             blocks.append(block)
@@ -758,7 +744,7 @@ class LedgerSystem:
                     regulator="regulator-root",
                     created_at=now,
                 )
-                root.line = _LINES["root_block"].template.write(root)
+                root.line = _LINES["root_block"].write(root)
                 self._root_prev = sha256(root.line)
                 chain.roots.append(root)
         if ticket.on_resolved is not None:

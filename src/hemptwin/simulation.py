@@ -4,9 +4,10 @@ winterization, purification, and final certification, with every hand-off
 recorded on the configured ledger.
 
 One replication is one single-threaded deterministic run: seasons of n lots
-arrive 365 days apart until `run.warmup + run.length` lots have terminated;
-statistics cover the post-warmup terminations only.  Replications are
-independent and may execute in parallel processes.
+arrive 365 days apart until `run.warmup + run.length` lots have terminated,
+and the event that ends the last of them halts the calendar; statistics
+cover the post-warmup terminations only.  Replications are independent and
+may execute in parallel processes.
 
 Timing couplings that drive the headline comparisons:
   * gate records (pre-harvest result, harvest data, final certificate) block
@@ -84,7 +85,6 @@ class SupplyChainSimulation:
         self._target = target
         self._max_seasons = -(-target // cfg.n_lots_per_season) + 2
         self._terminations = 0
-        self.done = False
         self.measured: list[Lot] = []
         # each season's lot streams, until the season starts and its lots take
         # them; seeded when the run starts
@@ -103,11 +103,11 @@ class SupplyChainSimulation:
         gc.disable()
         try:
             self._seed_lot_streams()
-            self.calendar.run(stop=lambda: self.done)
+            self.calendar.run()
         finally:
             if collecting:
                 gc.enable()
-        if not self.done:
+        if not self.calendar.halted:
             raise RuntimeError(
                 f"replication ended after {self._terminations} terminations, "
                 f"needed {self._target}"
@@ -146,29 +146,20 @@ class SupplyChainSimulation:
                 arrival_time=now,
                 life=streams[2 * i],
                 tamper=streams[2 * i + 1],
-                pending_parallel=2,
             )
-            lot.timestamps[Stage.GERMINATION] = (now, None)
-            lot.timestamps[Stage.SOIL_PREP] = (now, None)
-            lot.stage_log += [Stage.GERMINATION, Stage.SOIL_PREP]
             self._submit(lot, RecordKind.SEED_SOURCE, ParticipantRole.BREEDER,
                          {"variety": "special-sauce", "seed_lot": lot.id})
             self._submit(lot, RecordKind.FIELD_INFO, ParticipantRole.GROWER,
                          {"field": f"field-{i}", "grower": f"grower-{i}"})
+            # germination and soil preparation run side by side from arrival;
+            # the seedlings are ready for transplant when the later one ends
             germ = self._dur(lot, "germination")
             soil = self._dur(lot, "soil_prep")
-            self.calendar.schedule_in(
-                germ, lambda lot=lot: self._parallel_prep_done(lot, Stage.GERMINATION)
-            )
-            self.calendar.schedule_in(
-                soil, lambda lot=lot: self._parallel_prep_done(lot, Stage.SOIL_PREP)
-            )
-
-    def _parallel_prep_done(self, lot: Lot, stage: Stage) -> None:
-        self._close_stage(lot, stage)
-        lot.pending_parallel -= 1
-        if lot.pending_parallel == 0:
-            self._ready_for_transplant(lot)
+            lot.timestamps[Stage.GERMINATION] = (now, now + germ)
+            lot.timestamps[Stage.SOIL_PREP] = (now, now + soil)
+            lot.stage_log += [Stage.GERMINATION, Stage.SOIL_PREP]
+            self.calendar.schedule(now + max(germ, soil),
+                                   lambda lot=lot: self._ready_for_transplant(lot))
 
     def _ready_for_transplant(self, lot: Lot) -> None:
         req = self._step(lot, self.field_pool, Stage.TRANSPLANT, "transplant",
@@ -446,7 +437,7 @@ class SupplyChainSimulation:
         if cfgrun.warmup_lots < self._terminations <= self._target:
             self.measured.append(lot)
         if self._terminations >= self._target:
-            self.done = True
+            self.calendar.halt()
 
     def _dur(self, lot: Lot, stage_key: str) -> float:
         lo, hi = self._durations[stage_key]

@@ -47,20 +47,59 @@ def test_clock_never_moves_backward():
 def test_run_tells_a_halt_from_running_dry(later):
     cal = EventCalendar()
     fired = []
-    cal.schedule(1.0, lambda: fired.append(cal.now))
+
+    def first():
+        fired.append(cal.now)
+        cal.halt()
+
+    cal.schedule(1.0, first)
     if later:
         cal.schedule(2.0, lambda: fired.append(cal.now))
-    # stop() turns true at the first event, checked also after the last one
-    cal.run(stop=lambda: bool(fired))
-    assert fired == [1.0] and cal.halted
+    # the halt inside the first event stops the run once it returns, also
+    # when it left nothing on the calendar
+    cal.run()
+    assert fired == [1.0] and cal.halted and len(cal) == later
+    # a later run starts un-halted and resumes
     cal.run()
     assert fired == [1.0, 2.0][:1 + later] and not cal.halted
     # a halt lasts until another event fires
+    cal.schedule(cal.now, cal.halt)
     cal.schedule(cal.now, lambda: None)
-    cal.run(stop=lambda: True)
+    cal.run()
     assert cal.halted and len(cal) == 1
     cal.step()
     assert not cal.halted
+
+
+def test_schedule_refuses_nan():
+    # NaN compares false with every time, so on the heap it would break the
+    # order of the events around it
+    cal = EventCalendar()
+    times = []
+    for t in (3.0, math.nan, 1.0, 2.0, 0.5):
+        if math.isnan(t):
+            with pytest.raises(TimeInPastError):
+                cal.schedule(t, lambda: times.append(cal.now))
+        else:
+            cal.schedule(t, lambda: times.append(cal.now))
+    cal.schedule(math.inf, lambda: times.append(cal.now))
+    cal.run()
+    assert times == [0.5, 1.0, 2.0, 3.0, math.inf]
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["granted", "queued"])
+def test_a_pool_hold_of_nan_days_is_refused(queued):
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=1)
+    if queued:
+        pool.request(lambda: 1.0, lambda: None)
+        pool.request(lambda: math.nan, lambda: None)
+        with pytest.raises(TimeInPastError):
+            cal.run()
+    else:
+        with pytest.raises(TimeInPastError):
+            pool.request(lambda: math.nan, lambda: None)
+    assert len(cal) == 0
 
 
 def _timed(cal, pool, grants, name, days, then=lambda: None):

@@ -24,8 +24,8 @@ from hemptwin.ledger import (
     ParticipantRole,
     RecordKind,
     _LINES,
+    _Line,
     _ReviewQueue,
-    _Template,
     assign_shard,
     audit_chain,
     export_chain,
@@ -482,19 +482,18 @@ def test_line_templates_write_the_canonical_json_of_the_line_dict(kind, data):
         attrs[key] = data.draw(field_values(hints[key]), label=key)
         line[key] = attrs[key].value if isinstance(hints[key], enum.EnumMeta) else attrs[key]
     obj = cls(**attrs)
-    text = _LINES[kind].template.write(obj)
+    text = _LINES[kind].write(obj)
     assert text == json.dumps(line, sort_keys=True, separators=(",", ":"))
     assert sha256(text) == line_hash(text)
 
 
-# Python 3.10 has no operator.call; the ledger then defines its own.  The
+# Python 3.10 has no operator.call, and the ledger must not need it.  The
 # ledger writes the record, block and root lines as records resolve, so the
 # child also runs the ledger that wrote `small_export_lines`.
 WITHOUT_OPERATOR_CALL = """
 import operator, sys
 del operator.call
 from hemptwin import ledger
-assert ledger.call is not getattr(operator, "call", None)
 chain = ledger.parse_chain(sys.stdin.read())
 print(ledger.audit_chain(chain).describe())
 sys.stdout.write(ledger.export_chain(chain))
@@ -576,13 +575,13 @@ def test_each_line_is_written_once(monkeypatch):
     )
     writes = collections.Counter()
     phase = ["simulate"]
-    write = _Template.write
+    write = _Line.write
 
-    def counted(template, obj):
+    def counted(line, obj):
         writes[phase[0]] += 1
-        return write(template, obj)
+        return write(line, obj)
 
-    monkeypatch.setattr(_Template, "write", counted)
+    monkeypatch.setattr(_Line, "write", counted)
     _, sim = run_replication(cfg, 0, keep_chain=True)
     phase[0] = "export"
     text = export_chain(sim.ledger.chain)
@@ -614,7 +613,7 @@ def test_every_hash_is_the_hash_of_its_export_line(topology):
     # export joins the kept lines, and audit hashes them without writing any
     # object again: this is the check that each object and its text agree
     assert [obj.line for obj, _ in kept] == lines[1:]
-    assert all(obj.line == _LINES[kind].template.write(obj) for obj, kind in kept)
+    assert all(obj.line == _LINES[kind].write(obj) for obj, kind in kept)
     assert bool(chain.records) == (topology is not Topology.NONE)
     assert bool(chain.roots) == (topology is Topology.TWO_LAYER)
     # each hash is the hash of the exported line it names, as a verifier
@@ -771,8 +770,8 @@ def run_schedule(cfg, items, await_all, stop_at=None, later=True):
     that keeps its chain.  Gate records get an `on_resolved` that logs
     (time, item index, verdict); with `await_all` every other record gets a
     no-op one, so that each of its layer ends is a calendar event.  The
-    calendar runs dry, or halts right after a sentinel event at `stop_at`,
-    with a `later` event still pending, as the twin's next season start is,
+    calendar runs dry, or a sentinel event at `stop_at` halts it, with a
+    `later` event still pending, as the twin's next season start is,
     or with nothing but awaited ends left.  Returns the latency log, the
     chain export and the verdicts."""
     cal = EventCalendar()
@@ -790,14 +789,11 @@ def run_schedule(cfg, items, await_all, stop_at=None, later=True):
 
     for i, item in enumerate(items):
         cal.schedule(item[0], lambda i=i, item=item: submit(i, *item[1:]))
-    if stop_at is None:
-        cal.run()
-    else:
-        halted = []
-        cal.schedule(stop_at, lambda: halted.append(cal.now))
+    if stop_at is not None:
+        cal.schedule(stop_at, cal.halt)
         if later:
             cal.schedule(stop_at + 100.0, lambda: None)
-        cal.run(stop=lambda: bool(halted))
+    cal.run()
     return ledger.latencies, export_chain(ledger.chain), verdicts
 
 

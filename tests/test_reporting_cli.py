@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import typing
@@ -293,6 +295,21 @@ assert main(["shapley", "--config", cfg, "--estimator", "exact", "--outer-k", "4
              "--inner-i", "10", "--macro-reps", "2", "--out", out + "/risk"]) == 0
 assert "scipy.special" in sys.modules
 """
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """Each source module parses as Python at the floor `requires-python`
+    declares.  This checks syntax only: a name the floor's standard library
+    lacks, such as `operator.call`, is not caught here."""
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (root / "pyproject.toml").read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    modules = sorted((root / "src" / "hemptwin").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_only_shapley_imports_scipy(tmp_path, cfg_file):

@@ -149,6 +149,53 @@ def test_a_ledger_builds_records_only_for_the_chain_it_keeps(records_built, topo
     assert records_built == list(kept.ledger.chain.records.values())
 
 
+def test_a_lots_preparation_is_one_event_at_its_later_end(monkeypatch):
+    # germination and soil preparation run side by side from the lot's
+    # arrival, each for its own draw; the transplant is requested when the
+    # later one ends, by the one event a season start schedules per lot
+    from hemptwin.kernel import EventCalendar
+
+    cfg = small_cfg()
+    draws, ready, per_start, starting = {}, {}, [], []
+    dur, transplant = SupplyChainSimulation._dur, SupplyChainSimulation._ready_for_transplant
+    season_start, schedule = SupplyChainSimulation._season_start, EventCalendar.schedule
+
+    def logged_dur(sim, lot, key):
+        draws[lot.id, key] = value = dur(sim, lot, key)
+        return value
+
+    def logged_ready(sim, lot):
+        ready[lot.id] = sim.calendar.now
+        transplant(sim, lot)
+
+    def counted_start(sim, season):
+        starting.append(0)
+        season_start(sim, season)
+        per_start.append(starting.pop())
+
+    def counted_schedule(calendar, at_time, action):
+        if starting:
+            starting[-1] += 1
+        schedule(calendar, at_time, action)
+
+    monkeypatch.setattr(SupplyChainSimulation, "_dur", logged_dur)
+    monkeypatch.setattr(SupplyChainSimulation, "_ready_for_transplant", logged_ready)
+    monkeypatch.setattr(SupplyChainSimulation, "_season_start", counted_start)
+    monkeypatch.setattr(EventCalendar, "schedule", counted_schedule)
+    sim = SupplyChainSimulation(cfg, 0)
+    sim.run()
+    assert len(per_start) > 1
+    assert per_start == [cfg.n_lots_per_season + 1] * len(per_start)
+    assert sim.measured
+    for lot in sim.measured:
+        arrival = lot.arrival_time
+        germ, soil = draws[lot.id, "germination"], draws[lot.id, "soil_prep"]
+        assert lot.stage_log[:2] == [Stage.GERMINATION, Stage.SOIL_PREP]
+        assert lot.timestamps[Stage.GERMINATION] == (arrival, arrival + germ)
+        assert lot.timestamps[Stage.SOIL_PREP] == (arrival, arrival + soil)
+        assert ready[lot.id] == max(arrival + germ, arrival + soil)
+
+
 def test_kept_record_ids_number_the_twins_submissions(monkeypatch):
     # each kept record is named `r` and its six-digit place in the order the
     # twin submitted records; rejected records leave their numbers unused
@@ -496,7 +543,7 @@ def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
     sim = SupplyChainSimulation(small_cfg(), 0)
     seen = []
 
-    def failing_run(stop):
+    def failing_run():
         seen.append(gc.isenabled())
         raise ValueError("calendar failed")
 
