@@ -225,8 +225,9 @@ class _Domain:
 
 # Every count is at most MAX_COUNT, 100 times the largest that the tests and
 # demos use.  Lots, replications, shards and servers are held in memory,
-# and each lot keeps two seeded streams of about 1 kB, so an unbounded count
-# would pass validation and then exhaust memory before the run got far.
+# and each lot keeps its two rows of 32 uniforms (about 2 kB) from its
+# season's block, so an unbounded count would pass validation and then
+# exhaust memory before the run got far.
 MAX_COUNT = 100_000
 
 _NONNEG = _Domain(0.0)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .kernel import PoolRequest
-    from .randomness import RngStream
+    from .randomness import LotDraws
 
 __all__ = [
     "IdentityEnum",
@@ -124,8 +124,8 @@ class Lot:
     termination_time: float | None = None
 
     # process state owned by the simulation
-    life: RngStream | None = None  # stage durations, growth noise, fractions
-    tamper: RngStream | None = None  # falsification draws
+    life: LotDraws | None = None  # stage durations, growth noise, fractions
+    tamper: LotDraws | None = None  # falsification draws
     cultivation_days: float = 0.0
     harvest_end: float = 0.0
     dry_episode: int = 0  # harvests completed; stale dry-wait timeouts compare it

@@ -130,10 +130,12 @@ class ResourcePool:
         `hold()` runs at once -- and then `then()` runs.  A free server is
         granted before this returns None; a step that queues returns its
         handle, whose `cancel` withdraws it before it ever calls `hold` or
-        `then`."""
+        `then`.  A `hold` that raises, or whose time the calendar refuses,
+        leaves the pool as it was: the server is counted only once its end
+        is scheduled."""
         if self.busy < self.capacity:
-            self.busy += 1
             self.calendar.schedule_in(hold(), PoolRequest(self, hold, then, True))
+            self.busy += 1
             return None
         step = PoolRequest(self, hold, then)
         self.queue.append(step)
@@ -141,12 +143,15 @@ class ResourcePool:
 
     def release(self) -> None:
         """Return one server: the queue head, FIFO, is granted it and starts
-        its hold, or the server becomes free when nobody waits."""
+        its hold, or the server becomes free when nobody waits.  A head whose
+        `hold` raises or is refused stays queued, and the server stays
+        counted, so the release can be made again."""
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without busy server")
         if not self.queue:
             self.busy -= 1
             return
-        step = self.queue.popleft()
-        step.granted = True
+        step = self.queue[0]
         self.calendar.schedule_in(step.hold(), step)
+        self.queue.popleft()
+        step.granted = True

@@ -1,8 +1,8 @@
 """Named, reproducible random streams and the input distributions built on them.
 
 Every random quantity in the simulator is drawn from a stream identified by
-``(master_seed, label)``.  Labels are tuples such as ``("rep", 3, "lot", 0, 17,
-"life")``; two streams with different labels are statistically independent, and
+``(master_seed, label)``.  Labels are tuples such as ``("rep", 3, "season",
+0)``; two streams with different labels are statistically independent, and
 rebuilding a stream from the same seed and label replays the identical
 sequence.  This is what makes conditional resampling possible: holding an
 input fixed means rebuilding its stream, redrawing it means using a fresh
@@ -11,12 +11,17 @@ label.
 A stream's generator is the PCG64 that ``np.random.SeedSequence((master_seed,
 *label))`` seeds, each string part replaced by a 64-bit hash.  The seed words
 come from a vectorised copy of SeedSequence's hash-mix, so
-``RngStream.children`` seeds many streams (every lot stream of a
-replication, say) in one numpy pass; ``tests/test_randomness.py`` checks the
-words against ``np.random.SeedSequence`` bit for bit over generated labels.
-A stream builds its generator at its first draw, from the words its
-``children`` call computed or, for a stream built alone, from words computed
-then: a stream that never draws costs its seed words and nothing more.
+``RngStream.children`` seeds many streams in one numpy pass: the 2L streams
+of each Shapley macro-replication, and the ledger's miss, root and shard
+streams.  ``tests/test_randomness.py`` checks the words against
+``np.random.SeedSequence`` bit for bit over generated labels.  A stream
+builds its generator at its first draw, from the words its ``children`` call
+computed or, for a stream built alone, from words computed then: a stream
+that never draws costs its seed words and nothing more.
+
+A lot draws no stream of its own.  Each season draws one block of uniforms,
+two rows per lot, and a lot reads its rows in order through `LotDraws`; a
+row continues on a stream of the lot's own label only past its last slot.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -32,15 +38,16 @@ import numpy as np
 __all__ = [
     "RngStream",
     "InvalidParamsError",
+    "LotDraws",
+    "ROW_SLOTS",
     "sample_growth_noise",
-    "GROWTH_NOISE_MAX_ROUNDS",
 ]
 
-# Rejection sampling cap for the truncated growth noise.  At the default
-# parameters the acceptance probability per round exceeds 0.5, so 1000 rounds
-# failing has probability below 2**-1000; the cap exists to turn a parameter
-# pathology into a loud error instead of a hang.
-GROWTH_NOISE_MAX_ROUNDS = 1000
+# Uniforms per lot row of a season block.  Over 18 default replications
+# (three topologies, two seeds) no lot read more than 24 `life` draws or 4
+# `tamper` draws, so a row past its last slot is rare, not a cap: the draws
+# go on, on the lot's overflow stream.
+ROW_SLOTS = 32
 
 _BLOCK = 512  # uniforms per generator call behind `RngStream.exponentials`
 
@@ -213,7 +220,9 @@ class RngStream:
     def children(self, suffixes) -> list["RngStream"]:
         """Derive one independent stream per label suffix, their seed words
         computed together in one pass; each builds its generator at its first
-        draw and equals the stream that ``child(*suffix)`` derives."""
+        draw and equals the stream that ``child(*suffix)`` derives.  Shapley
+        seeds its outer and inner streams here, the ledger its miss, root and
+        shard streams."""
         suffixes = [tuple(s) for s in suffixes]
         words = _seed_words(self.master_seed, self.label, suffixes)
         return [RngStream(self.master_seed, self.label + s, None, w)
@@ -239,14 +248,11 @@ class RngStream:
             for u in self.random(_BLOCK).tolist():
                 yield -mean * math.log1p(-u)
 
-    def standard_normal(self) -> float:
-        return float((self._gen or self._generator()).standard_normal())
-
     def bernoulli(self, p: float) -> bool:
         return (self._gen or self._generator()).random() < p
 
-    def random(self, size: int) -> np.ndarray:
-        """Vector of iid U(0,1)."""
+    def random(self, size) -> np.ndarray:
+        """Array of iid U(0,1) of shape `size` (an int or a tuple)."""
         return self._generator().random(size)
 
     def permutations(self, m: int, n: int) -> np.ndarray:
@@ -257,13 +263,52 @@ class RngStream:
         return out
 
 
-def sample_growth_noise(
-    g: float, t: float, lambda_var: float, stream: RngStream
-) -> float:
-    """Lot-to-lot growth noise: N(0, g*t*lambda^2) truncated below at -g*t.
+class LotDraws:
+    """One lot's uniforms for one purpose, its `life` or its `tamper` draws.
+
+    The draws are its row of a season block, in order, and past the row's
+    last slot the stream ``parent.child(*suffix)``, built at that draw.  A
+    row is thus an endless sequence: a lot that retests without end never
+    runs out.  Not a stream, so it has no generator of its own.
+    """
+
+    __slots__ = ("_next", "_parent", "_suffix")
+
+    def __init__(self, row: list, parent: RngStream, suffix: tuple) -> None:
+        self._next = iter(row).__next__
+        self._parent = parent
+        self._suffix = suffix
+
+    def _overflow(self) -> float:
+        self._next = self._parent.child(*self._suffix).uniform
+        return self._next()
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        try:
+            u = self._next()
+        except StopIteration:
+            u = self._overflow()
+        return lo + u * (hi - lo)
+
+    def bernoulli(self, p: float) -> bool:
+        return self.uniform() < p
+
+
+_EPS = 1e-12  # the clip of `riskmodel._truncated_normal_from_seed`
+_SQRT2 = math.sqrt(2.0)
+_inv_cdf = statistics.NormalDist().inv_cdf
+
+
+def sample_growth_noise(g: float, t: float, lambda_var: float, u: float) -> float:
+    """Lot-to-lot growth noise: N(0, g*t*lambda^2) truncated below at -g*t,
+    by exact inversion of the uniform `u`.
 
     The lower truncation keeps total cannabinoid g*t + noise non-negative;
     the upper tail is left open.  Zero elapsed time gives exactly zero noise.
+    The map is the surrogate's (`riskmodel._truncated_normal_from_seed`), so
+    twin and surrogate turn a uniform into the same noise.  Phi comes from
+    `erfc`, which keeps the lower tail that ``1 + erf`` loses; Phi's inverse
+    is `statistics.NormalDist`'s, so the twin loads no SciPy.
     """
     if g < 0 or t < 0:
         raise InvalidParamsError(f"g and t must be non-negative, got g={g}, t={t}")
@@ -271,12 +316,7 @@ def sample_growth_noise(
     if variance == 0.0:
         return 0.0
     sigma = math.sqrt(variance)
-    bound = -g * t
-    for _ in range(GROWTH_NOISE_MAX_ROUNDS):
-        eps = sigma * stream.standard_normal()
-        if eps >= bound:
-            return eps
-    raise RuntimeError(
-        f"growth-noise rejection failed after {GROWTH_NOISE_MAX_ROUNDS} rounds "
-        f"(g={g}, t={t}, lambda={lambda_var})"
-    )
+    x = -g * t / sigma  # the truncation point, in units of sigma
+    lo_cdf = 0.5 * math.erfc(-x / _SQRT2)
+    u = min(max(u, _EPS), 1.0 - _EPS)
+    return sigma * _inv_cdf(lo_cdf + u * (1.0 - lo_cdf))

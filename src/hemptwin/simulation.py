@@ -32,7 +32,7 @@ from .config import DURATION_STAGES, ScenarioConfig, validate_config
 from .domain import DropReason, Lot, LotOutput, ReplicationStats, Stage
 from .kernel import EventCalendar, PoolRequest, ResourcePool
 from .ledger import LedgerSystem, ParticipantRole, RecordKind
-from .randomness import RngStream, sample_growth_noise
+from .randomness import ROW_SLOTS, LotDraws, RngStream, sample_growth_noise
 from . import stages
 
 __all__ = ["SupplyChainSimulation", "run_replication"]
@@ -86,23 +86,19 @@ class SupplyChainSimulation:
         self._max_seasons = -(-target // cfg.n_lots_per_season) + 2
         self._terminations = 0
         self.measured: list[Lot] = []
-        # each season's lot streams, until the season starts and its lots take
-        # them; seeded when the run starts
-        self._lot_streams: list[list[RngStream] | None] = []
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> ReplicationStats:
         self.calendar.schedule(0.0, lambda: self._season_start(0))
-        # The cyclic collector is paused while the lot streams are seeded and
-        # the calendar runs.  Lots, events and records are freed by reference
-        # counting; a replication makes almost no reference cycles, so a
-        # collection during it would scan objects still in use and free next
-        # to nothing.  The few cycles it leaves are collected after it.
+        # The cyclic collector is paused while the calendar runs.  Lots,
+        # events and records are freed by reference counting; a replication
+        # makes almost no reference cycles, so a collection during it would
+        # scan objects still in use and free next to nothing.  The few cycles
+        # it leaves are collected after it.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self._seed_lot_streams()
             self.calendar.run()
         finally:
             if collecting:
@@ -116,18 +112,6 @@ class SupplyChainSimulation:
 
     # -------------------------------------------------------------- arrivals
 
-    def _seed_lot_streams(self) -> None:
-        """Seed every lot stream the replication may use in one pass, and
-        file them by season.  A stream builds its generator at its first
-        draw, so a season that never starts costs its seed words only."""
-        n = self.cfg.n_lots_per_season
-        streams = self.base.children(
-            ("lot", season, i, kind) for season in range(self._max_seasons)
-            for i in range(n) for kind in ("life", "tamper")
-        )
-        self._lot_streams = [streams[2 * n * season:2 * n * (season + 1)]
-                             for season in range(self._max_seasons)]
-
     def _season_start(self, season: int) -> None:
         now = self.calendar.now
         if season + 1 < self._max_seasons:
@@ -135,17 +119,20 @@ class SupplyChainSimulation:
                 now + self.cfg.season_interval_days,
                 lambda: self._season_start(season + 1),
             )
-        # the season's lots hold its streams from here on: a lot's streams are
-        # freed with the lot
-        streams, self._lot_streams[season] = self._lot_streams[season], None
-        for i in range(self.cfg.n_lots_per_season):
+        # one block of uniforms for the season: lot i reads row 2i for its
+        # `life` draws and row 2i+1 for its `tamper` draws, so switching
+        # tampering on or off leaves every lot's `life` draws where they were
+        base = self.base
+        n = self.cfg.n_lots_per_season
+        rows = base.child("season", season).random((2 * n, ROW_SLOTS)).tolist()
+        for i in range(n):
             lot = Lot(
                 id=f"lot-{season}-{i}",
                 season_index=season,
                 index_in_season=i,
                 arrival_time=now,
-                life=streams[2 * i],
-                tamper=streams[2 * i + 1],
+                life=LotDraws(rows[2 * i], base, ("lot", season, i, "life")),
+                tamper=LotDraws(rows[2 * i + 1], base, ("lot", season, i, "tamper")),
             )
             self._submit(lot, RecordKind.SEED_SOURCE, ParticipantRole.BREEDER,
                          {"variety": "special-sauce", "seed_lot": lot.id})
@@ -186,7 +173,7 @@ class SupplyChainSimulation:
     def _cultivation_done(self, lot: Lot) -> None:
         cfg = self.cfg
         eps = sample_growth_noise(
-            cfg.growth_rate, lot.cultivation_days, cfg.lambda_var, lot.life
+            cfg.growth_rate, lot.cultivation_days, cfg.lambda_var, lot.life.uniform()
         )
         lot.inputs.eps = eps
         state = stages.cultivation_growth(
@@ -253,7 +240,7 @@ class SupplyChainSimulation:
         now = self.calendar.now
         t_prime = now - lot.sample_time
         eps_prime = sample_growth_noise(
-            cfg.growth_rate, t_prime, cfg.lambda_var, lot.life
+            cfg.growth_rate, t_prime, cfg.lambda_var, lot.life.uniform()
         )
         lot.inputs.t_prime = t_prime
         lot.inputs.eps_prime = eps_prime

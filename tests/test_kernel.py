@@ -102,6 +102,40 @@ def test_a_pool_hold_of_nan_days_is_refused(queued):
     assert len(cal) == 0
 
 
+def test_a_refused_hold_leaks_no_server():
+    # the server is counted only once its hold is scheduled: a refused NaN
+    # hold, caught, leaves the pool free and its queue as it was
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=1)
+    with pytest.raises(TimeInPastError):
+        pool.request(lambda: math.nan, lambda: None)
+    assert pool.busy == 0 and not pool.queue and len(cal) == 0
+    grants = []
+    assert pool.request(lambda: grants.append(cal.now) or 1.0, lambda: None) is None
+    cal.run()
+    assert grants == [0.0] and pool.busy == 0
+
+
+def test_a_refused_hold_at_the_queue_head_stays_queued():
+    # the head is popped only once its hold is scheduled: a refused release
+    # leaves the head queued and the server counted, so that withdrawing the
+    # head and releasing again frees the server
+    cal = EventCalendar()
+    pool = ResourcePool(cal, "p", capacity=1)
+    pool.request(lambda: 1.0, lambda: None)
+    bad = pool.request(lambda: math.nan, lambda: None)
+    good = pool.request(lambda: 2.0, lambda: None)
+    with pytest.raises(TimeInPastError):
+        cal.run()
+    assert list(pool.queue) == [bad, good] and not bad.granted
+    assert pool.busy == 1 and len(cal) == 0
+    bad.cancel()
+    pool.release()
+    assert list(pool.queue) == [] and good.granted and pool.busy == 1
+    cal.run()
+    assert pool.busy == 0 and cal.now == 3.0
+
+
 def _timed(cal, pool, grants, name, days, then=lambda: None):
     """Request a `days`-long step for `name` whose hold appends (name, grant
     time) to `grants`."""

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemptwin.config import RunConfig, default_config
-from hemptwin.randomness import InvalidParamsError, RngStream, sample_growth_noise
-from hemptwin.simulation import SupplyChainSimulation
+from hemptwin.randomness import (
+    ROW_SLOTS,
+    InvalidParamsError,
+    LotDraws,
+    RngStream,
+    sample_growth_noise,
+)
 
 
 def test_uniform_within_support_and_mean():
@@ -42,41 +46,48 @@ def test_block_exponentials_equal_successive_scalar_draws(mean):
 
 
 def test_growth_noise_zero_time_is_exactly_zero():
-    stream = RngStream(5, ("g0",))
-    assert sample_growth_noise(0.0018, 0.0, 0.5, stream) == 0.0
+    for u in (0.0, 0.5, 0.999):
+        assert sample_growth_noise(0.0018, 0.0, 0.5, u) == 0.0
 
 
 def test_growth_noise_truncation_bound_holds():
     g, t, lam = 0.0018, 56.0, 0.5
-    stream = RngStream(31, ("gb",))
-    draws = np.array([sample_growth_noise(g, t, lam, stream) for _ in range(100_000)])
+    uniforms = RngStream(31, ("gb",)).random(100_000).tolist() + [0.0, 1.0 - 2**-53]
+    draws = np.array([sample_growth_noise(g, t, lam, u) for u in uniforms])
     total = g * t + draws
     assert total.min() >= 0.0
     assert total.mean() >= 0.0
+
+
+def test_growth_noise_is_monotone_in_its_uniform():
+    # inversion: a larger uniform never gives smaller noise
+    uniforms = np.linspace(0.0, 1.0 - 1e-9, 2001).tolist()
+    draws = [sample_growth_noise(0.0018, 56.0, 0.5, u) for u in uniforms]
+    assert draws == sorted(draws)
+    assert draws[0] == pytest.approx(-0.0018 * 56.0, rel=1e-6)
 
 
 def test_growth_noise_variance_parameter():
     # pre-truncation variance parameter g*t*lambda^2 = 0.0018*56*0.25
     assert math.isclose(0.0018 * 56 * 0.5**2, 0.0252)
     # the truncated draw's dispersion stays below the untruncated sigma
-    stream = RngStream(13, ("gv",))
-    draws = np.array([sample_growth_noise(0.0018, 56, 0.5, stream) for _ in range(50_000)])
+    uniforms = RngStream(13, ("gv",)).random(50_000).tolist()
+    draws = np.array([sample_growth_noise(0.0018, 56, 0.5, u) for u in uniforms])
     assert draws.std() < math.sqrt(0.0252)
 
 
 def test_growth_noise_rejects_negative_params():
-    stream = RngStream(0, ("neg",))
     with pytest.raises(InvalidParamsError):
-        sample_growth_noise(-0.1, 5.0, 0.5, stream)
+        sample_growth_noise(-0.1, 5.0, 0.5, 0.5)
     with pytest.raises(InvalidParamsError):
-        sample_growth_noise(0.1, -5.0, 0.5, stream)
+        sample_growth_noise(0.1, -5.0, 0.5, 0.5)
 
 
 def test_replay_reproducibility():
     a = RngStream(99, ("lot", 17, "eps"))
-    seq1 = [a.uniform() for _ in range(50)] + [a.standard_normal() for _ in range(50)]
+    seq1 = [a.uniform() for _ in range(50)] + [a.bernoulli(0.3) for _ in range(50)]
     b = RngStream(99, ("lot", 17, "eps"))
-    seq2 = [b.uniform() for _ in range(50)] + [b.standard_normal() for _ in range(50)]
+    seq2 = [b.uniform() for _ in range(50)] + [b.bernoulli(0.3) for _ in range(50)]
     assert seq1 == seq2
 
 
@@ -198,13 +209,14 @@ def test_a_float_part_is_refused_after_an_equal_int_part():
 _draw_op = st.one_of(
     st.tuples(st.just("uniform"), st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
     st.tuples(st.just("bernoulli"), st.floats(0, 1)),
-    st.tuples(st.just("standard_normal")),
+    st.tuples(st.just("random"), st.integers(0, 4)),
 )
 
 
 def _stream_draw(stream, op):
     name, *args = op
-    return getattr(stream, name)(*args)
+    out = getattr(stream, name)(*args)
+    return out.tolist() if name == "random" else out
 
 
 def _oracle_draw(gen, op):
@@ -214,7 +226,7 @@ def _oracle_draw(gen, op):
         return lo + gen.random() * (hi - lo)
     if name == "bernoulli":
         return gen.random() < args[0]
-    return float(gen.standard_normal())
+    return gen.random(args[0]).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,7 +252,7 @@ def _draws(stream):
     return (
         stream.uniform(2.0, 5.0),
         next(stream.exponentials(0.3)),
-        stream.standard_normal(),
+        stream.random((2, 3)).tolist(),
         stream.bernoulli(0.4),
         stream.random(5).tolist(),
         stream.permutations(3, 4).tolist(),
@@ -257,25 +269,32 @@ def test_batch_built_streams_draw_as_streams_built_alone():
         assert _draws(base.children([suffix])[0]) == _draws(base.child(*suffix))
 
 
-def test_replication_lot_streams_replay_from_their_labels(monkeypatch):
-    seed = 2**40 + 3
-    cfg = default_config()
-    cfg = dataclasses.replace(cfg, run=RunConfig(warmup_lots=50, run_length_lots=100,
-                                                 replications=1, master_seed=seed))
-    built = {}
-    children = RngStream.children
+def test_a_lot_row_continues_exactly_on_its_overflow_stream(monkeypatch):
+    # 40 draws: the row's 32 slots, then the first 8 uniforms of the stream
+    # of the lot's own label, built at the first draw past the row
+    base = RngStream(2**40 + 3, ("rep", 2))
+    row = base.child("season", 1).random((6, ROW_SLOTS))[4].tolist()
+    draws = LotDraws(row, base, ("lot", 1, 2, "life"))
+    built = []
+    child = RngStream.child
 
-    def recording(self, suffixes):
-        streams = children(self, suffixes)
-        built.update((s.label, s._generator().bit_generator.state) for s in streams)
-        return streams
+    def recording(stream, *extra):
+        built.append(stream.label + extra)
+        return child(stream, *extra)
 
-    monkeypatch.setattr(RngStream, "children", recording)
-    sim = SupplyChainSimulation(cfg, 3)
-    sim.run()
-    assert len(sim.measured) == 100
-    for lot in sim.measured:
-        label = ("rep", 3, "lot", lot.season_index, lot.index_in_season, "life")
-        assert lot.life.label == label and lot.life.master_seed == seed
-        assert built[label] == RngStream(seed, label)._generator().bit_generator.state
-        assert built[label] == _seed_sequence_state(seed, label)
+    monkeypatch.setattr(RngStream, "child", recording)
+    first = [draws.uniform() for _ in range(ROW_SLOTS)]
+    assert built == []
+    rest = [draws.uniform() for _ in range(8)]
+    monkeypatch.undo()
+    assert built == [("rep", 2, "lot", 1, 2, "life")]
+    assert first + rest == row + base.child("lot", 1, 2, "life").random(8).tolist()
+
+
+def test_lot_draws_map_their_uniforms_as_streams_do():
+    row = RngStream(7, ("row",)).random(ROW_SLOTS).tolist()
+    draws = LotDraws(row, RngStream(7, ("rep", 0)), ("lot", 0, 0, "tamper"))
+    assert draws.uniform(2.0, 5.0) == 2.0 + row[0] * 3.0
+    assert draws.bernoulli(0.4) == (row[1] < 0.4)
+    assert draws.uniform() == row[2]
+    assert not hasattr(draws, "__dict__")  # slotted: a lot holds its row and little else

@@ -9,7 +9,7 @@ from hemptwin import ledger, simulation
 from hemptwin.config import RunConfig, Topology, default_config
 from hemptwin.domain import DropReason, Lot, ReplicationStats, Stage
 from hemptwin.ledger import LedgerSystem, ParticipantRole, RecordKind
-from hemptwin.randomness import RngStream
+from hemptwin.randomness import ROW_SLOTS, LotDraws, RngStream
 from hemptwin.simulation import _ENDINGS, SupplyChainSimulation, run_replication
 from stage_order import validate_stage_trace, with_durations
 
@@ -216,41 +216,102 @@ def test_kept_record_ids_number_the_twins_submissions(monkeypatch):
         assert submitted[number - 1] == (rec.lot_id, rec.record_kind, rec.submitted_at)
 
 
-def test_a_replication_seeds_its_lot_streams_in_one_pass(monkeypatch):
-    # one `children` call seeds every lot stream a replication may use; a
-    # stream builds its generator at its first draw, so a season that never
-    # starts builds none
-    cfg = small_cfg()
-    batches, built, started = [], set(), set()
-    children, generator = RngStream.children, RngStream._generator
-    season_start = SupplyChainSimulation._season_start
+def _recorded_run(monkeypatch, cfg, rep, slots=ROW_SLOTS):
+    """Run replication `rep` with `slots` uniforms per lot row; returns the
+    simulation, the labels of the streams derived with `child`, and every
+    lot's draws, which keep their row, the row slots they read and whether
+    they ran past the row."""
+    built, draws = [], []
+    child = RngStream.child
 
-    def recording_children(stream, suffixes):
-        streams = children(stream, suffixes)
-        batches.append([s.label for s in streams])
-        return streams
+    def recording_child(stream, *extra):
+        built.append(stream.label + extra)
+        return child(stream, *extra)
 
-    def recording_generator(stream):
-        if stream._gen is None:
-            built.add(stream.label)
-        return generator(stream)
+    class RecordingDraws(LotDraws):
+        def __init__(self, row, parent, suffix):
+            super().__init__(row, parent, suffix)
+            self.row, self.suffix, self.read, self.overflowed = row, suffix, [], False
+            take = self._next
 
-    def recording_start(sim, season):
-        started.add(season)
-        season_start(sim, season)
+            def recorded():
+                u = take()
+                self.read.append(u)
+                return u
 
-    monkeypatch.setattr(RngStream, "children", recording_children)
-    monkeypatch.setattr(RngStream, "_generator", recording_generator)
-    monkeypatch.setattr(SupplyChainSimulation, "_season_start", recording_start)
-    sim = SupplyChainSimulation(cfg, 5)
+            self._next = recorded
+            draws.append(self)
+
+        def _overflow(self):
+            self.overflowed = True
+            return super()._overflow()
+
+    monkeypatch.setattr(RngStream, "child", recording_child)
+    monkeypatch.setattr(simulation, "LotDraws", RecordingDraws)
+    monkeypatch.setattr(simulation, "ROW_SLOTS", slots)
+    sim = SupplyChainSimulation(cfg, rep)
     sim.run()
-    lot_batches = [labels for labels in batches if labels[0][2] == "lot"]
-    assert lot_batches == [[("rep", 5, "lot", season, i, kind)
-                            for season in range(sim._max_seasons)
-                            for i in range(cfg.n_lots_per_season)
-                            for kind in ("life", "tamper")]]
-    assert len(started) < sim._max_seasons
-    assert {label[3] for label in built if label[2:3] == ("lot",)} == started
+    monkeypatch.undo()
+    return sim, built, draws
+
+
+def test_a_season_draws_its_lots_randomness_in_one_block(monkeypatch):
+    # one ("season", s) stream per started season; lot i's `life` draws are
+    # row 2i of its block, its `tamper` draws row 2i+1, and no lot derives
+    # a stream of its own while its rows last
+    cfg = small_cfg()
+    n = cfg.n_lots_per_season
+    sim, built, draws = _recorded_run(monkeypatch, cfg, 5)
+    seasons = [label[3] for label in built if label[2] == "season"]
+    assert seasons == sorted({d.suffix[1] for d in draws}) == list(range(len(seasons)))
+    assert len(seasons) < sim._max_seasons
+    assert not any(d.overflowed for d in draws)
+    assert [label for label in built if label[2] == "lot"] == []
+    blocks = [RngStream(cfg.run.master_seed, ("rep", 5, "season", s))
+              .random((2 * n, ROW_SLOTS)).tolist() for s in seasons]
+    assert len(sim.measured) == 100
+    for lot in sim.measured:
+        s, i = lot.season_index, lot.index_in_season
+        assert lot.life.suffix == ("lot", s, i, "life")
+        assert lot.tamper.suffix == ("lot", s, i, "tamper")
+        assert len(lot.life.read) >= 2  # germination and soil preparation
+        assert lot.life.read == blocks[s][2 * i][:len(lot.life.read)]
+        assert lot.tamper.read == blocks[s][2 * i + 1][:len(lot.tamper.read)]
+    assert max(len(lot.life.read) for lot in sim.measured) >= 10
+
+
+def test_a_lot_past_its_row_derives_its_own_stream(monkeypatch):
+    # rows of 4 slots: every finished lot runs past its `life` row, and only
+    # the rows that ran out derive the stream of their lot's label; the
+    # replication still completes
+    cfg = small_cfg()
+    sim, built, draws = _recorded_run(monkeypatch, cfg, 5, slots=4)
+    overflowed = [d for d in draws if d.overflowed]
+    finished = [lot for lot in sim.measured if lot.stage is Stage.FINISHED]
+    assert finished and all(lot.life.overflowed for lot in finished)
+    assert ({label for label in built if label[2] == "lot"}
+            == {("rep", 5) + d.suffix for d in overflowed})
+    assert all(len(d.read) == 4 for d in overflowed)
+    assert len(sim.measured) == 100
+
+
+def test_tampering_leaves_every_lots_life_row_in_place(monkeypatch):
+    # `life` and `tamper` draws come from separate rows, so the falsification
+    # draws a tampering run makes shift none of a lot's `life` draws
+    runs = []
+    for p in (0.0, 0.9):
+        cfg = dataclasses.replace(small_cfg(), tamper_probability=p)
+        _, _, draws = _recorded_run(monkeypatch, cfg, 1)
+        runs.append({d.suffix: d for d in draws})
+    honest, tampering = runs
+    assert honest.keys() & tampering.keys()
+    assert any(tampering[k].read for k in tampering if k[3] == "tamper")
+    for suffix in honest.keys() & tampering.keys():
+        if suffix[3] == "life":
+            a, b = honest[suffix], tampering[suffix]
+            assert a.row == b.row
+            common = min(len(a.read), len(b.read))
+            assert a.read[:common] == b.read[:common]
 
 
 def test_stats_read_the_latency_log_once(monkeypatch):
