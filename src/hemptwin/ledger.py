@@ -597,15 +597,15 @@ class LedgerSystem:
         self._latencies: list[tuple[str, RecordKind, float, float | None]] = []
         n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
         self._chain = ChainState(topology=cfg.topology, n_shards=n_pools)
-        self._miss_stream, root_stream, *shard_streams = stream.children(
-            [("miss",), ("root",)] + [("shard", s) for s in range(n_pools)]
-        )
-        self.shard_pools = [_ReviewQueue(servers, s.exponentials(verify_mean))
-                            for s in shard_streams]
+        self._miss_stream = stream.child("miss")
+        self.shard_pools = [
+            _ReviewQueue(servers, stream.child("shard", s).exponentials(verify_mean))
+            for s in range(n_pools)
+        ]
         self.root_pool = None
         if cfg.topology is Topology.TWO_LAYER:
-            self.root_pool = _ReviewQueue(
-                cfg.n_regulators, root_stream.exponentials(cfg.confirmation_mean_days))
+            confirm = stream.child("root").exponentials(cfg.confirmation_mean_days)
+            self.root_pool = _ReviewQueue(cfg.n_regulators, confirm)
         self._prev_hash = [GENESIS_HASH] * n_pools
         self._root_prev = GENESIS_HASH
         # per shard: the time of the last commit scheduled, which a later

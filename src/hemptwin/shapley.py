@@ -88,11 +88,12 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
                   stream: RngStream) -> np.ndarray:
     """The two-loop cost estimate of every subset, indexed by bit mask.
 
-    Every subset shares one set of outer seeds (one per input per outer
-    sample) and one set of inner seeds, so the costs are coherent across the
-    subsets.  The model gets blocks of outer rows holding at most
-    `_BLOCK_FLOATS` outputs (one row, if a row alone holds more); the empty
-    subset redraws nothing and costs exactly 0.
+    Every subset reads the same two blocks, the (K, L) outer seeds and then
+    the (K, I, L) inner seeds, drawn from the macro-replication's `stream`,
+    so the costs are coherent across the subsets; the sampled estimator
+    draws its orderings from the stream after them.  The model gets blocks
+    of outer rows holding at most `_BLOCK_FLOATS` outputs (one row, if a row
+    alone holds more); the empty subset redraws nothing and costs exactly 0.
     """
     if n_inputs > MAX_INPUTS:
         raise TooManyInputsError(
@@ -100,13 +101,8 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
             f"{MAX_INPUTS} inputs are supported"
         )
     check_counts(k_outer=k_outer, i_inner=i_inner)
-    streams = stream.children([(side, l) for side in ("outer", "inner")
-                               for l in range(n_inputs)])
-    outer = np.column_stack([s.random(k_outer) for s in streams[:n_inputs]])
-    inner = np.stack(
-        [s.random(k_outer * i_inner).reshape(k_outer, i_inner) for s in streams[n_inputs:]],
-        axis=-1,
-    )
+    outer = stream.random((k_outer, n_inputs))
+    inner = stream.random((k_outer, i_inner, n_inputs))
     rows = max(1, _BLOCK_FLOATS // ((1 << n_inputs) * i_inner))
     variances = [np.var(model(outer[k:k + rows, None, :], inner[k:k + rows]),
                         axis=-1, ddof=1)
@@ -184,7 +180,7 @@ def shapley_sampled(
     check_counts(m_permutations=m_permutations)
     stream = RngStream(seed, ("shapley", rep_index))
     costs = _subset_costs(model, n_inputs, k_outer, i_inner, stream)
-    perms = stream.child("perms").permutations(m_permutations, n_inputs)
+    perms = stream.permutations(m_permutations, n_inputs)
     s = _shapley_from_permutations(costs, perms)
     return ShapleyResult(
         labels=labels or tuple(f"z{l}" for l in range(n_inputs)),

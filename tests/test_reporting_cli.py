@@ -296,6 +296,15 @@ assert main(["shapley", "--config", cfg, "--estimator", "exact", "--outer-k", "4
 assert "scipy.special" in sys.modules
 """
 
+# A stream seeds its generator at its first draw, so `audit`, which draws
+# nothing, never imports numpy.random.
+AUDIT_WITHOUT_NUMPY_RANDOM = """
+import sys
+from hemptwin.cli import main
+assert main(["audit", "--chain", sys.argv[1]]) == 0
+assert "numpy.random" not in sys.modules
+"""
+
 
 def test_every_module_parses_at_the_declared_python_floor():
     """Each source module parses as Python at the floor `requires-python`
@@ -316,6 +325,15 @@ def test_only_shapley_imports_scipy(tmp_path, cfg_file):
     done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_SCIPY, str(cfg_file),
                            str(tmp_path)], env=child_env(), capture_output=True,
                           text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_audit_never_imports_numpy_random(tmp_path, cfg_file):
+    assert main(["simulate", "--config", str(cfg_file), "--reps", "1",
+                 "--out", str(tmp_path)]) == 0
+    done = subprocess.run([sys.executable, "-c", AUDIT_WITHOUT_NUMPY_RANDOM,
+                           str(tmp_path / "chain_export.txt")], env=child_env(),
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
@@ -380,8 +398,8 @@ sys.stdout.buffer.write(pickle.dumps(run_replication(cfg, 3)))
 @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
 def test_a_replication_alone_in_a_fresh_process_equals_it_run_after_others(topology):
     # a replication depends on its config and index only, not on what the
-    # process ran before it: no cache or counter a run leaves behind (seed
-    # words of strings, hash-mix constants) changes a later run
+    # process ran before it: no cache or counter a run leaves behind (the
+    # cached hashes of string label parts) changes a later run
     cfg = tiny_cfg(topology=topology)
     after_others = [run_replication(cfg, j) for j in range(4)][3]
     done = subprocess.run([sys.executable, "-c", REPLICATION_3], input=pickle.dumps(cfg),

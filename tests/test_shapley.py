@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
+from hemptwin import shapley
 from hemptwin.randomness import RngStream
 from seed_matrix import seed_matrix_model
 from hemptwin.shapley import (
@@ -208,6 +209,27 @@ class TestClosedForm:
         costs = _subset_costs(model, n_inputs, 6, 5, RngStream(13, ("shapley", 2)))
         assert res.total_variance == costs[-1]
         self.check(res.s, costs, n_inputs)
+
+    @pytest.mark.parametrize("n_inputs", [1, 4, 7])
+    def test_exact_and_sampled_cost_the_same_subsets(self, n_inputs, monkeypatch):
+        # the orderings are drawn after both blocks, so the two estimators of
+        # one (seed, rep_index) share their costs: common random numbers
+        costed = []
+
+        def recording(*args):
+            costed.append(_subset_costs(*args))
+            return costed[-1]
+
+        monkeypatch.setattr(shapley, "_subset_costs", recording)
+        model = seed_matrix_model(sum_of_squares)
+        exact = shapley_exact(model, n_inputs, 6, 5, seed=13, rep_index=2)
+        sampled = shapley_sampled(model, n_inputs, 9, 6, 5, seed=13, rep_index=2)
+        assert np.array_equal(costed[0], costed[1])
+        assert exact.total_variance == sampled.total_variance
+        stream = RngStream(13, ("shapley", 2))
+        costs = _subset_costs(model, n_inputs, 6, 5, stream)
+        perms = stream.permutations(9, n_inputs)
+        assert np.array_equal(sampled.s, _shapley_from_permutations(costs, perms))
 
 
 class TestShapleySampled:
