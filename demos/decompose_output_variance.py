@@ -7,8 +7,8 @@ the seven random inputs with Shapley values: each input's share is the
 average marginal increase in explainable variance over all orderings in
 which inputs are revealed.  Conditional variances come from a nested
 two-loop estimator that costs all 2^L subsets of inputs in one broadcast pass
-per macro-replication (over blocks of at most 2^20 outputs, so memory stays
-bounded; both estimators take at most 8 inputs), and the sampling-to-harvest
+per macro-replication (over blocks of at most 2^14 outputs, whose temporaries
+stay on the heap; both estimators take at most 8 inputs), and the sampling-to-harvest
 window t' is resampled from an empirical distribution recorded by the full
 simulation.
 

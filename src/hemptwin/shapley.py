@@ -13,15 +13,23 @@ l, in one pass over the cost vector; the sampled estimator sweeps m random
 orderings in one array pass, bit-identical to an ordering-by-ordering loop.
 Both accept at most `MAX_INPUTS` inputs.
 
-A model is a deterministic callable `model(outer, inner)` that receives a
-block of one macro-replication's uniform seeds in [0,1): the outer seeds as a
+A model is a deterministic callable `model(outer, inner)`, called once per
+macro-replication with its uniform seeds in [0,1): the outer seeds as a
 (K, 1, L) array and the inner seeds as a (K, I, L) array, inputs on the last
-axis.  It returns the (2^L, K, I) outputs of every subset: row `mask` with
-the inputs in the bit mask on their inner seeds (redrawn) and the others on
-their outer seeds (fixed).  The costs are the inner sample variances of those
-rows, averaged over the outer rows.  The model is called once per block of
-outer rows, and a block holds at most 2^20 outputs, which bounds the memory
-of a call; at K*I*2^L <= 2^20 that is one call per macro-replication.
+axis.  It returns an iterable of (2^L, rows, I) output blocks that cover the
+K outer rows in order: in each block, row `mask` holds the subset with the
+inputs in the bit mask on their inner seeds (redrawn) and the others on their
+outer seeds (fixed).  The costs are the inner sample variances of those rows,
+averaged over the outer rows; each block's variances are taken before the
+next block is pulled, so a model that yields blocks of `block_rows(L, I)`
+outer rows works on at most `_BLOCK_FLOATS` outputs at a time (one row, if
+a row alone holds more).  The bound is 2^14 outputs, 128 KiB of
+float64, at which a block's temporaries are reused from the heap.  Larger
+temporaries are handed back to the kernel after each use and faulted in
+afresh by the next block: a round of the benchmark's three decompositions
+(K=10, I=100, L=6 and 7) takes about 2 000 minor faults at 2^13 outputs,
+2 300 at 2^14, 9 600 at 2^15, 15 400 at 2^16 and 22 000 at 2^20, where all
+(2^L, K, I) outputs of a macro-replication make one block.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "ShapleyResult",
     "TooFewSamplesError",
     "TooManyInputsError",
+    "block_rows",
     "check_counts",
     "shapley_exact",
     "shapley_sampled",
@@ -44,7 +53,7 @@ __all__ = [
 ]
 
 MAX_INPUTS = 8  # both estimators cost all 2^L subsets
-_BLOCK_FLOATS = 1 << 20  # most outputs one model call returns
+_BLOCK_FLOATS = 1 << 14  # most outputs of one block a model yields
 # the least value of each sample count with which an estimate can be made
 MIN_COUNTS = {"k_outer": 1, "i_inner": 2, "m_permutations": 1,
               "macro_replications": 2}
@@ -66,6 +75,12 @@ def check_counts(**counts: int) -> None:
             raise TooFewSamplesError(
                 f"{name} must be at least {MIN_COUNTS[name]}, got {value}"
             )
+
+
+def block_rows(n_inputs: int, i_inner: int) -> int:
+    """The outer rows of one output block: as many as hold at most
+    `_BLOCK_FLOATS` outputs of all 2^L subsets, and at least one."""
+    return max(1, _BLOCK_FLOATS // ((1 << n_inputs) * i_inner))
 
 
 @dataclass
@@ -91,9 +106,9 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
     Every subset reads the same two blocks, the (K, L) outer seeds and then
     the (K, I, L) inner seeds, drawn from the macro-replication's `stream`,
     so the costs are coherent across the subsets; the sampled estimator
-    draws its orderings from the stream after them.  The model gets blocks
-    of outer rows holding at most `_BLOCK_FLOATS` outputs (one row, if a row
-    alone holds more); the empty subset redraws nothing and costs exactly 0.
+    draws its orderings from the stream after them.  The model is called
+    once and its output blocks are reduced to inner variances one at a time;
+    the empty subset redraws nothing and costs exactly 0.
     """
     if n_inputs > MAX_INPUTS:
         raise TooManyInputsError(
@@ -103,10 +118,8 @@ def _subset_costs(model, n_inputs: int, k_outer: int, i_inner: int,
     check_counts(k_outer=k_outer, i_inner=i_inner)
     outer = stream.random((k_outer, n_inputs))
     inner = stream.random((k_outer, i_inner, n_inputs))
-    rows = max(1, _BLOCK_FLOATS // ((1 << n_inputs) * i_inner))
-    variances = [np.var(model(outer[k:k + rows, None, :], inner[k:k + rows]),
-                        axis=-1, ddof=1)
-                 for k in range(0, k_outer, rows)]
+    variances = [np.var(block, axis=-1, ddof=1)
+                 for block in model(outer[:, None, :], inner)]
     costs = np.concatenate(variances, axis=-1).mean(axis=-1)
     costs[0] = 0.0
     return costs

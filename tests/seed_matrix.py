@@ -18,9 +18,9 @@ def assembled_outputs(fn, outer, inner, mask):
 
 def seed_matrix_model(fn):
     """The model that stacks every mask's assembled outputs of `fn` into one
-    (2^L, K, I) array."""
+    (2^L, K, I) block and yields it alone."""
     def model(outer, inner):
-        return np.stack([assembled_outputs(fn, outer, inner, mask)
-                         for mask in range(1 << inner.shape[-1])])
+        yield np.stack([assembled_outputs(fn, outer, inner, mask)
+                        for mask in range(1 << inner.shape[-1])])
 
     return model

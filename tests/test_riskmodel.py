@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hemptwin.riskmodel import (
     collect_t_prime_samples,
     decompose_final_product,
 )
+from hemptwin import shapley
 from hemptwin.shapley import _subset_costs
 from hemptwin.simulation import SupplyChainSimulation
 from seed_matrix import assembled_outputs
@@ -76,42 +78,111 @@ def test_outputs_positive_and_cbd_exceeds_thc(t_prime):
     assert np.all(cbd > thc)
 
 
-@pytest.mark.parametrize("target", ["cbd", "thc"])
-@pytest.mark.parametrize("k_outer,i_inner", [(1, 2), (3, 5), (10, 100)])
-def test_outputs_by_mask_equal_the_assembled_seed_matrix(t_prime, target, k_outer,
-                                                         i_inner):
-    model = make_model(target, t_prime)
+def check_outputs_by_mask(model, k_outer, i_inner):
     n = model.n_inputs
-    u = RngStream(9, ("masks", target)).random(k_outer * (1 + i_inner) * n)
+    u = RngStream(9, ("masks", model.target)).random(k_outer * (1 + i_inner) * n)
     outer = u[: k_outer * n].reshape(k_outer, 1, n)
     inner = u[k_outer * n:].reshape(k_outer, i_inner, n)
-    factored = model.subset_outputs(outer, inner)
+    factored = np.concatenate(list(model.subset_outputs(outer, inner)), axis=1)
     assert factored.shape == (1 << n, k_outer, i_inner)
     for mask in range(1 << n):
         assert np.array_equal(factored[mask],
                               assembled_outputs(model, outer, inner, mask)), mask
 
 
+@pytest.mark.parametrize("target", ["cbd", "thc"])
+@pytest.mark.parametrize("k_outer,i_inner", [(1, 2), (3, 5), (10, 100)])
+def test_outputs_by_mask_equal_the_assembled_seed_matrix(t_prime, target, k_outer,
+                                                         i_inner):
+    check_outputs_by_mask(make_model(target, t_prime), k_outer, i_inner)
+
+
 @pytest.mark.parametrize("target,k_outer,i_inner",
                          [("thc", 3, 5), ("cbd", 10, 100), ("cbd", 200, 100)])
 def test_subset_costs_equal_the_per_mask_variances(t_prime, target, k_outer, i_inner):
+    # 2^14 outputs per block: a CBD row at I=100 is 128 x 100 outputs, so
+    # each outer row is a block; three THC rows at I=5, 64 x 5 each, are one
+    n_blocks = 1 if target == "thc" else k_outer
     model = make_model(target, t_prime)
     n = model.n_inputs
-    blocks = []
+    calls, blocks = [], []
 
     def recording(outer, inner):
-        blocks.append((outer, inner))
-        return model.subset_outputs(outer, inner)
+        calls.append((outer, inner))
+        for block in model.subset_outputs(outer, inner):
+            blocks.append(block.shape)
+            yield block
 
     costs = _subset_costs(recording, n, k_outer, i_inner, RngStream(4, ("costs",)))
-    outer, inner = (np.concatenate(a) for a in zip(*blocks))
+    [(outer, inner)] = calls
     assert inner.shape == (k_outer, i_inner, n)
-    # 2^20 floats per block: 200 outer rows of 128 x 100 outputs take three
-    assert len(blocks) == (3 if k_outer == 200 else 1)
+    assert len(blocks) == n_blocks
     assert costs[0] == 0.0
     for mask in range(1, 1 << n):
         y = assembled_outputs(model, outer, inner, mask)
         assert costs[mask] == np.var(y, axis=1, ddof=1).mean(), mask
+
+
+@pytest.mark.parametrize("target", ["cbd", "thc"])
+@pytest.mark.parametrize("k_outer,i_inner,rows",
+                         [(10, 100, 1), (10, 100, 4), (7, 100, 3), (10, 100, 10)])
+def test_subset_costs_do_not_depend_on_the_block_bound(t_prime, monkeypatch, target,
+                                                       k_outer, i_inner, rows):
+    model = make_model(target, t_prime)
+    n = model.n_inputs
+    row = (1 << n) * i_inner
+
+    def costs_and_blocks(bound):
+        monkeypatch.setattr(shapley, "_BLOCK_FLOATS", bound)
+        blocks = []
+
+        def recording(outer, inner):
+            for block in model.subset_outputs(outer, inner):
+                blocks.append(block.shape)
+                yield block
+
+        costs = _subset_costs(recording, n, k_outer, i_inner, RngStream(4, ("bound",)))
+        return costs, blocks
+
+    default, _ = costs_and_blocks(shapley._BLOCK_FLOATS)
+    # a bound of `rows` rows: blocks of `rows` rows, the last one short
+    costs, blocks = costs_and_blocks(rows * row)
+    assert np.array_equal(costs, default)
+    assert blocks == [(1 << n, min(rows, k_outer - k), i_inner)
+                      for k in range(0, k_outer, rows)]
+    # a bound below one row: whole rows, one per block
+    costs, blocks = costs_and_blocks(row - 1)
+    assert np.array_equal(costs, default)
+    assert blocks == [(1 << n, 1, i_inner)] * k_outer
+
+
+def one_pass_model(target, t_prime):
+    cfg = dataclasses.replace(default_config(), max_plc_passes=1)
+    return FinalProductModel(cfg, target, t_prime)
+
+
+@pytest.mark.parametrize("target", ["cbd", "thc"])
+@pytest.mark.parametrize("k_outer,i_inner", [(3, 5), (10, 100)])
+def test_one_pass_outputs_by_mask_equal_the_assembled_seed_matrix(t_prime, target,
+                                                                  k_outer, i_inner):
+    check_outputs_by_mask(one_pass_model(target, t_prime), k_outer, i_inner)
+
+
+@pytest.mark.parametrize("target,factor", [("cbd", "q_u"), ("thc", "q_v")])
+def test_a_one_pass_policy_never_purifies_twice(t_prime, target, factor):
+    # one-pass THC is THC after the first pass; where it reaches the limit the
+    # two-pass policy applies the removal fraction once more, and elsewhere
+    # the two policies agree
+    u_cbd = RngStream(12, ("one-pass",)).random((4096, 7))
+    u_thc = u_cbd[:, [0, 1, 2, 3, 4, 6]]  # without q_u
+    u = u_cbd if target == "cbd" else u_thc
+    one, two = one_pass_model(target, t_prime), make_model(target, t_prime)
+    y_one, y_two = one(u), two(u)
+    again = two._transforms(two._columns(u))[factor]
+    second = one_pass_model("thc", t_prime)(u_thc) >= two.cfg.thc_final_limit
+    assert second.any() and not second.all()
+    assert np.array_equal(y_two[second], y_one[second] * again[second])
+    assert np.array_equal(y_two[~second], y_one[~second])
 
 
 def test_high_growth_draws_get_second_purification_pass(t_prime):
@@ -138,8 +209,6 @@ def test_t_prime_resampled_within_observed_range(t_prime):
 
 
 def test_collect_t_prime_uses_the_full_simulation():
-    import dataclasses
-
     from hemptwin.config import RunConfig
 
     cfg = dataclasses.replace(
@@ -153,8 +222,6 @@ def test_collect_t_prime_uses_the_full_simulation():
 
 
 def test_decomposition_identity_on_synthetic_model(t_prime):
-    import dataclasses
-
     from hemptwin.config import RunConfig
 
     cfg = dataclasses.replace(

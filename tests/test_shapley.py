@@ -174,7 +174,10 @@ class TestOrderingAccumulator:
         for j in range(3):
             shapley_exact(model, 4, 3, 3, seed=2, rep_index=j)
         shapley_sampled(model, 4, 5, 3, 3, seed=2)
-        assert calls == [(3, 3, 4)] * 4
+        # outer rows enough for three blocks under the bound: still one call
+        k_outer = 2 * shapley.block_rows(4, 3) + 1
+        shapley_exact(model, 4, k_outer, 3, seed=2)
+        assert calls == [(3, 3, 4)] * 4 + [(k_outer, 3, 4)]
 
 
 def random_costs(n_inputs, seed):
