@@ -41,12 +41,9 @@ print(f"mean ledger confirmation time: {stats.confirmation_mean:.3f} days")
 # pick a finished lot and narrate its life
 lot = next(l for l in sim.measured if l.stage is Stage.FINISHED)
 print(f"\njourney of {lot.id}:")
-for stage, (enter, exit_) in sorted(lot.timestamps.items(), key=lambda kv: kv[1][0]):
-    span = "" if exit_ is None else f" -> day {exit_:7.2f}"
-    print(f"  {stage.value:16s} day {enter:7.2f}{span}")
-print("\ncannabinoid trail (fractions of dry mass):")
-for stage, state in lot.cannabinoid_history:
-    print(f"  after {stage.value:14s} CBD {state.cbd_pct:.5f}  THC {state.thc_pct:.6f}")
+# each stage runs from its entry to the next one
+for enter, stage in lot.trace:
+    print(f"  day {enter:7.2f}  {stage.value}")
 print(f"\nfinal product: CBD {lot.state.cbd_pct*100:.2f}%  "
       f"THC {lot.state.thc_pct*100:.4f}%  "
       f"(limit {cfg.thc_final_limit*100:.2f}%)")

@@ -96,17 +96,20 @@ FACTOR_NAMES = tuple(f.name for f in fields(RandomInputs))
 
 @dataclass
 class Lot:
-    """A unit of product flowing through the chain, with an append-only
-    cannabinoid history and per-stage timestamps in simulated days."""
+    """A unit of product flowing through the chain.
+
+    `trace` is the lot's path: an append-only list of (time, stage) pairs in
+    simulated days, one per stage entered, revisits included.  A stage's span
+    runs to the next entry, so a queue wait between process steps counts
+    toward the stage the lot last entered.  `state` is its current
+    cannabinoid content."""
 
     id: str
     season_index: int
     index_in_season: int
     arrival_time: float
     stage: Stage = Stage.GERMINATION
-    cannabinoid_history: list = field(default_factory=list)
-    timestamps: dict = field(default_factory=dict)
-    stage_log: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     drop_reason: DropReason | None = None
     inputs: RandomInputs = field(default_factory=RandomInputs)
 
@@ -121,7 +124,6 @@ class Lot:
     false_pass_harvest: bool = False
     fake_qualified: bool = False
     terminated: bool = False
-    termination_time: float | None = None
 
     # process state owned by the simulation
     life: LotDraws | None = None  # stage durations, growth noise, fractions
@@ -135,21 +137,8 @@ class Lot:
     def enter_stage(self, stage: Stage, now: float) -> None:
         if self.terminated:
             raise RuntimeError(f"lot {self.id} already terminated")
-        prev = self.timestamps.get(self.stage)
-        if prev is not None and prev[1] is None:
-            self.timestamps[self.stage] = (prev[0], now)
         self.stage = stage
-        self.stage_log.append(stage)
-        existing = self.timestamps.get(stage)
-        if existing is None:
-            self.timestamps[stage] = (now, None)
-        else:
-            # revisited stage (retest / repeat purification): keep first entry
-            self.timestamps[stage] = (existing[0], None)
-
-    def record_state(self, stage: Stage, state: CannabinoidState) -> None:
-        self.state = state
-        self.cannabinoid_history.append((stage, state))
+        self.trace.append((now, stage))
 
 
 @dataclass

@@ -142,9 +142,7 @@ class SupplyChainSimulation:
             # the seedlings are ready for transplant when the later one ends
             germ = self._dur(lot, "germination")
             soil = self._dur(lot, "soil_prep")
-            lot.timestamps[Stage.GERMINATION] = (now, now + germ)
-            lot.timestamps[Stage.SOIL_PREP] = (now, now + soil)
-            lot.stage_log += [Stage.GERMINATION, Stage.SOIL_PREP]
+            lot.trace += [(now, Stage.GERMINATION), (now, Stage.SOIL_PREP)]
             self.calendar.schedule(now + max(germ, soil),
                                    lambda lot=lot: self._ready_for_transplant(lot))
 
@@ -176,10 +174,9 @@ class SupplyChainSimulation:
             cfg.growth_rate, lot.cultivation_days, cfg.lambda_var, lot.life.uniform()
         )
         lot.inputs.eps = eps
-        state = stages.cultivation_growth(
+        lot.state = stages.cultivation_growth(
             cfg.growth_rate, lot.cultivation_days, cfg.cbd_thc_ratio, eps
         )
-        lot.record_state(Stage.CULTIVATION, state)
         self._submit(lot, RecordKind.CULTIVATION_DATA, ParticipantRole.GROWER,
                      {"cultivation_days": lot.cultivation_days})
         self._submit(lot, RecordKind.PREHARVEST_REQUEST, ParticipantRole.GROWER,
@@ -194,7 +191,6 @@ class SupplyChainSimulation:
         self._step(lot, self.lab_pool, None, "preharvest_test", self._test_done)
 
     def _test_done(self, lot: Lot) -> None:
-        self._close_stage(lot, Stage.PREHARVEST_TEST)
         cfg = self.cfg
         result = stages.preharvest_gate(
             lot.state, cfg.thc_preharvest_limit,
@@ -245,10 +241,9 @@ class SupplyChainSimulation:
         lot.inputs.t_prime = t_prime
         lot.inputs.eps_prime = eps_prime
         lot.t_prime_legs.append(t_prime)
-        state = stages.harvest_increment(
+        lot.state = stages.harvest_increment(
             lot.state, cfg.growth_rate, t_prime, cfg.cbd_thc_ratio, eps_prime
         )
-        lot.record_state(Stage.HARVEST, state)
 
         result = stages.harvest_deadline_gate(
             t_prime, cfg.harvest_deadline_days,
@@ -314,9 +309,10 @@ class SupplyChainSimulation:
         return self._dur(lot, "drying")
 
     def _drying_done(self, lot: Lot) -> None:
-        # drying removes moisture only; cannabinoid content is unchanged
+        # drying removes moisture only; cannabinoid content is unchanged.
+        # DRYING is the lot's last entry
         self._submit(lot, RecordKind.DRYING_DATA, ParticipantRole.DRYER,
-                     {"drying_days": self.calendar.now - lot.timestamps[Stage.DRYING][0]})
+                     {"drying_days": self.calendar.now - lot.trace[-1][0]})
         self._submit(lot, RecordKind.POST_STABILIZATION_TEST, ParticipantRole.DRYER,
                      {"cbd": lot.state.cbd_pct, "thc": lot.state.thc_pct})
         self._submit(lot, RecordKind.TRANSPORT_DATA, ParticipantRole.TRANSPORTER,
@@ -329,20 +325,18 @@ class SupplyChainSimulation:
     # -------------------------------------------------------- manufacturing
 
     def _extraction_done(self, lot: Lot) -> None:
-        self._close_stage(lot, Stage.EXTRACTION)
         q = lot.life.uniform(self.cfg.extraction_lo, self.cfg.extraction_hi)
         lot.inputs.q_extract = q
-        lot.record_state(Stage.EXTRACTION, stages.extraction_step(lot.state, q))
+        lot.state = stages.extraction_step(lot.state, q)
         self._submit(lot, RecordKind.EXTRACTION_DATA, ParticipantRole.PROCESSOR,
                      {"retained_fraction": q})
         self._step(lot, self.processor_pool, Stage.WINTERIZATION, "winterization",
                    self._winterization_done)
 
     def _winterization_done(self, lot: Lot) -> None:
-        self._close_stage(lot, Stage.WINTERIZATION)
         w = lot.life.uniform(self.cfg.winterization_lo, self.cfg.winterization_hi)
         lot.inputs.w_winter = w
-        lot.record_state(Stage.WINTERIZATION, stages.winterization_step(lot.state, w))
+        lot.state = stages.winterization_step(lot.state, w)
         self._submit(lot, RecordKind.WINTERIZATION_DATA, ParticipantRole.PROCESSOR,
                      {"retained_fraction": w})
         self._step(lot, self.processor_pool, Stage.PLC, "plc", self._plc_done)
@@ -354,7 +348,7 @@ class SupplyChainSimulation:
             lot.inputs.q_u = q_u
             lot.inputs.q_v = q_v
         lot.plc_passes += 1
-        lot.record_state(Stage.PLC, stages.plc_step(lot.state, q_u, q_v))
+        lot.state = stages.plc_step(lot.state, q_u, q_v)
         self._submit(lot, RecordKind.PLC_DATA, ParticipantRole.PROCESSOR,
                      {"pass": lot.plc_passes, "cbd_retained": q_u,
                       "thc_retained": q_v})
@@ -418,7 +412,6 @@ class SupplyChainSimulation:
         lot.enter_stage(_ENDINGS[reason][0], self.calendar.now)
         lot.drop_reason = reason
         lot.terminated = True
-        lot.termination_time = self.calendar.now
         self._terminations += 1
         cfgrun = self.cfg.run
         if cfgrun.warmup_lots < self._terminations <= self._target:
@@ -429,11 +422,6 @@ class SupplyChainSimulation:
     def _dur(self, lot: Lot, stage_key: str) -> float:
         lo, hi = self._durations[stage_key]
         return lot.life.uniform(lo, hi)
-
-    def _close_stage(self, lot: Lot, stage: Stage) -> None:
-        # buffer waits between process steps stay unattributed to either stage
-        enter, _ = lot.timestamps[stage]
-        lot.timestamps[stage] = (enter, self.calendar.now)
 
     def _submit(
         self,
@@ -471,7 +459,7 @@ class SupplyChainSimulation:
                     drop_reason=lot.drop_reason.value if lot.drop_reason else None,
                     final_cbd=lot.state.cbd_pct if finished else None,
                     final_thc=lot.state.thc_pct if finished else None,
-                    cycle_days=(lot.termination_time - lot.arrival_time)
+                    cycle_days=(lot.trace[-1][0] - lot.arrival_time)
                     if finished
                     else None,
                     t_prime=lot.t_prime_legs[-1] if lot.t_prime_legs else None,

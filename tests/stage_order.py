@@ -1,10 +1,12 @@
-"""Test helpers: the stage-order oracle that every simulated lot's stage log
-must satisfy, and a config builder that overrides stage durations."""
+"""Test helpers: the stage-order oracle that every simulated lot's trace
+must satisfy, a simulation that logs each lot's cannabinoid states, and a
+config builder that overrides stage durations."""
 
 from dataclasses import replace
 
 from hemptwin.config import ScenarioConfig, StageDuration
 from hemptwin.domain import Stage
+from hemptwin.simulation import SupplyChainSimulation
 
 # The linear backbone every finished lot walks through, in order.  Germination
 # and soil preparation run in parallel ahead of transplant; retest loops send a
@@ -83,6 +85,43 @@ def validate_stage_trace(trace: list[Stage]) -> bool:
             return False
         current = nxt
     return True
+
+
+def entered(lot, stage: Stage) -> bool:
+    """True iff `lot`'s trace has an entry for `stage`."""
+    return any(s is stage for _, s in lot.trace)
+
+
+class CannabinoidTrail(SupplyChainSimulation):
+    """A simulation that logs, per lot id, `(stage, lot.state)` after each
+    handler that sets a lot's cannabinoid state, in the order they run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trail: dict[str, list] = {}
+
+    def _log(self, lot, stage):
+        self.trail.setdefault(lot.id, []).append((stage, lot.state))
+
+    def _cultivation_done(self, lot):
+        super()._cultivation_done(lot)
+        self._log(lot, Stage.CULTIVATION)
+
+    def _harvest_done(self, lot):
+        super()._harvest_done(lot)
+        self._log(lot, Stage.HARVEST)
+
+    def _extraction_done(self, lot):
+        super()._extraction_done(lot)
+        self._log(lot, Stage.EXTRACTION)
+
+    def _winterization_done(self, lot):
+        super()._winterization_done(lot)
+        self._log(lot, Stage.WINTERIZATION)
+
+    def _plc_done(self, lot):
+        super()._plc_done(lot)
+        self._log(lot, Stage.PLC)
 
 
 def with_durations(cfg: ScenarioConfig, **overrides: StageDuration) -> ScenarioConfig:

@@ -23,9 +23,10 @@ from hemptwin.randomness import RngStream
 from hemptwin.reporting import run_replications
 from hemptwin.riskmodel import collect_t_prime_samples, decompose_final_product
 from hemptwin.shapley import shapley_exact, shapley_sampled
-from hemptwin.simulation import SupplyChainSimulation, run_replication
+from hemptwin.simulation import run_replication
 from hemptwin.stages import cultivation_growth
 from seed_matrix import seed_matrix_model
+from stage_order import CannabinoidTrail, entered
 
 J_REPS = 100
 
@@ -312,7 +313,7 @@ def test_criterion_10_property_suites():
     checked = 0
     post_harvest = (Stage.EXTRACTION, Stage.WINTERIZATION, Stage.PLC)
     for rep in range(10):
-        sim = SupplyChainSimulation(cfg, rep)
+        sim = CannabinoidTrail(cfg, rep)
         sim.run()
         finished = dropped = destroyed = 0
         for lot in sim.measured:
@@ -320,7 +321,7 @@ def test_criterion_10_property_suites():
             states = dict()
             thc_series = []
             harvest_seen = False
-            for stage, state in lot.cannabinoid_history:
+            for stage, state in sim.trail.get(lot.id, []):
                 states.setdefault(stage, state)
                 if stage is Stage.HARVEST:
                     # a retested lot harvests again; monotonicity starts at
@@ -337,7 +338,7 @@ def test_criterion_10_property_suites():
                         28.0, rel=1e-9
                     )
             assert all(a >= b - 1e-15 for a, b in zip(thc_series, thc_series[1:]))
-            if Stage.DRYING in lot.timestamps:
+            if entered(lot, Stage.DRYING):
                 assert states[Stage.CULTIVATION].thc_pct <= cfg.thc_preharvest_limit
             if lot.stage is Stage.FINISHED:
                 finished += 1

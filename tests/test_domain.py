@@ -91,30 +91,32 @@ class TestStageTraceValidator:
 
 
 class TestLot:
-    def test_enter_stage_closes_previous(self):
+    def test_enter_stage_sets_stage_and_appends_to_trace(self):
         lot = Lot(id="x", season_index=0, index_in_season=0, arrival_time=0.0)
-        lot.timestamps[Stage.GERMINATION] = (0.0, None)
         lot.enter_stage(Stage.TRANSPLANT, 7.0)
-        assert lot.timestamps[Stage.GERMINATION] == (0.0, 7.0)
+        assert lot.stage is Stage.TRANSPLANT
+        assert lot.trace == [(7.0, Stage.TRANSPLANT)]
         lot.enter_stage(Stage.CULTIVATION, 9.0)
-        assert lot.timestamps[Stage.TRANSPLANT] == (7.0, 9.0)
+        assert lot.stage is Stage.CULTIVATION
+        assert lot.trace == [(7.0, Stage.TRANSPLANT), (9.0, Stage.CULTIVATION)]
+
+    def test_revisited_stage_appends_again(self):
+        lot = Lot(id="x", season_index=0, index_in_season=0, arrival_time=0.0)
+        for t, stage in [(1.0, Stage.PREHARVEST_TEST), (2.0, Stage.HARVEST),
+                         (3.0, Stage.PREHARVEST_TEST), (4.0, Stage.HARVEST)]:
+            lot.enter_stage(stage, t)
+        assert lot.trace == [(1.0, Stage.PREHARVEST_TEST), (2.0, Stage.HARVEST),
+                             (3.0, Stage.PREHARVEST_TEST), (4.0, Stage.HARVEST)]
+        assert lot.stage is Stage.HARVEST
 
     def test_terminated_lot_cannot_move(self):
         lot = Lot(id="x", season_index=0, index_in_season=0, arrival_time=0.0)
+        lot.enter_stage(Stage.DESTROYED, 1.0)
         lot.terminated = True
         with pytest.raises(RuntimeError):
-            lot.enter_stage(Stage.TRANSPLANT, 1.0)
-
-    def test_history_is_append_only_record(self):
-        lot = Lot(id="x", season_index=0, index_in_season=0, arrival_time=0.0)
-        s1 = CannabinoidState(0.09, 0.003)
-        s2 = CannabinoidState(0.07, 0.002)
-        lot.record_state(Stage.CULTIVATION, s1)
-        lot.record_state(Stage.EXTRACTION, s2)
-        assert lot.cannabinoid_history == [
-            (Stage.CULTIVATION, s1), (Stage.EXTRACTION, s2)
-        ]
-        assert lot.state == s2
+            lot.enter_stage(Stage.TRANSPLANT, 2.0)
+        assert lot.stage is Stage.DESTROYED
+        assert lot.trace == [(1.0, Stage.DESTROYED)]
 
 
 def test_every_enum_of_the_package_hashes_by_identity():

@@ -11,7 +11,7 @@ from hemptwin.domain import DropReason, Lot, ReplicationStats, Stage
 from hemptwin.ledger import LedgerSystem, ParticipantRole, RecordKind
 from hemptwin.randomness import ROW_SLOTS, LotDraws, RngStream
 from hemptwin.simulation import _ENDINGS, SupplyChainSimulation, run_replication
-from stage_order import validate_stage_trace, with_durations
+from stage_order import CannabinoidTrail, entered, validate_stage_trace, with_durations
 
 
 def small_cfg(**overrides):
@@ -190,10 +190,9 @@ def test_a_lots_preparation_is_one_event_at_its_later_end(monkeypatch):
     for lot in sim.measured:
         arrival = lot.arrival_time
         germ, soil = draws[lot.id, "germination"], draws[lot.id, "soil_prep"]
-        assert lot.stage_log[:2] == [Stage.GERMINATION, Stage.SOIL_PREP]
-        assert lot.timestamps[Stage.GERMINATION] == (arrival, arrival + germ)
-        assert lot.timestamps[Stage.SOIL_PREP] == (arrival, arrival + soil)
+        assert lot.trace[:2] == [(arrival, Stage.GERMINATION), (arrival, Stage.SOIL_PREP)]
         assert ready[lot.id] == max(arrival + germ, arrival + soil)
+        assert lot.trace[2][0] >= ready[lot.id]
 
 
 def test_kept_record_ids_number_the_twins_submissions(monkeypatch):
@@ -388,13 +387,13 @@ def test_gate_soundness_with_no_tampering():
         cfg, run=RunConfig(warmup_lots=0, run_length_lots=400, replications=1,
                            master_seed=99)
     )
-    sim = SupplyChainSimulation(cfg, 0)
+    sim = CannabinoidTrail(cfg, 0)
     sim.run()
     for lot in sim.measured:
-        states = dict()
-        for stage, state in lot.cannabinoid_history:
-            states[stage] = state
-        if Stage.DRYING in lot.timestamps:
+        trail = sim.trail.get(lot.id, [])
+        assert not trail or trail[-1][1] == lot.state, lot.id
+        states = dict(trail)
+        if entered(lot, Stage.DRYING):
             assert states[Stage.CULTIVATION].thc_pct <= cfg.thc_preharvest_limit
         if lot.stage is Stage.FINISHED:
             assert lot.state.thc_pct < cfg.thc_final_limit
@@ -406,7 +405,8 @@ def test_stage_traces_follow_partial_order(baseline_stats):
     sim = SupplyChainSimulation(small_cfg(), 0)
     sim.run()
     for lot in sim.measured:
-        assert validate_stage_trace(lot.stage_log), lot.stage_log
+        stages_entered = [s for _, s in lot.trace]
+        assert validate_stage_trace(stages_entered), stages_entered
 
 
 def test_lots_carry_only_declared_fields():
@@ -425,13 +425,48 @@ def test_every_record_kind_and_role_is_emitted():
     assert {r.role for r in records} == set(ParticipantRole)
 
 
-def test_timestamps_non_decreasing():
-    sim = SupplyChainSimulation(small_cfg(), 0)
-    sim.run()
+@pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+def test_trace_invariants(topology):
+    # a lot's trace is its whole path: it starts with the arrival pair, never
+    # runs back in time, ends in the lot's terminal stage, and shows every
+    # revisit; a finished lot's cycle time is read from its last entry
+    sim = SupplyChainSimulation(with_topology(small_cfg(), topology), 0)
+    stats = sim.run()
+    terminal = {Stage.FINISHED, Stage.DROPPED, Stage.DESTROYED}
+    cycles = {out.lot_id: out.cycle_days for out in stats.lot_outputs}
+    assert sim.measured
     for lot in sim.measured:
-        for stage, (enter, exit_) in lot.timestamps.items():
-            if exit_ is not None:
-                assert exit_ >= enter, (lot.id, stage)
+        trace = lot.trace
+        times = [t for t, _ in trace]
+        assert times == sorted(times), lot.id
+        assert trace[:2] == [(lot.arrival_time, Stage.GERMINATION),
+                             (lot.arrival_time, Stage.SOIL_PREP)], lot.id
+        assert trace[-1][1] is lot.stage and lot.stage in terminal, lot.id
+        stages_entered = [s for _, s in trace]
+        assert stages_entered.count(Stage.HARVEST) == len(lot.t_prime_legs), lot.id
+        assert stages_entered.count(Stage.PLC) == lot.plc_passes, lot.id
+        if lot.stage is Stage.FINISHED:
+            assert cycles[lot.id] == trace[-1][0] - lot.arrival_time, lot.id
+        else:
+            assert cycles[lot.id] is None, lot.id
+
+
+def test_drying_days_are_the_drying_span_of_the_trace():
+    # the DRYING_DATA payload is read off the trace: the time from the lot's
+    # DRYING entry to its EXTRACT_WAIT entry, bit for bit
+    sim = SupplyChainSimulation(small_cfg(), 0, keep_chain=True)
+    sim.run()
+    lots = {lot.id: lot for lot in sim.measured}
+    checked = 0
+    for record in sim.ledger.chain.records.values():
+        lot = lots.get(record.lot_id)
+        if record.record_kind is not RecordKind.DRYING_DATA or lot is None:
+            continue
+        entries = {s: t for t, s in lot.trace}
+        span = entries[Stage.EXTRACT_WAIT] - entries[Stage.DRYING]
+        assert record.payload["drying_days"] == span, lot.id
+        checked += 1
+    assert checked > 10
 
 
 def test_destroyed_preharvest_lots_exceeded_limit():
@@ -451,15 +486,15 @@ def test_common_random_numbers_align_through_preharvest_gate():
     # with tampering off, ledger latency only delays lots; the cultivation
     # states and the pre-harvest destroy decisions match the no-ledger run
     base = dataclasses.replace(small_cfg(), tamper_probability=0.0)
-    ledger_sim = SupplyChainSimulation(base, 0)
+    ledger_sim = CannabinoidTrail(base, 0)
     ledger_sim.run()
-    plain_sim = SupplyChainSimulation(with_topology(base, Topology.NONE), 0)
+    plain_sim = CannabinoidTrail(with_topology(base, Topology.NONE), 0)
     plain_sim.run()
 
     def first_states(sim):
         by_id = {}
         for lot in sim.measured:
-            cultivation = [s for st, s in lot.cannabinoid_history
+            cultivation = [s for st, s in sim.trail.get(lot.id, [])
                            if st is Stage.CULTIVATION]
             if cultivation:
                 by_id[lot.id] = cultivation[0]
@@ -528,7 +563,7 @@ def test_dynamic_dryers_never_queue_and_ignore_n_d(topology):
             dataclasses.replace(base, n_dryers=n_dryers), 0, keep_chain=True
         )
         assert all(lot.dryer_request is None for lot in sim.measured)
-        assert any(Stage.DRYING in lot.timestamps for lot in sim.measured)
+        assert any(entered(lot, Stage.DRYING) for lot in sim.measured)
         runs.append((stats, export_chain(sim.ledger.chain)))
     assert runs[0] == runs[1]
 
@@ -545,12 +580,11 @@ def test_gate_records_block_stage_progression():
             harvest_latency[lot_id] = verif + conf
     checked = 0
     for lot in sim.measured:
-        window = lot.timestamps.get(Stage.DRYING)
+        drying = [t for t, s in lot.trace if s is Stage.DRYING]
         latency = harvest_latency.get(lot.id)
-        if window is None or latency is None:
+        if not drying or latency is None:
             continue
-        harvest_end = lot.timestamps[Stage.HARVEST][1]
-        assert window[0] - harvest_end >= latency - 1e-9, lot.id
+        assert drying[0] - lot.harvest_end >= latency - 1e-9, lot.id
         checked += 1
     assert checked > 10
 
@@ -581,9 +615,10 @@ def test_stage_outcomes_recorded_at_decision_points():
         reason = lot.drop_reason.value if lot.drop_reason else None
         seen_reasons.add(reason)
         terminal, ended_from = ending[reason]
-        assert lot.stage is terminal and lot.stage_log[-1] is terminal, lot.id
-        assert lot.stage_log[-2] in ended_from, lot.id
-        seen_steps.update(zip(lot.stage_log, lot.stage_log[1:]))
+        stages_entered = [s for _, s in lot.trace]
+        assert lot.stage is terminal and stages_entered[-1] is terminal, lot.id
+        assert stages_entered[-2] in ended_from, lot.id
+        seen_steps.update(zip(stages_entered, stages_entered[1:]))
     assert seen_reasons == set(ending)
     assert (Stage.PREHARVEST_TEST, Stage.HARVEST) in seen_steps
 
@@ -621,25 +656,36 @@ def test_run_pauses_the_collector_and_restores_it(monkeypatch, enabled):
 
 
 def test_stage_durations_within_configured_bounds():
+    # each held stage is measured at its own end event, `_<stage>_done`, from
+    # the entry that began it; the trace would also count a queue wait after
+    # EXTRACTION or WINTERIZATION toward that stage
+    held = (Stage.TRANSPLANT, Stage.CULTIVATION, Stage.DRYING, Stage.EXTRACTION,
+            Stage.WINTERIZATION)
+    spans = []
+
+    def measured_at_end(stage):
+        done = getattr(SupplyChainSimulation, f"_{stage.value}_done")
+
+        def handler(self, lot):
+            since, last = lot.trace[-1]
+            assert last is stage, lot.id
+            spans.append((lot.id, stage, self.calendar.now - since))
+            done(self, lot)
+        return handler
+
+    timed = type("Timed", (SupplyChainSimulation,),
+                 {f"_{stage.value}_done": measured_at_end(stage) for stage in held})
     cfg = small_cfg()
-    sim = SupplyChainSimulation(cfg, 0)
+    sim = timed(cfg, 0)
     sim.run()
-    bounded = {
-        Stage.TRANSPLANT: cfg.duration("transplant"),
-        Stage.CULTIVATION: cfg.duration("cultivation"),
-        Stage.DRYING: cfg.duration("drying"),
-        Stage.EXTRACTION: cfg.duration("extraction"),
-        Stage.WINTERIZATION: cfg.duration("winterization"),
-    }
+    measured = {lot.id for lot in sim.measured}
     checked = 0
-    for lot in sim.measured:
-        for stage, dur in bounded.items():
-            window = lot.timestamps.get(stage)
-            if window is None or window[1] is None:
-                continue
-            elapsed = window[1] - window[0]
-            assert dur.lo - 1e-9 <= elapsed <= dur.hi + 1e-9, (lot.id, stage)
-            checked += 1
+    for lot_id, stage, elapsed in spans:
+        if lot_id not in measured:
+            continue
+        dur = cfg.duration(stage.value)
+        assert dur.lo - 1e-9 <= elapsed <= dur.hi + 1e-9, (lot_id, stage)
+        checked += 1
     assert checked > 100
 
 
