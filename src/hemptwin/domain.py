@@ -117,7 +117,6 @@ class Lot:
     state: CannabinoidState = field(
         default_factory=lambda: CannabinoidState(0.0, 0.0)
     )
-    sample_time: float | None = None
     t_prime_legs: list = field(default_factory=list)
     plc_passes: int = 0
     false_pass_preharvest: bool = False

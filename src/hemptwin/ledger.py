@@ -11,7 +11,10 @@ its data at face value with zero delay, and falsification is never caught.
 Nothing cancels an authority pool's reviews, so a record's review end is
 known when it arrives: each pool computes it in closed form.  Only a record
 a submitter waits on gets calendar events; the others' layer ends wait on
-the ledger's own heap until a later event or a read needs them.
+the ledger's own heap until a later event or a read needs them.  A ledger
+that keeps no chain skips even that once such a record's outcome is fixed:
+it logs the record's latencies then, keyed where its last end would have
+stood in the calendar's order, and lists them once a read reaches that key.
 
 Chains are hash-linked: each block carries the header hash of its
 predecessor and a merkle root over its records, so any post-hoc mutation is
@@ -582,6 +585,16 @@ class LedgerSystem:
     verdict, its `DataRecord`, and the export lines of the record and its
     block, dated its verification end; both join `chain` then, so `chain`
     holds no in-flight work and audits clean at any moment of a run.
+
+    Without `keep_chain` a record nobody awaits resolves as soon as its
+    outcome is fixed: an untampered single-chain record at submission, as
+    its verification end is its last layer and draws nothing, and a
+    two-layer one at its verification end, dated the commit that the root
+    queue fixes there.  Its row is keyed `(time, sequence)` where its last
+    end's heap entry would have been, the sequence drawn from the calendar
+    when that entry's would have been, and `latencies` lists it once a read
+    passes that key.  `latencies` lists rows in submission order, so the
+    log reads the same whenever its records resolved.
     """
 
     def __init__(
@@ -594,7 +607,11 @@ class LedgerSystem:
         self.calendar = calendar
         self.cfg = cfg
         self.keep_chain = keep_chain
-        self._latencies: list[tuple[str, RecordKind, float, float | None]] = []
+        # per record, in submission order: its latency row once resolved
+        self._rows: list[tuple | None] = []
+        # (time, calendar sequence, submission number) of each row resolved
+        # ahead of its last end, until a read passes that key
+        self._ahead: list[tuple[float, int, int]] = []
         n_pools, servers, verify_mean = _ROUTES[cfg.topology](cfg)
         self._chain = ChainState(topology=cfg.topology, n_shards=n_pools)
         self._miss_stream = stream.child("miss")
@@ -617,13 +634,20 @@ class LedgerSystem:
 
     @property
     def chain(self) -> ChainState:
-        self._catch_up()
+        self._catch_up(self._read_key())
         return self._chain
 
     @property
     def latencies(self) -> list[tuple[str, RecordKind, float, float | None]]:
-        self._catch_up()
-        return self._latencies
+        """(lot id, kind, verification latency, confirmation latency or None)
+        of each record resolved so far, in submission order."""
+        key = self._read_key()
+        self._catch_up(key)
+        # a row resolved ahead is listed once a read passes its key
+        self._ahead = [item for item in self._ahead if not item[:2] < key]
+        hidden = {seq for _, _, seq in self._ahead}
+        return [row for seq, row in enumerate(self._rows, 1)
+                if row is not None and seq not in hidden]
 
     # -- submission --------------------------------------------------------
 
@@ -644,10 +668,18 @@ class LedgerSystem:
         Records are numbered in submission order, from 1."""
         shard = assign_shard(location, len(self.shard_pools))
         self._submitted += 1
-        now = self.calendar.now
+        self._rows.append(None)
+        calendar = self.calendar
+        now = calendar.now
+        end = self.shard_pools[shard].admit(now)
+        if (on_resolved is None and not tampered and self.root_pool is None
+                and not self.keep_chain):
+            # verification is its last layer and draws nothing: resolved now
+            self._rows[-1] = (lot_id, kind, end - now, None)
+            self._ahead.append((end, next(calendar.order), self._submitted))
+            return
         self._due(RecordTicket(self._submitted, lot_id, kind, role, location, payload,
-                               now, tampered, on_resolved, shard),
-                  self.shard_pools[shard].admit(now))
+                               now, tampered, on_resolved, shard), end)
 
     def _due(self, ticket: RecordTicket, at: float) -> None:
         """The ticket's layer ends at `at`: an event if awaited, else a heap entry."""
@@ -657,13 +689,15 @@ class LedgerSystem:
         else:
             calendar.schedule(at, lambda: self._layer_ends(ticket, calendar.now))
 
-    def _catch_up(self, key: tuple | None = None) -> None:
-        """Run the pending ends keyed before `key`; by default, before the
-        event that fired last, or every one once the calendar has run dry."""
-        if key is None:
-            calendar = self.calendar
-            key = ((calendar.now, calendar.fired) if len(calendar) or calendar.halted
-                   else (math.inf,))
+    def _read_key(self) -> tuple:
+        """The key a read runs the pending ends before: that of the event
+        that fired last, or one past every end once the calendar has run dry."""
+        calendar = self.calendar
+        return ((calendar.now, calendar.fired) if len(calendar) or calendar.halted
+                else (math.inf,))
+
+    def _catch_up(self, key: tuple) -> None:
+        """Run the pending ends keyed before `key`."""
         pending = self._pending
         while pending and pending[0] < key:
             at, _, ticket = heapq.heappop(pending)
@@ -694,22 +728,30 @@ class LedgerSystem:
         if at < self._commit_at[shard]:
             at = self._commit_at[shard]
         self._commit_at[shard] = at
+        if ticket.on_resolved is None and not self.keep_chain:
+            # the commit only logs its latencies: resolved now, dated it
+            self._rows[ticket.seq - 1] = (
+                ticket.lot_id, ticket.record_kind, now - ticket.submitted_at, at - now)
+            self._ahead.append((at, next(self.calendar.order), ticket.seq))
+            return
         self._due(ticket, at)
 
     def _resolve(self, ticket: RecordTicket, accepted: bool, now: float) -> None:
-        """Write the record's outcome at `now`: log its latencies; when the
-        chain is kept, build an accepted record, named `r` and its six-digit
-        submission number, write the export lines of it and its block, dated
-        its verification end, hash them and put both on the chain, with a
-        root block on the two-layer chain; then hand the verdict to its
-        submitter.  Each shard's records resolve in verification order, so a
-        block's height is its place in the shard's list."""
+        """Write the record's outcome at `now`, its last layer's end: log its
+        latencies in its submission-order slot; when the chain is kept, build
+        an accepted record, named `r` and its six-digit submission number,
+        write the export lines of it and its block, dated its verification
+        end, hash them and put both on the chain, with a root block on the
+        two-layer chain; then hand the verdict to its submitter.  Each
+        shard's records resolve in verification order, so a block's height
+        is its place in the shard's list.  The no-chain fast paths in
+        `submit` and `_layer_ends` log the same row without coming here."""
         shard, verify_end = ticket.shard, ticket.verify_end
         committed = accepted and self.root_pool is not None
-        self._latencies.append((
+        self._rows[ticket.seq - 1] = (
             ticket.lot_id, ticket.record_kind, verify_end - ticket.submitted_at,
             now - verify_end if committed else None,
-        ))
+        )
         if accepted and self.keep_chain:
             chain = self._chain
             blocks = chain.shard_blocks(shard)

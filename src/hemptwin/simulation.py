@@ -187,11 +187,13 @@ class SupplyChainSimulation:
 
     def _enter_test_queue(self, lot: Lot) -> None:
         lot.enter_stage(Stage.PREHARVEST_TEST, self.calendar.now)
-        lot.sample_time = self.calendar.now
         self._step(lot, self.lab_pool, None, "preharvest_test", self._test_done)
 
     def _test_done(self, lot: Lot) -> None:
         cfg = self.cfg
+        # the lab holds no stage of its own: the lot's last entry is still
+        # PREHARVEST_TEST, entered when the sample was taken
+        sampled_at = lot.trace[-1][0]
         result = stages.preharvest_gate(
             lot.state, cfg.thc_preharvest_limit,
             lambda: lot.tamper.bernoulli(cfg.tamper_probability),
@@ -205,7 +207,7 @@ class SupplyChainSimulation:
         self._submit(
             lot, RecordKind.PREHARVEST_RESULT, ParticipantRole.LAB,
             {"cbd": lot.state.cbd_pct, "thc": result.reported,
-             "sampled_at": lot.sample_time},
+             "sampled_at": sampled_at},
             tampered=result.tampered,
             on_resolved=on_resolved,
         )
@@ -234,7 +236,8 @@ class SupplyChainSimulation:
     def _harvest_done(self, lot: Lot) -> None:
         cfg = self.cfg
         now = self.calendar.now
-        t_prime = now - lot.sample_time
+        # the sample was taken at the PREHARVEST_TEST entry, which HARVEST follows
+        t_prime = now - lot.trace[-2][0]
         eps_prime = sample_growth_noise(
             cfg.growth_rate, t_prime, cfg.lambda_var, lot.life.uniform()
         )

@@ -765,9 +765,9 @@ def test_review_queues_hold_no_more_than_the_records_in_flight():
 # layer ends nobody awaits
 
 
-def run_schedule(cfg, items, await_all, stop_at=None, later=True):
+def run_schedule(cfg, items, await_all, stop_at=None, later=True, keep_chain=True):
     """Submit `items`, each (time, location, gate, tampered), to a ledger
-    that keeps its chain.  Gate records get an `on_resolved` that logs
+    that keeps its chain if `keep_chain`.  Gate records get an `on_resolved` that logs
     (time, item index, verdict); with `await_all` every other record gets a
     no-op one, so that each of its layer ends is a calendar event.  The
     calendar runs dry, or a sentinel event at `stop_at` halts it, with a
@@ -775,7 +775,7 @@ def run_schedule(cfg, items, await_all, stop_at=None, later=True):
     or with nothing but awaited ends left.  Returns the latency log, the
     chain export and the verdicts."""
     cal = EventCalendar()
-    ledger = LedgerSystem(cal, cfg, RngStream(31, ("oracle",)), keep_chain=True)
+    ledger = LedgerSystem(cal, cfg, RngStream(31, ("oracle",)), keep_chain=keep_chain)
     verdicts = []
 
     def submit(i, location, gate, tampered):
@@ -852,3 +852,86 @@ def test_unawaited_ends_keep_clamped_commits_in_order(stop_at):
     # submitted in item order: the times never decrease, and ties fire FIFO
     tampered = {record_id(i) for i, item in enumerate(items) if item[3]}
     assert 0 < len(tampered & set(chain.records)) < len(tampered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(  # the schedules of test_unawaited_ends_off_the_calendar_change_no_outcome
+    items=st.lists(st.tuples(coarse_times, st.integers(0, 3), st.booleans(), st.booleans()),
+                   min_size=1, max_size=40),
+    topology=st.sampled_from([Topology.TWO_LAYER, Topology.SINGLE_CHAIN]),
+    n_shards=st.integers(1, 3),
+    validators=st.integers(1, 3),
+    regulators=st.integers(1, 3),
+    miss=st.sampled_from([0.0, 0.3, 0.8]) | st.floats(0.01, 0.99),
+    stop_at=st.none() | coarse_times,
+    later=st.booleans(),
+)
+def test_a_ledger_keeping_no_chain_resolves_early_and_changes_no_outcome(
+        items, topology, n_shards, validators, regulators, miss, stop_at, later):
+    # without a chain, a record nobody awaits resolves once its outcome is
+    # fixed, ahead of its last end: the latency log, read after the run, and
+    # the gate records' verdicts and their times are those of a ledger that
+    # keeps its chain, and of one where every end is a calendar event
+    cfg = ChainConfig(topology=topology, n_shards=n_shards,
+                      n_validators_per_shard=validators, n_regulators=regulators,
+                      miss_probability=miss)
+    runs = [run_schedule(cfg, items, await_all=await_all, stop_at=stop_at, later=later,
+                         keep_chain=keep_chain)
+            for await_all, keep_chain in [(False, False), (False, True), (True, False)]]
+    latencies, _, verdicts = runs[0]
+    assert all((run[0], run[2]) == (latencies, verdicts) for run in runs[1:])
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["nothing-left", "event-left"])
+def test_a_halted_no_chain_single_chain_run_lists_no_record_verified_after_its_halt(later):
+    # as in the twin, where a pre-harvest destruction submits a record nobody
+    # awaits in the event that can halt the run: that record resolves at
+    # submission, yet its verification ends after the halt, so it is not listed
+    logs = []
+    for keep_chain in (False, True):
+        cal = EventCalendar()
+        ledger = LedgerSystem(cal, ChainConfig(topology=Topology.SINGLE_CHAIN),
+                              RngStream(31, ("oracle",)), keep_chain=keep_chain)
+        cal.schedule(0.0, lambda: submit_record(ledger, 0, location=0))
+        cal.schedule(5.0, lambda: (submit_record(ledger, 1, location=1), cal.halt()))
+        if later:
+            cal.schedule(6.0, lambda: None)
+        cal.run()
+        logs.append(ledger.latencies)
+    assert [row[0] for row in logs[0]] == ["lot-0-0"]
+    assert logs[0] == logs[1]
+
+
+def test_a_row_once_listed_stays_listed_when_a_dry_calendar_resumes():
+    # a read of a calendar that has run dry lists every record; a read after
+    # an event scheduled later, at the same time and before the record's
+    # verification end, lists them still
+    logs = []
+    for keep_chain in (False, True):
+        cal, system = build_system(ChainConfig(topology=Topology.SINGLE_CHAIN),
+                                   keep_chain=keep_chain)
+        submit_record(system, 0)
+        cal.run()
+        first = system.latencies
+        cal.schedule(0.0, lambda: None)
+        cal.schedule(10.0, lambda: None)
+        cal.step()
+        assert system.latencies == first != []
+        logs.append(first)
+    assert logs[0] == logs[1]
+
+
+def test_the_latency_log_is_in_submission_order():
+    # records on two shards, one validator each, are verified out of
+    # submission order; the log lists them in submission order, whether a
+    # chain is kept or not
+    cfg = two_layer_cfg(n_shards=2, n_validators_per_shard=1, n_regulators=1)
+    for keep_chain in (False, True):
+        cal, system = build_system(cfg, keep_chain=keep_chain)
+        for i in range(20):
+            submit_record(system, i, location=i)
+        cal.run()
+        rows = system.latencies
+        assert [lot for lot, *_ in rows] == [f"lot-0-{i}" for i in range(20)]
+        verified = sorted(range(20), key=lambda i: rows[i][2])
+        assert verified != list(range(20))

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import gc
+import heapq
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,43 @@ def test_a_ledger_builds_records_only_for_the_chain_it_keeps(records_built, topo
     assert records_built == [] and sim.ledger.latencies
     _, kept = run_replication(cfg, 0, keep_chain=True)
     assert records_built == list(kept.ledger.chain.records.values())
+
+
+@pytest.mark.parametrize("p2", [0.3, 0.9])
+@pytest.mark.parametrize("seed", [4242, 97])
+@pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+def test_keeping_the_chain_changes_no_statistic(topology, seed, p2):
+    # a ledger that keeps no chain resolves the records nobody awaits ahead
+    # of their last end; the replication reads as one that keeps its chain
+    cfg = with_topology(small_cfg(tamper_probability=p2), topology)
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, master_seed=seed))
+    for j in (0, 1):
+        kept, _ = run_replication(cfg, j, keep_chain=True)
+        assert repr(run_replication(cfg, j)) == repr(kept)
+
+
+def test_a_no_chain_single_chain_replication_tickets_only_gate_records(monkeypatch):
+    # a record nobody awaits resolves at submission: it gets no ticket, and
+    # nothing goes onto the ledger's heap of unawaited ends
+    tickets, pushed = [], []
+    ticket = ledger.RecordTicket
+    monkeypatch.setattr(ledger, "RecordTicket",
+                        lambda *args: tickets.append(ticket(*args)) or tickets[-1])
+    sim = SupplyChainSimulation(with_topology(small_cfg(), Topology.SINGLE_CHAIN), 0)
+    pending, heappush = sim.ledger._pending, heapq.heappush
+
+    def logged(heap, item):
+        if heap is pending:
+            pushed.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", logged)
+    sim.run()
+    assert pushed == []
+    gates = {RecordKind.PREHARVEST_RESULT, RecordKind.HARVEST_DATA, RecordKind.FINAL_COA}
+    assert tickets and all(t.on_resolved is not None for t in tickets)
+    assert {t.record_kind for t in tickets} <= gates
+    assert len(sim.ledger.latencies) > 2 * len(tickets)
 
 
 def test_a_lots_preparation_is_one_event_at_its_later_end(monkeypatch):
